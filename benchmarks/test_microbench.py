@@ -19,7 +19,6 @@ from repro.delta.decode import apply_delta
 from repro.delta.reencode import delta_reencode
 from repro.hashing.adler import rolling_adler32
 from repro.hashing.murmur import murmur3_32
-from repro.hashing.rabin import rolling_rabin
 from repro.index.cuckoo import CuckooFeatureIndex
 from repro.sketch.features import SketchExtractor
 from repro.workloads.edits import revise
@@ -33,12 +32,6 @@ def corpus():
     base = text_gen.document(32_000)
     target = revise(rng, text_gen, base, num_edits=6)
     return base.encode(), target.encode()
-
-
-def test_rolling_rabin_32k(benchmark, corpus):
-    data, _ = corpus
-    hashes = benchmark(rolling_rabin, data, 48)
-    assert len(hashes) == len(data) - 47
 
 
 def test_rolling_adler_32k(benchmark, corpus):
@@ -182,6 +175,60 @@ def test_chunking_batch_throughput(benchmark, chunking_corpus):
     chunker = ContentDefinedChunker(avg_size=64, impl="vectorized")
     results = benchmark(chunker.boundaries_many, records)
     assert len(results) == len(records)
+
+
+def test_sketch_hashing_vectorized_vs_scalar():
+    """The block-parallel murmur lane must stay >= 3x the scalar loop.
+
+    Same double gate as the chunking lanes: against the scalar lane run
+    here and now, and against the committed scalar baseline. Per-record
+    and batch-64 sketches of ~10 KB wiki revisions at 64 B chunks (the
+    `wiki-insert` / `enron-batch` side of the lane threshold).
+    Regenerate the baseline after an intended change with::
+
+        PYTHONPATH=src python benchmarks/regen_sketch_baseline.py
+    """
+    import regen_sketch_baseline as bench
+
+    baseline = json.loads(bench.BASELINE.read_text(encoding="utf-8"))
+    wiki = bench.wiki_records()
+    for case, batched in (("record", False), ("batch64", True)):
+        scalar_mb_s = bench.throughput_mb_s(wiki, "scalar", batched, repeat=3)
+        vector_mb_s = bench.throughput_mb_s(wiki, "vectorized", batched, repeat=3)
+        assert vector_mb_s >= 3.0 * scalar_mb_s, (
+            f"{case}: vectorized {vector_mb_s:.1f} MB/s < 3x scalar "
+            f"{scalar_mb_s:.1f} MB/s"
+        )
+        assert vector_mb_s >= 3.0 * baseline[case]["scalar_mb_s"], (
+            f"{case}: vectorized {vector_mb_s:.1f} MB/s < 3x committed "
+            f"scalar baseline {baseline[case]['scalar_mb_s']:.1f} MB/s"
+        )
+
+
+def test_sketch_hashing_threshold_keeps_small_records_scalar():
+    """~220 B rows must not pay numpy dispatch: selected >= 0.9x scalar.
+
+    The vectorized lane is ~3.5x *slower* here (the committed baseline
+    records it), which is why the lane threshold exists; this is the
+    `oltp-mixed` side of it.
+    """
+    import regen_sketch_baseline as bench
+
+    small = bench.small_records()
+    extractor = SketchExtractor(chunker=ContentDefinedChunker(avg_size=64))
+    for data in small:
+        extractor.sketch(data)
+    assert extractor.chunks_hashed["vectorized"] == 0
+
+    scalar_mb_s = bench.throughput_mb_s(small, "scalar")
+    selected_mb_s = bench.throughput_mb_s(small, None)
+    assert selected_mb_s >= 0.9 * scalar_mb_s, (
+        f"threshold-selected {selected_mb_s:.2f} MB/s < 0.9x scalar "
+        f"{scalar_mb_s:.2f} MB/s"
+    )
+    baseline = json.loads(bench.BASELINE.read_text(encoding="utf-8"))
+    assert baseline["vector_min_width"] == bench.features._VECTOR_MIN_WIDTH
+    assert baseline["small"]["speedup"] < 0.9
 
 
 ADMISSION_BASELINE = (

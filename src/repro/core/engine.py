@@ -456,6 +456,16 @@ class DedupEngine:
             "chunker_skip_bytes_total",
             "Bytes the scalar chunker lane skipped past min-chunk regions",
         )).collect(lambda: {(): float(chunker.bytes_skipped)})
+        extractor = self.extractor
+        owned(reg.counter(
+            "sketch_chunks_hashed_total",
+            "Chunks feature-hashed for similarity sketches, per murmur lane",
+            ("lane",),
+        )).collect(lambda: {
+            (lane,): float(count)
+            for lane, count in extractor.chunks_hashed.items()
+            if count
+        })
         reg.gauge(
             "size_filter_threshold_bytes",
             "Adaptive size filter cut-off per database", label,

@@ -127,6 +127,8 @@ def _install_node_collectors(registry: MetricsRegistry, node) -> None:
         "Background CPU consumed off the client critical path",
     )
 
+    # Only the physical engine (HeapFileStore.pool) has a buffer pool;
+    # the idealized PageStore has none and exports zeros.
     pool = lambda attr: (
         lambda: getattr(getattr(node.db.pages, "pool", None), attr, 0)
     )

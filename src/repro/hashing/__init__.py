@@ -1,15 +1,15 @@
 """Hash primitives used by chunking, sketching, and delta compression.
 
-The paper's pipeline needs three different hashes, each chosen for a
+The paper's pipeline needs four different hashes, each chosen for a
 different speed/strength trade-off (§3.1.1, §4.2):
 
 * Gear hash — table-driven rolling hash for content-defined chunk
   boundaries (the hot path; one lookup + shift-add per byte, and a
   six-pass numpy sweep in bulk).
-* Rabin fingerprints — the original polynomial rolling hash, retained as
-  a reference primitive.
 * MurmurHash3 — cheap, non-cryptographic chunk identity for the similarity
-  sketch (collisions are tolerable because delta compression verifies bytes).
+  sketch (collisions are tolerable because delta compression verifies
+  bytes); a frozen scalar oracle plus a block-parallel numpy lane that
+  hashes all chunks of a record or batch at once.
 * Rolling Adler-32 — the block checksum xDelta/dbDelta use to find candidate
   match offsets between a source and a target byte stream.
 * SHA-1 — collision-resistant chunk identity for the trad-dedup baseline,
@@ -18,16 +18,14 @@ different speed/strength trade-off (§3.1.1, §4.2):
 
 from repro.hashing.adler import adler32_block, rolling_adler32
 from repro.hashing.gear import GearHasher, gear_hashes, gear_table
-from repro.hashing.murmur import murmur3_32
-from repro.hashing.rabin import RabinHasher, rolling_rabin
+from repro.hashing.murmur import murmur3_32, murmur3_32_chunks
 
 __all__ = [
     "murmur3_32",
+    "murmur3_32_chunks",
     "GearHasher",
     "gear_hashes",
     "gear_table",
-    "RabinHasher",
-    "rolling_rabin",
     "adler32_block",
     "rolling_adler32",
 ]

@@ -1,6 +1,11 @@
 """Rolling Rabin-style fingerprints for content-defined chunking (§3.1.1).
 
-The chunker declares a boundary wherever the low bits of the window hash
+Not on any code path: the chunker has rolled the gear hash
+(:mod:`repro.hashing.gear`) since the dual-lane rewrite, and this module
+is no longer exported from :mod:`repro.hashing`. It stays only until its
+test file can be retired with it.
+
+A Rabin chunker declares a boundary wherever the low bits of the window hash
 match a fixed pattern, so boundaries move with content instead of offsets —
 an insertion early in a record only shifts the chunks it touches.
 

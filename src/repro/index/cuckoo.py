@@ -114,18 +114,18 @@ class CuckooFeatureIndex:
 
     # -- hashing -----------------------------------------------------------
 
-    @staticmethod
-    def _checksum(feature: int) -> int:
-        """Compact 16-bit checksum stored as the entry key."""
-        return murmur3_32(feature.to_bytes(8, "little"), seed=0xC0FFEE) & 0xFFFF
+    def _hashed(self, feature: int) -> tuple[int, int, int]:
+        """``(checksum, first bucket, second bucket)`` of one feature.
 
-    def _bucket_indexes(self, feature: int) -> tuple[int, int]:
+        Three murmur digests of the same 8-byte key: the compact 16-bit
+        checksum stored as the entry key, and the two candidate buckets.
+        """
         raw = feature.to_bytes(8, "little")
         first = murmur3_32(raw, seed=0x1) & self._mask
         second = murmur3_32(raw, seed=0x2) & self._mask
         if second == first:
             second = (first + 1) & self._mask
-        return first, second
+        return murmur3_32(raw, seed=0xC0FFEE) & 0xFFFF, first, second
 
     # -- operations ----------------------------------------------------------
 
@@ -135,8 +135,9 @@ class CuckooFeatureIndex:
         This mirrors the paper's combined flow: every new record both queries
         the index and becomes discoverable by future records.
         """
-        matches = self.lookup(feature)
-        self.insert(feature, record)
+        hashed = self._hashed(feature)
+        matches = self._lookup_hashed(*hashed)
+        self._insert_hashed(feature, record, *hashed)
         return matches
 
     def lookup(self, feature: int) -> list[Hashable]:
@@ -153,11 +154,16 @@ class CuckooFeatureIndex:
         refreshed; surplus matches beyond the cap stay stale and become
         the next eviction candidates.
         """
-        checksum = self._checksum(feature)
+        return self._lookup_hashed(*self._hashed(feature))
+
+    def _lookup_hashed(
+        self, checksum: int, first: int, second: int
+    ) -> list[Hashable]:
+        """:meth:`lookup` on a feature's precomputed :meth:`_hashed` triple."""
         self._clock += 1
         self.lookups += 1
         matches: list[_Entry] = []
-        for index in self._bucket_indexes(feature):
+        for index in (first, second):
             for entry in self._buckets[index].slots:
                 if entry.checksum == checksum:
                     matches.append(entry)
@@ -174,9 +180,7 @@ class CuckooFeatureIndex:
 
     def insert(self, feature: int, record: Hashable) -> None:
         """Register ``record`` under ``feature``, displacing LRU if full."""
-        checksum = self._checksum(feature)
-        first, second = self._bucket_indexes(feature)
-        self._insert_hashed(feature, record, checksum, first, second)
+        self._insert_hashed(feature, record, *self._hashed(feature))
 
     def insert_batch(
         self, features: Sequence[int], record_ids: Sequence[Hashable]

@@ -244,8 +244,14 @@ class TieredFeatureIndex:
 
     def lookup(self, feature: int) -> list[Hashable]:
         """Candidate records for ``feature``: hot tier first, then bands."""
+        return self._lookup_hashed(feature, self.hot._hashed(feature))
+
+    def _lookup_hashed(
+        self, feature: int, hashed: tuple[int, int, int]
+    ) -> list[Hashable]:
+        """:meth:`lookup` with the hot tier's digests of ``feature`` in hand."""
         self.lookups += 1
-        matches = self.hot.lookup(feature)
+        matches = self.hot._lookup_hashed(*hashed)
         if matches:
             self.hot_hits += 1
             return matches
@@ -285,9 +291,15 @@ class TieredFeatureIndex:
     def lookup_and_insert(
         self, feature: int, record: Hashable
     ) -> list[Hashable]:
-        """Query then register — the paper's combined per-feature flow."""
-        matches = self.lookup(feature)
-        self.insert(feature, record)
+        """Query then register — the paper's combined per-feature flow.
+
+        The hot tier's three digests of ``feature`` are computed once
+        and serve both halves.
+        """
+        hashed = self.hot._hashed(feature)
+        matches = self._lookup_hashed(feature, hashed)
+        self.hot._insert_hashed(feature, record, *hashed)
+        self._enforce_budget()
         return matches
 
     def drain_maintenance_bytes(self) -> int:

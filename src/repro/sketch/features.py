@@ -9,18 +9,47 @@ both records. Two records are deemed similar if their sketches intersect.
 
 Indexing at most K features per record is what bounds dbDedup's index
 memory regardless of chunk size — the property Fig. 1/10 turn on.
+
+Chunk hashing has two bit-identical lanes. The scalar lane calls
+:func:`~repro.hashing.murmur.murmur3_32` once per chunk; the vectorized
+lane hands every chunk of a record — or of a whole batch — to
+:func:`~repro.hashing.murmur.murmur3_32_chunks` in one numpy pass. Which
+one runs is decided per call from the chunks themselves (see
+:data:`_VECTOR_MIN_WIDTH`), never by a knob.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.chunking.cdc import ContentDefinedChunker
-from repro.hashing.murmur import murmur3_32
+from repro.hashing.murmur import murmur3_32, murmur3_32_chunks
 
 #: Paper default: "We find K = 8 strikes a reasonable trade-off between
 #: compression ratio and memory usage."
 DEFAULT_TOP_K = 8
+
+#: Lane threshold: chunks are hashed in one numpy pass when the bytes to
+#: hash are at least this many times the chunker's ``max_size``, i.e.
+#: when the column walk of ``murmur3_32_chunks`` is on average at least
+#: this many chunks wide. The walk pays a fixed ~50 µs of numpy dispatch
+#: plus ~5 µs per 4-byte column of the longest chunk however few chunks
+#: ride along, against ~0.8 µs per block for the scalar loop, so a narrow
+#: walk loses to it. Measured by ``benchmarks/regen_sketch_baseline.py``
+#: at 64 B chunks (``benchmarks/baselines/sketch_microbench.json``): 3.5x
+#: slower at width 1 (a 220 B OLTP row), 2x slower at 2, break-even
+#: to 1.25x faster at 4 (1 KB, ~15 chunks), 1.2-1.4x at 6, 1.8x at 8,
+#: 7x at ~40 (an 11 KB article). 6 is the first measured width that
+#: wins on every run.
+_VECTOR_MIN_WIDTH = 6
+
+#: Bytes hashed per numpy pass in :meth:`SketchExtractor.sketch_many`.
+#: The pass allocates ~9 bytes of temporaries per input byte; a slab
+#: bounds that whatever the batch size.
+_SLAB_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -49,6 +78,10 @@ class SketchExtractor:
             index budget (K entries per record).
         top_k: sketch size K.
         seed: MurmurHash seed; all cooperating nodes must agree on it.
+
+    Attributes:
+        chunks_hashed: chunks hashed so far, keyed by hashing lane
+            (exported as ``sketch_chunks_hashed_total{lane}``).
     """
 
     def __init__(
@@ -62,6 +95,7 @@ class SketchExtractor:
         self.chunker = chunker if chunker is not None else ContentDefinedChunker()
         self.top_k = top_k
         self.seed = seed
+        self.chunks_hashed: dict[str, int] = {"scalar": 0, "vectorized": 0}
 
     def sketch(self, data: bytes) -> FeatureSketch:
         """Chunk ``data``, hash each chunk, keep the K largest hashes.
@@ -70,27 +104,64 @@ class SketchExtractor:
         full of one repeated chunk yields a single feature, which is the
         behaviour that makes sketch intersection meaningful.
         """
-        return self._from_boundaries(data, self.chunker.boundaries(data))
+        return self._sketch_slab([data], [self.chunker.boundaries(data)])[0]
 
     def sketch_many(self, datas: list[bytes]) -> list[FeatureSketch]:
-        """Sketch a whole batch of records, amortizing the chunking pass.
+        """Sketch a whole batch of records, amortizing chunking and hashing.
 
         Returns exactly ``[self.sketch(d) for d in datas]`` — same chunk
         boundaries, same features — but the gear boundary sweep runs once
         over the concatenated batch
-        (:meth:`~repro.chunking.cdc.ContentDefinedChunker.boundaries_many`),
-        which is markedly cheaper than per-record sweeps when records are
-        small relative to numpy's fixed per-call overhead. Because both
-        chunker lanes emit identical boundaries, the sketches — and every
+        (:meth:`~repro.chunking.cdc.ContentDefinedChunker.boundaries_many`)
+        and the chunk hashes of consecutive records are computed together,
+        :data:`_SLAB_BYTES` at a time, however the chunker routed each
+        record. Because both chunker lanes emit identical boundaries and
+        both hashing lanes identical hashes, the sketches — and every
         downstream similarity decision — are lane-independent too.
         """
-        return [
-            self._from_boundaries(data, cuts)
-            for data, cuts in zip(datas, self.chunker.boundaries_many(datas))
-        ]
+        cuts = self.chunker.boundaries_many(datas)
+        sketches: list[FeatureSketch] = []
+        first = 0
+        slab_bytes = 0
+        for pos, data in enumerate(datas):
+            if pos > first and slab_bytes + len(data) > _SLAB_BYTES:
+                sketches += self._sketch_slab(datas[first:pos], cuts[first:pos])
+                first = pos
+                slab_bytes = 0
+            slab_bytes += len(data)
+        sketches += self._sketch_slab(datas[first:], cuts[first:])
+        return sketches
 
-    def _from_boundaries(self, data: bytes, cuts: list[int]) -> FeatureSketch:
-        """Top-K murmur features over the chunks the cut list describes."""
+    def _sketch_slab(
+        self, datas: list[bytes], cuts: list[list[int]]
+    ) -> list[FeatureSketch]:
+        """Top-K murmur features of consecutive records, one lane for all."""
+        sizes = [len(data) for data in datas]
+        # No chunk is longer than max_size, so this is a floor on the width.
+        if sum(sizes) < _VECTOR_MIN_WIDTH * self.chunker.max_size:
+            sketches = [
+                self._scalar_sketch(data, record_cuts)
+                for data, record_cuts in zip(datas, cuts)
+            ]
+            self.chunks_hashed["scalar"] += sum(s.chunk_count for s in sketches)
+            return sketches
+        counts = [len(record_cuts) for record_cuts in cuts]
+        total = sum(counts)
+        self.chunks_hashed["vectorized"] += total
+        ends = np.fromiter(chain.from_iterable(cuts), np.int64, count=total)
+        ends += np.repeat(np.cumsum([0] + sizes[:-1]), counts)
+        hashes = murmur3_32_chunks(b"".join(datas), ends, self.seed)
+        sketches = []
+        stop = 0
+        for count in counts:
+            start, stop = stop, stop + count
+            # np.unique sorts ascending and collapses duplicates.
+            top = np.unique(hashes[start:stop])[: -self.top_k - 1 : -1]
+            sketches.append(FeatureSketch(tuple(top.tolist()), count))
+        return sketches
+
+    def _scalar_sketch(self, data: bytes, cuts: list[int]) -> FeatureSketch:
+        """The per-chunk loop over the scalar murmur: the reference lane."""
         start = 0
         hashes = set()
         for end in cuts:

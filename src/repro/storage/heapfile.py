@@ -249,6 +249,11 @@ class HeapFileStore:
         return record_id in self.heap
 
     @property
+    def pool(self) -> BufferPool:
+        """The heap file's buffer pool (what ``bufferpool_*`` metrics read)."""
+        return self.heap.pool
+
+    @property
     def page_count(self) -> int:
         """Number of pages allocated so far."""
         return self.heap.page_count

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import DedupConfig
 from repro.db.cluster import Cluster, ClusterConfig
+from repro.storage.bufferpool import BufferPool
 from repro.storage.heapfile import HeapFileStore
 from repro.workloads.wikipedia import WikipediaWorkload
 
@@ -51,5 +52,38 @@ class TestPhysicalCluster:
                 op.database, op.record_id
             )
             assert content == op.content
-        pool = physical_cluster.primary.db.pages.heap.pool
+        pool = physical_cluster.primary.db.pages.pool
         assert pool.hits + pool.misses > 0
+
+    def test_bufferpool_metrics_count_every_page_request(
+        self, physical_cluster, monkeypatch
+    ):
+        # Regression: the collectors looked for ``pages.pool`` while the
+        # pool lived at ``pages.heap.pool``, so every physical-storage
+        # run exported zeros.
+        nodes = (physical_cluster.primary, physical_cluster.secondary)
+        requests = {node.node_name: 0 for node in nodes}
+        pools = {id(node.db.pages.pool): node.node_name for node in nodes}
+        original = BufferPool.get
+
+        def counting_get(pool, page_id):
+            requests[pools[id(pool)]] += 1
+            return original(pool, page_id)
+
+        monkeypatch.setattr(BufferPool, "get", counting_get)
+        workload = WikipediaWorkload(seed=55, target_bytes=100_000)
+        physical_cluster.run(workload.insert_trace())
+        snapshot = physical_cluster.registry.snapshot()
+
+        def exported(family, node):
+            return sum(
+                row["value"]
+                for row in snapshot[family]["values"]
+                if row["labels"]["node"] == node
+            )
+
+        for node in requests:
+            hits = exported("bufferpool_hits_total", node)
+            misses = exported("bufferpool_misses_total", node)
+            assert hits > 0
+            assert hits + misses == requests[node]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hashing.murmur import murmur3_32
+from repro.hashing.murmur import murmur3_32, murmur3_32_chunks
 
 # Canonical vectors from Austin Appleby's reference implementation and the
 # SMHasher verification suite.
@@ -28,6 +28,15 @@ REFERENCE_VECTORS = [
 @pytest.mark.parametrize("data,seed,expected", REFERENCE_VECTORS)
 def test_reference_vectors(data, seed, expected):
     assert murmur3_32(data, seed) == expected
+
+
+@pytest.mark.parametrize("data,seed,expected", REFERENCE_VECTORS)
+def test_reference_vectors_chunk_lane(data, seed, expected):
+    # Alone, and as the middle chunk of a buffer at an odd alignment.
+    assert murmur3_32_chunks(data, [len(data)], seed).tolist() == [expected]
+    framed = b"\xa5" + data + b"\x5a\x5a"
+    cuts = [1, 1 + len(data), len(framed)]
+    assert murmur3_32_chunks(framed, cuts, seed)[1] == expected
 
 
 def test_default_seed_is_zero():

@@ -8,6 +8,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = REPO_ROOT / "tools" / "check_api_boundary.py"
 
 sys.path.insert(0, str(REPO_ROOT / "tools"))
+import check_api_boundary  # noqa: E402
 from check_api_boundary import ALLOWED, BANNED, find_violations  # noqa: E402
 
 
@@ -47,3 +48,14 @@ class TestBoundary:
         ]
         for line in allowed:
             assert not BANNED.match(line), line
+
+    def test_frozen_oracle_source_gate_is_sharp(self, monkeypatch):
+        # murmur3_32 is the differential oracle of the numpy murmur
+        # lanes: its text is pinned, and a digest that does not match
+        # (here: a wrong pin standing in for an edited function) trips.
+        key = ("src/repro/hashing/murmur.py", "murmur3_32")
+        assert key in check_api_boundary.FROZEN_SOURCES
+        assert check_api_boundary.find_frozen_source_violations() == []
+        monkeypatch.setitem(check_api_boundary.FROZEN_SOURCES, key, "0" * 64)
+        (violation,) = check_api_boundary.find_frozen_source_violations()
+        assert violation[2] == "murmur3_32"

@@ -13,6 +13,8 @@ Run:  python tools/check_api_boundary.py
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import re
 import sys
 from pathlib import Path
@@ -134,16 +136,31 @@ RULES = (
 #: top-level names they may export. The scalar chunker is the
 #: differential-testing oracle for the vectorized lane: it must stay a
 #: single pure function so nothing can grow to depend on oracle-only
-#: behaviour. Names starting with ``_`` and imports are not surface.
+#: behaviour. The murmur module is the scalar oracle plus its two numpy
+#: lanes and nothing else. Names starting with ``_`` and imports are
+#: not surface.
 FROZEN_SURFACES = {
     "src/repro/chunking/scalar.py": frozenset({"scalar_boundaries"}),
+    "src/repro/hashing/murmur.py": frozenset(
+        {"murmur3_32", "murmur3_32_chunks", "murmur3_32_u64_batch"}
+    ),
+}
+
+#: Oracle functions whose *source text* is frozen: ``(module, function)``
+#: mapped to the SHA-256 of the function's source segment. The numpy
+#: murmur lanes are proven against ``murmur3_32`` and it still hashes
+#: for the router, the cuckoo and Bloom indexes and the tenant harness,
+#: so an edit here moves every golden value at once. A deliberate
+#: change updates the digest in the same commit.
+FROZEN_SOURCES = {
+    ("src/repro/hashing/murmur.py", "murmur3_32"): (
+        "04cf2e2903d123922e6139a0adc6279354eba5058b60b589b0f38415fcb45c18"
+    ),
 }
 
 
 def _public_surface(path: Path) -> set[str]:
     """Top-level public names a module defines (defs, classes, assigns)."""
-    import ast
-
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names: set[str] = set()
     for node in tree.body:
@@ -174,8 +191,8 @@ def find_frozen_surface_violations() -> list[tuple[str, int, str, str]]:
                 relative,
                 0,
                 name,
-                "grows the frozen oracle surface (keep the scalar lane "
-                "a single pure function)",
+                "grows the frozen oracle surface (an oracle module "
+                "exports its pinned names and nothing else)",
             ))
         for name in sorted(expected - actual):
             violations.append(
@@ -184,11 +201,37 @@ def find_frozen_surface_violations() -> list[tuple[str, int, str, str]]:
     return violations
 
 
+def find_frozen_source_violations() -> list[tuple[str, int, str, str]]:
+    """Frozen oracle functions whose source text no longer matches."""
+    violations: list[tuple[str, int, str, str]] = []
+    for (relative, function), digest in FROZEN_SOURCES.items():
+        path = REPO_ROOT / relative
+        source = path.read_text(encoding="utf-8") if path.is_file() else ""
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and node.name == function:
+                segment = ast.get_source_segment(source, node)
+                if hashlib.sha256(segment.encode("utf-8")).hexdigest() != digest:
+                    violations.append((
+                        relative,
+                        node.lineno,
+                        function,
+                        "frozen oracle source changed (the differential "
+                        "suites are proven against this exact text)",
+                    ))
+                break
+        else:
+            violations.append(
+                (relative, 0, function, "frozen oracle function is gone")
+            )
+    return violations
+
+
 def find_violations() -> list[tuple[str, int, str, str]]:
     """``(relative_path, line_number, line, message)`` per banned import."""
-    violations: list[tuple[str, int, str, str]] = list(
-        find_frozen_surface_violations()
-    )
+    violations: list[tuple[str, int, str, str]] = [
+        *find_frozen_surface_violations(),
+        *find_frozen_source_violations(),
+    ]
     for tree in SCANNED_TREES:
         root = REPO_ROOT / tree
         if not root.is_dir():
@@ -221,7 +264,7 @@ def main() -> int:
         return 1
     print(
         "API boundary clean: no new internal Cluster or governor-shim "
-        "imports; frozen oracle surface unchanged."
+        "imports; frozen oracle surfaces and sources unchanged."
     )
     return 0
 
