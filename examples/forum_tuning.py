@@ -79,7 +79,7 @@ def show_governor() -> None:
     print()
     print(
         f"governor: dedup enabled for 'blobstore' after 260 inserts? "
-        f"{engine.governor.is_enabled('blobstore')} "
+        f"{engine.admission.is_enabled('blobstore')} "
         f"(bypassed {engine.stats.records_bypassed} records after disabling)"
     )
 

@@ -58,11 +58,6 @@ class ClusterSpec:
             permanent bypass in hybrid mode).
         admission_queue_records: override of
             ``dedup.admission_queue_records`` (deferred-queue bound).
-        chunker_impl: convenience override of ``dedup.chunker_impl`` —
-            ``"scalar"``, ``"vectorized"`` or ``"auto"``; None keeps
-            the dedup config's value. Both lanes produce byte-identical
-            boundaries and sketches (the scalar lane is the
-            differential-testing oracle), so this knob only moves CPU.
         gc_enabled: convenience override of ``dedup.gc_enabled`` —
             True runs the online garbage collector during idle slices;
             None keeps the dedup config's value (off by default).
@@ -106,7 +101,6 @@ class ClusterSpec:
     admission_inline_threshold: float | None = None
     admission_bypass_threshold: float | None = None
     admission_queue_records: int | None = None
-    chunker_impl: str | None = None
     gc_enabled: bool | None = None
     gc_reclaim_threshold_bytes: int | None = None
     gc_max_batch_records: int | None = None
@@ -152,7 +146,6 @@ class ClusterSpec:
                 ("admission_inline_threshold", self.admission_inline_threshold),
                 ("admission_bypass_threshold", self.admission_bypass_threshold),
                 ("admission_queue_records", self.admission_queue_records),
-                ("chunker_impl", self.chunker_impl),
                 ("gc_enabled", self.gc_enabled),
                 ("gc_reclaim_threshold_bytes", self.gc_reclaim_threshold_bytes),
                 ("gc_max_batch_records", self.gc_max_batch_records),

@@ -16,16 +16,17 @@ Two lanes compute the same boundaries:
   (:func:`repro.chunking.scalar.scalar_boundaries`). This is the
   differential-testing *oracle*: slow, obvious, frozen.
 * **vectorized** — a numpy bulk sweep (:func:`~repro.hashing.gear.
-  gear_hashes`) computes the hash at every position in six shift-add
+  gear_sweep`) computes the hash at every position in six shift-add
   passes; only the sparse mask matches are visited in Python.
   :meth:`ContentDefinedChunker.boundaries_many` amortizes one padded
-  sweep across a whole batch of records.
+  sweep across the small records of a batch, and
+  :meth:`~ContentDefinedChunker.boundaries` is its batch of one.
 
-The lanes are selected by ``impl`` (surfaced as
-``DedupConfig.chunker_impl``); the differential fuzz suite holds them
-byte-identical on every input, so every equivalence property proved
-elsewhere (batch ≡ sequential, sharded ≡ unsharded, inline ≡ hybrid)
-holds regardless of lane.
+The engine always runs the vectorized lane; ``impl`` exists so tests and
+microbenchmarks can reach the oracle. The differential fuzz suite holds
+the lanes byte-identical on every input, so every equivalence property
+proved elsewhere (batch ≡ sequential, sharded ≡ unsharded, inline ≡
+hybrid) holds regardless of lane.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chunking.scalar import scalar_boundaries
-from repro.hashing.gear import GEAR_NP, WINDOW, gear_hashes
+from repro.hashing.gear import GEAR_NP, WINDOW, gear_hashes, gear_sweep
 
 #: Recognized ``impl`` values: the explicit lanes plus ``"auto"``, which
-#: resolves to the vectorized lane (numpy is a hard dependency; the knob
-#: exists so differential tests and ablations can force the oracle).
+#: resolves to the vectorized lane (numpy is a hard dependency; the
+#: argument exists so differential tests can force the oracle).
 CHUNKER_IMPLS = ("scalar", "vectorized", "auto")
 
 #: Normalization level: the strict mask carries ``log2(avg) + 2`` low
@@ -140,44 +141,34 @@ class ContentDefinedChunker:
 
     def boundaries(self, data: bytes) -> list[int]:
         """Return chunk end offsets (ascending, final element ``len(data)``)."""
-        if not data:
-            return []
-        if self.resolved_impl == "scalar":
-            return self._scalar_boundaries(data)
-        hashes = gear_hashes(data)
-        self.bytes_scanned["vectorized"] += len(data)
-        return self._cuts_from_hashes(hashes, len(data))
+        return self.boundaries_many([data])[0]
 
     def boundaries_many(self, datas: list[bytes]) -> list[list[int]]:
-        """Chunk boundaries for a whole batch in one vectorized pass.
+        """Chunk boundaries for a whole batch of records.
 
-        Equivalent to ``[self.boundaries(d) for d in datas]`` — the gear
-        hash is restartable, so per-record and batched sweeps agree
-        exactly — but runs a *single* numpy sweep over the concatenated
-        batch, amortizing the fixed dispatch cost that dominates small
-        records. Records are separated by :data:`WINDOW` − 1 zero gear
-        terms, which contribute nothing at any shift, so no record's
-        hashes see its neighbour's bytes. Records of
-        :data:`_BATCH_RECORD_CUTOFF` bytes or more gain nothing from
-        amortization and are swept individually. The scalar lane chunks
-        record by record (it has no per-call setup worth amortizing).
+        Each result is the record's chunk end offsets, exactly as if the
+        record had been chunked alone — the gear hash is restartable, so
+        per-record and batched sweeps agree. Records under
+        :data:`_BATCH_RECORD_CUTOFF` bytes, when there are at least two
+        of them, share a *single* numpy sweep over their concatenation,
+        amortizing the fixed dispatch cost that dominates small records;
+        they are separated by :data:`WINDOW` − 1 zero gear terms so no
+        record's hashes see its neighbour's bytes. Every other record
+        gains nothing from amortization and is swept on its own. The
+        scalar lane chunks record by record (it has no per-call setup
+        worth amortizing).
         """
-        if not datas:
-            return []
         if self.resolved_impl == "scalar":
             return [
                 self._scalar_boundaries(data) if data else [] for data in datas
             ]
         results: list[list[int] | None] = [None] * len(datas)
-        small: list[int] = []
-        for pos, data in enumerate(datas):
-            if not data:
-                results[pos] = []
-            elif len(data) >= _BATCH_RECORD_CUTOFF:
-                results[pos] = self.boundaries(data)
-            else:
-                small.append(pos)
-        if small:
+        small = [
+            pos
+            for pos, data in enumerate(datas)
+            if 0 < len(data) < _BATCH_RECORD_CUTOFF
+        ]
+        if len(small) > 1:
             total = sum(len(datas[pos]) for pos in small)
             padded = np.zeros(total + _BATCH_GAP * len(small), dtype=np.uint64)
             offset = 0
@@ -188,17 +179,18 @@ class ContentDefinedChunker:
                 buf = np.frombuffer(data, dtype=np.uint8)
                 padded[offset : offset + len(data)] = GEAR_NP[buf]
                 offset += len(data) + _BATCH_GAP
-            for shift in (1, 2, 4, 8, 16, 32):
-                np.add(
-                    padded[shift:],
-                    padded[:-shift] << np.uint64(shift),
-                    out=padded[shift:],
-                )
-            self.bytes_scanned["vectorized"] += total
+            gear_sweep(padded)
             for pos, offset in zip(small, offsets):
-                data = datas[pos]
-                hashes = padded[offset : offset + len(data)]
-                results[pos] = self._cuts_from_hashes(hashes, len(data))
+                n = len(datas[pos])
+                results[pos] = self._cuts_from_hashes(
+                    padded[offset : offset + n], n
+                )
+        for pos, data in enumerate(datas):
+            if results[pos] is None:
+                results[pos] = self._cuts_from_hashes(
+                    gear_hashes(data), len(data)
+                )
+        self.bytes_scanned["vectorized"] += sum(map(len, datas))
         return results
 
     def _scalar_boundaries(self, data: bytes) -> list[int]:

@@ -201,11 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--target-bytes", type=int, default=1_000_000)
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--chunk-size", type=int, default=64)
-    run.add_argument("--chunker-impl", default="auto",
-                     choices=["scalar", "vectorized", "auto"],
-                     help="CDC lane: byte-at-a-time oracle, numpy bulk "
-                          "sweep, or auto (vectorized when available); "
-                          "boundaries are byte-identical either way")
     run.add_argument("--encoding", default="hop",
                      choices=["hop", "backward", "version-jumping", "forward"])
     run.add_argument("--hop-distance", type=int, default=16)
@@ -265,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument("path", help="trace file to replay")
     replay.add_argument("--chunk-size", type=int, default=64)
-    replay.add_argument("--chunker-impl", default="auto",
-                        choices=["scalar", "vectorized", "auto"],
-                        help="CDC lane (see run --chunker-impl)")
     replay.add_argument("--encoding", default="hop",
                         choices=["hop", "backward", "version-jumping", "forward"])
     replay.add_argument("--block-compression", default="none",
@@ -494,7 +486,6 @@ def command_run(args: argparse.Namespace) -> int:
     spec = ClusterSpec(
         dedup=DedupConfig(
             chunk_size=args.chunk_size,
-            chunker_impl=args.chunker_impl,
             encoding=args.encoding,
             hop_distance=args.hop_distance,
         ),
@@ -647,7 +638,6 @@ def command_trace_replay(args: argparse.Namespace) -> int:
     spec = ClusterSpec(
         dedup=DedupConfig(
             chunk_size=args.chunk_size,
-            chunker_impl=args.chunker_impl,
             encoding=args.encoding,
         ),
         dedup_enabled=not args.no_dedup,

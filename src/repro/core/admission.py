@@ -122,11 +122,6 @@ def _safe_ratio(bytes_in: int, bytes_out: int) -> float:
 class AdmissionController:
     """Per-stream yield estimation, three-way decisions, deferred queue.
 
-    Compatibility: exposes the old governor surface — :meth:`is_enabled`,
-    :meth:`observe`, :meth:`window_ratio`, :attr:`disabled_databases`,
-    :attr:`threshold`, :attr:`window` — so code written against
-    ``engine.governor`` keeps working unchanged.
-
     Args:
         mode: one of :data:`ADMISSION_MODES`.
         threshold: minimum window compression ratio for governor-mode

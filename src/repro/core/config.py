@@ -25,12 +25,6 @@ class DedupConfig:
         chunk_size: average content-defined chunk size for feature
             extraction. Fig. 1 headlines 1 KB and 64 B; 1 KB is the
             general default.
-        chunker_impl: which CDC lane extracts boundaries — ``"scalar"``
-            (byte-at-a-time oracle), ``"vectorized"`` (numpy bulk
-            sweep), or ``"auto"`` (vectorized whenever available, the
-            default). Both lanes produce byte-identical boundaries and
-            sketches; the knob trades differential-testing fidelity
-            against throughput, never changing results.
         top_k: sketch size K (§3.1.1; paper default 8).
         index: the :class:`~repro.index.spec.IndexSpec` describing the
             feature index (kind, geometry, tiered memory budget). None
@@ -104,7 +98,6 @@ class DedupConfig:
     """
 
     chunk_size: int = 1024
-    chunker_impl: str = "auto"
     top_k: int = 8
     index: IndexSpec | None = None
     max_candidates: int = 8
@@ -144,13 +137,6 @@ class DedupConfig:
             )
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        from repro.chunking.cdc import CHUNKER_IMPLS
-
-        if self.chunker_impl not in CHUNKER_IMPLS:
-            raise ValueError(
-                f"chunker_impl must be one of {CHUNKER_IMPLS}, "
-                f"got {self.chunker_impl!r}"
-            )
         if self.encoding not in ("hop", "backward", "version-jumping", "forward"):
             raise ValueError(f"unknown encoding scheme {self.encoding!r}")
         if not 0.0 < self.min_savings_ratio <= 1.0:

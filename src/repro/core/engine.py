@@ -13,9 +13,9 @@ through the narrow :class:`RecordProvider` protocol, so it is equally
 testable against a dict as against the full simulated DBMS.
 
 The workflow itself lives in :mod:`repro.core.pipeline` as an explicit
-stage list; :meth:`DedupEngine.encode` drives one record through it and
-:meth:`DedupEngine.encode_batch` drives a whole batch, amortizing the
-vectorized sketch extraction across records.
+stage list; :meth:`DedupEngine.encode_batch` drives a batch of records
+through it — amortizing the vectorized sketch extraction across them —
+and :meth:`DedupEngine.encode` is its batch of one.
 """
 
 from __future__ import annotations
@@ -131,9 +131,7 @@ class DedupEngine:
         #: Shared observability registry; the cluster passes its own so
         #: engine, storage, and replication metrics export together.
         self.registry = registry if registry is not None else MetricsRegistry()
-        chunker = ContentDefinedChunker(
-            avg_size=self.config.chunk_size, impl=self.config.chunker_impl
-        )
+        chunker = ContentDefinedChunker(avg_size=self.config.chunk_size)
         self.extractor = SketchExtractor(
             chunker=chunker, top_k=self.config.top_k, seed=self.config.murmur_seed
         )
@@ -205,13 +203,6 @@ class DedupEngine:
     def source_cache(self):
         """The planner's source record cache (shared with the selector)."""
         return self.planner.source_cache
-
-    @property
-    def governor(self) -> AdmissionController:
-        """Legacy name for the admission controller (governor-compatible
-        surface: ``is_enabled`` / ``observe`` / ``window_ratio`` /
-        ``disabled_databases``)."""
-        return self.admission
 
     @property
     def chains(self):
@@ -487,7 +478,7 @@ class DedupEngine:
                     stats.records_seen,
                     stats.dedup_hit_ratio,
                     stats.network_compression_ratio,
-                    "on" if self.governor.is_enabled(database) else "OFF",
+                    "on" if self.admission.is_enabled(database) else "OFF",
                     self.size_filter.threshold(database),
                 )
             )
@@ -617,28 +608,8 @@ class DedupEngine:
         content: bytes,
         provider: RecordProvider,
     ) -> EncodeResult:
-        """Run the admission decision and (unless deferred) the pipeline.
-
-        A ``defer`` decision parks the record on the admission queue and
-        returns a raw, :attr:`EncodeResult.deferred` result without
-        touching the pipeline or its statistics — the record is counted
-        exactly once, when a later drain pushes it through. An inline
-        decision first drains any queued records *of the same stream*, so
-        each stream's records enter the pipeline in insert order (the
-        property that makes a hybrid run byte-identical to an all-inline
-        run after the queue drains).
-        """
-        admission = self.admission
-        decision = admission.decide(database)
-        admission.note_decision(database, decision)
-        if decision == DECISION_DEFER:
-            self.note_slo_event("admission_defer", database)
-            return self._defer_record(database, record_id, content, provider)
-        drained = self._drain_stream(database, provider)
-        result = self._encode_inline(database, record_id, content, provider)
-        if drained:
-            result = replace(result, drained=tuple(drained))
-        return result
+        """Encode one record: the batch of one of :meth:`encode_batch`."""
+        return self.encode_batch([(database, record_id, content)], provider)[0]
 
     def encode_batch(
         self,
@@ -652,69 +623,66 @@ class DedupEngine:
                 order.
             provider: storage access shared by the whole batch.
 
-        Semantically identical to calling :meth:`encode` once per item in
-        order — same :class:`EncodeResult` sequence, same statistics —
-        but the sketch stage runs vectorized over the whole batch, which
-        amortizes the numpy chunking overhead for small records. In
-        hybrid admission mode (or with a non-empty deferred queue) the
-        batch falls back to the per-record path: deferral decisions and
-        same-stream drains interleave with the encodes, so the batched
-        sketch pass cannot be hoisted without reordering stateful work.
+        Each record takes the admission decision, then the pipeline. A
+        ``defer`` decision instead parks the record on the admission
+        queue and returns a raw, :attr:`EncodeResult.deferred` result
+        without touching the pipeline or its statistics — the record is
+        counted exactly once, when a later drain pushes it through. An
+        inline decision first drains any queued records *of the same
+        stream*, so each stream's records enter the pipeline in insert
+        order (which makes a hybrid run byte-identical to an all-inline
+        run after the queue drains).
+
+        Before that loop, a batch lets every stage precompute over all of
+        it (``prepare_batch`` — the vectorized sketch pass); this changes
+        where sketching is done, never a result. A single record skips
+        it: there is nothing to amortize, and sketching ahead of the
+        gates would chunk and hash a record they may drop. So does a
+        batch whose records can defer (hybrid mode, or a non-empty
+        queue): which of them reach the sketch stage is then decided
+        record by record.
         """
-        if self.admission.supports_defer or self.admission.pending_total:
-            return [
-                self.encode(database, record_id, content, provider)
-                for database, record_id, content in items
-            ]
-        contexts = [
-            EncodeContext(
-                database=database,
-                record_id=record_id,
-                content=content,
-                provider=provider,
-                meter=CpuMeter(self.costs),
-            )
-            for database, record_id, content in items
-        ]
-        for stage in self.pipeline.stages:
-            stage.prepare_batch(contexts)
+        admission = self.admission
+        contexts = [self._context(*item, provider) for item in items]
+        if (
+            len(contexts) > 1
+            and not admission.supports_defer
+            and not admission.pending_total
+        ):
+            for stage in self.pipeline.stages:
+                stage.prepare_batch(contexts)
         results: list[EncodeResult] = []
-        for ctx in contexts:
-            self.admission.note_decision(
-                ctx.database, self.admission.decide(ctx.database)
-            )
+        for item, ctx in zip(items, contexts):
+            database = ctx.database
+            decision = admission.decide(database)
+            admission.note_decision(database, decision)
+            if decision == DECISION_DEFER:
+                self.note_slo_event("admission_defer", database)
+                results.append(self._defer_record(*item, provider))
+                continue
+            drained = self._drain_stream(database, provider)
             self.pipeline.run(ctx)
-            self.inline_cpu_seconds += ctx.result.cpu_seconds
-            results.append(ctx.result)
+            result = ctx.result
+            self.inline_cpu_seconds += result.cpu_seconds
+            if drained:
+                result = replace(result, drained=tuple(drained))
+            results.append(result)
         return results
 
-    def _run_pipeline(
+    def _context(
         self,
         database: str,
         record_id: str,
         content: bytes,
         provider: RecordProvider,
-    ) -> EncodeResult:
-        ctx = EncodeContext(
+    ) -> EncodeContext:
+        return EncodeContext(
             database=database,
             record_id=record_id,
             content=content,
             provider=provider,
             meter=CpuMeter(self.costs),
         )
-        self.pipeline.run(ctx)
-        return ctx.result
-
-    def _encode_inline(
-        self,
-        database: str,
-        record_id: str,
-        content: bytes,
-        provider: RecordProvider,
-    ) -> EncodeResult:
-        result = self._run_pipeline(database, record_id, content, provider)
-        self.inline_cpu_seconds += result.cpu_seconds
-        return result
 
     def _encode_outofline(
         self,
@@ -723,7 +691,9 @@ class DedupEngine:
         content: bytes,
         provider: RecordProvider,
     ) -> EncodeResult:
-        result = self._run_pipeline(database, record_id, content, provider)
+        ctx = self._context(database, record_id, content, provider)
+        self.pipeline.run(ctx)
+        result = ctx.result
         self.outofline_cpu_seconds += result.cpu_seconds
         self.admission.note_outofline(database, result.raw_size)
         return result
@@ -793,9 +763,9 @@ class DedupEngine:
     ) -> list[EncodeResult]:
         """Drain queued deferred records (globally oldest first).
 
-        Called from the idle hooks (``PrimaryNode.on_idle`` /
-        ``Cluster._idle``) and from ``Cluster.finalize``. Global-oldest
-        order preserves each stream's FIFO order, which is all the
+        Called from the idle hook (``PrimaryNode.on_idle``, driven by
+        ``repro.db.cluster.idle``) and from ``Cluster.finalize``. Global-
+        oldest order preserves each stream's FIFO order, which is all the
         equivalence property needs. Returns the drained results; the
         caller handles their write-backs and CPU accounting.
         """
@@ -868,9 +838,3 @@ class DedupEngine:
             for record_id in self._partition_records.pop(database, ()):
                 self._insert_seq.pop(record_id, None)
             self.admission.discard_deferred(database)
-
-    def observe_governor(
-        self, database: str, bytes_in: int, bytes_out: int
-    ) -> None:
-        """Legacy name for :meth:`observe_admission` (no sketch signal)."""
-        self.observe_admission(database, bytes_in, bytes_out)

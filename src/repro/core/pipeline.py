@@ -9,9 +9,11 @@ it with a machine-readable reason, after which only the terminal
 accounting stage still runs. The stage boundaries are the seams the
 monolithic ``DedupEngine.encode()`` never had:
 
-* **batching** — :meth:`DedupPipeline.run_batch` lets stages precompute
-  over a whole batch at once (:meth:`Stage.prepare_batch`), which is how
-  sketch extraction amortizes its vectorized numpy inner loops;
+* **batching** — :meth:`Stage.prepare_batch` lets a stage precompute
+  over a whole batch at once, which is how sketch extraction amortizes
+  its vectorized numpy inner loops. :meth:`DedupEngine.encode_batch
+  <repro.core.engine.DedupEngine.encode_batch>` calls it for batches of
+  more than one record, before running the records one by one;
 * **observability** — :class:`PipelineObserver` hooks see every stage
   entry/exit and every drop, feeding the per-stage counters in
   :class:`~repro.core.stats.DedupStats`.
@@ -21,8 +23,8 @@ state (feature index, insertion sequence, source cache, chain registry,
 admission estimator) whose evolution must match the sequential insert
 order exactly —
 replica convergence depends on both ends of the replication link deriving
-identical chains from the same ordered stream. ``run_batch`` therefore
-hoists only *pure* work (sketching) into its batch phase and still runs
+identical chains from the same ordered stream. The batch phase therefore
+hoists only *pure* work (sketching), and :meth:`DedupPipeline.run` drives
 the stateful stage list record-at-a-time, which is what makes
 ``encode_batch() ≡ [encode(), …]`` hold byte-for-byte.
 """
@@ -49,8 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
 #: The label value keeps the historical "governor_bypass" spelling so
 #: exported metrics stay comparable across versions.
 DROP_GOVERNOR = "governor_bypass"
-#: Preferred alias under the admission-control terminology.
-DROP_BYPASS = DROP_GOVERNOR
 #: The record is below the adaptive size filter's cut-off (§3.4.2).
 DROP_SIZE_FILTER = "size_filtered"
 #: The index returned no usable candidate (or only the record itself).
@@ -239,10 +239,6 @@ class AdmissionGate(_StageBase):
             self.engine.stats.note_bypass()
             self.engine.stats_for(ctx.database).note_bypass()
             ctx.drop(self.name, DROP_GOVERNOR)
-
-
-#: Deprecated alias (pre-admission name of the stage class).
-GovernorGate = AdmissionGate
 
 
 class SizeFilterGate(_StageBase):
@@ -514,23 +510,6 @@ class DedupPipeline:
             for observer in self.observers:
                 observer.on_stage_end(stage.name, ctx, cpu_spent)
         return ctx
-
-    def run_batch(
-        self, contexts: Sequence[EncodeContext]
-    ) -> Sequence[EncodeContext]:
-        """Drive a whole batch: batched precompute, then ordered execution.
-
-        Each stage's :meth:`Stage.prepare_batch` runs once over the batch
-        (this is where sketching vectorizes); the stage list itself then
-        executes record-at-a-time in batch order, because the stateful
-        stages must observe inserts in exactly the sequential order — see
-        the module docstring's ordering contract.
-        """
-        for stage in self.stages:
-            stage.prepare_batch(contexts)
-        for ctx in contexts:
-            self.run(ctx)
-        return contexts
 
 
 def build_default_pipeline(

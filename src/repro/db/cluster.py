@@ -504,14 +504,16 @@ class Cluster:
                 return self.primary
         raise NodeUnavailableError(self.primary.node_name, "primary")
 
-    def _primary_op(self, method: str, *args) -> float:
-        """Dispatch one write to the (possibly just-promoted) primary."""
-        # Single-record writes lead with the database name; the batch
-        # path passes a list and stalls under the cluster-wide label.
-        tenant = (
-            args[0] if args and isinstance(args[0], str) else "_cluster"
-        )
-        return getattr(self._await_primary(tenant), method)(*args)
+    def _primary_op(
+        self, tenant: str, method: str, *args
+    ) -> tuple[None, float]:
+        """Dispatch one write to the (possibly just-promoted) primary.
+
+        ``tenant`` labels a failover stall: the database of a
+        single-record write, ``"_cluster"`` for a batch, which may span
+        streams. Returns ``(None, latency)``, the shape of :meth:`read`.
+        """
+        return None, getattr(self._await_primary(tenant), method)(*args)
 
     def observe_op_latency(
         self, op: str, tenant: str, latency_s: float
@@ -524,111 +526,108 @@ class Cluster:
             self._op_latency_children[key] = child
         child.observe(latency_s)
 
-    def execute(self, op: Operation) -> float:
-        """Run one client operation; returns its latency and advances time."""
-        if op.kind == "idle":
-            return self._idle(op.idle_seconds)
-        span = self.tracer.start_span(f"op:{op.kind}", record_id=op.record_id)
+    def _client_op(
+        self, span_name, span_attrs, kind, tenants, call, *args, fanout=False
+    ) -> tuple[bytes | None, float]:
+        """The client-operation lifecycle, shared by every entry point.
+
+        ``call(*args)`` does the work and returns ``(content, latency)``;
+        ``tenants`` names the stream of each record the operation carries
+        (one entry, or one per batched record — each is recorded at its
+        share of the latency). ``fanout`` marks one shard's part of a
+        client batch split across shards: it stops when the span closes,
+        because the shared clock advances once for all parts, and the
+        sharded cluster then calls :meth:`_settle_op` and
+        :meth:`_after_op` for each part.
+        """
+        records = len(tenants)
+        span = self.tracer.start_span(span_name, **span_attrs)
         try:
-            if op.kind == "insert":
-                latency = self._primary_op(
-                    "insert", op.database, op.record_id, op.content
-                )
-                self.inserts += 1
-            elif op.kind == "read":
-                _, latency = self.read(op.database, op.record_id)
+            content, latency = call(*args)
+            if kind == "insert":
+                self.inserts += records
+            elif kind == "read":
                 self.reads += 1
-            elif op.kind == "update":
-                latency = self._primary_op(
-                    "update", op.database, op.record_id, op.content
-                )
-            elif op.kind == "delete":
-                latency = self._primary_op("delete", op.database, op.record_id)
-            else:
-                raise ValueError(f"unknown operation kind {op.kind!r}")
             span.annotate("latency_s", latency)
-            self.observe_op_latency(op.kind, op.database, latency)
-            self.clock.advance(latency)
-            # Replication the operation triggered belongs in its trace.
-            for link in self.links:
-                link.maybe_sync()
+            if not fanout:
+                self._settle_op(
+                    kind, tenants, latency / (records or 1), latency
+                )
         finally:
             self.tracer.end_span(span)
+        if not fanout:
+            self._after_op(records)
+        return content, latency
+
+    def _settle_op(self, kind, tenants, share_s, advance_s) -> None:
+        """Record each record's latency share, advance time, replicate."""
+        for tenant in tenants:
+            self.observe_op_latency(kind, tenant, share_s)
+        self.clock.advance(advance_s)
+        # Replication the operation triggered belongs in its trace.
+        for link in self.links:
+            link.maybe_sync()
+
+    def _after_op(self, records: int) -> None:
+        """Per-operation hooks: crash rules, failover monitor, sampler."""
         if self.fault_plan is not None:
             self.fault_plan.after_operation(self)
         self.failover.tick()
         if self.sampler is not None:
-            self.sampler.note_op()
-        return latency
+            for _ in range(records):
+                self.sampler.note_op()
 
-    def execute_insert_batch(self, ops: list[Operation]) -> float:
+    def execute(self, op: Operation) -> float:
+        """Run one client operation; returns its latency and advances time."""
+        kind, tenant = op.kind, op.database
+        if kind == "idle":
+            return idle(self.clock, (self,), op.idle_seconds)
+        if kind == "read":
+            call, args = self.read, (tenant, op.record_id)
+        elif kind in ("insert", "update"):
+            call = self._primary_op
+            args = (tenant, kind, tenant, op.record_id, op.content)
+        elif kind == "delete":
+            call, args = self._primary_op, (tenant, kind, tenant, op.record_id)
+        else:
+            raise ValueError(f"unknown operation kind {kind!r}")
+        return self._client_op(
+            f"op:{kind}", {"record_id": op.record_id}, kind, (tenant,),
+            call, *args,
+        )[1]
+
+    def execute_insert_batch(
+        self, ops: list[Operation], *, shard: int | None = None
+    ) -> float:
         """Run a batch of insert operations through the primary's batch
         path; returns the batch latency and advances time once.
 
         Replication ships after the whole batch, mirroring how a real
-        client driver pipelines a bulk load.
+        client driver pipelines a bulk load. Each batched insert is
+        recorded at its per-record share of the batch latency, matching
+        how ``run()`` reports them. ``shard`` is set when ``ops`` is this
+        shard's part of a client batch that spans shards (``fanout`` in
+        :meth:`_client_op`).
         """
-        span = self.tracer.start_span("op:insert_batch", records=len(ops))
-        try:
-            latency = self._primary_op(
-                "insert_batch",
-                [(op.database, op.record_id, op.content) for op in ops],
-            )
-            self.inserts += len(ops)
-            span.annotate("latency_s", latency)
-            # Each batched insert is recorded at its per-record share of
-            # the batch latency, matching how ``run()`` reports them.
-            share = latency / len(ops) if ops else 0.0
-            for op in ops:
-                self.observe_op_latency("insert", op.database, share)
-            self.clock.advance(latency)
-            for link in self.links:
-                link.maybe_sync()
-        finally:
-            self.tracer.end_span(span)
-        if self.fault_plan is not None:
-            self.fault_plan.after_operation(self)
-        self.failover.tick()
-        if self.sampler is not None:
-            for _ in ops:
-                self.sampler.note_op()
-        return latency
-
-    def primary_insert_batch(self, items: list[tuple[str, str, bytes]]) -> float:
-        """One shard-local batch insert with failover transparency.
-
-        The sharded batch path calls each shard's primary directly (the
-        shared clock advances once for the whole client batch); this
-        wrapper keeps that call promotion-safe.
-        """
-        return self._primary_op("insert_batch", items)
+        attrs = {"records": len(ops)}
+        if shard is not None:
+            attrs = {"shard": shard, **attrs}
+        return self._client_op(
+            "op:insert_batch", attrs, "insert", [op.database for op in ops],
+            self._primary_op, "_cluster", "insert_batch",
+            [(op.database, op.record_id, op.content) for op in ops],
+            fanout=shard is not None,
+        )[1]
 
     def client_read(
         self, database: str, record_id: str
     ) -> tuple[bytes | None, float]:
-        """One accounted client read: content plus latency.
-
-        The facade's read path — same bookkeeping as ``execute`` on a
-        read operation (span, clock advance, replication piggyback, fault
-        and sampler hooks) but the caller also gets the content back.
-        """
-        span = self.tracer.start_span("op:read", record_id=record_id)
-        try:
-            content, latency = self.read(database, record_id)
-            self.reads += 1
-            span.annotate("latency_s", latency)
-            self.observe_op_latency("read", database, latency)
-            self.clock.advance(latency)
-            for link in self.links:
-                link.maybe_sync()
-        finally:
-            self.tracer.end_span(span)
-        if self.fault_plan is not None:
-            self.fault_plan.after_operation(self)
-        self.failover.tick()
-        if self.sampler is not None:
-            self.sampler.note_op()
-        return content, latency
+        """One accounted client read: ``execute`` on a read operation,
+        but the caller also gets the content back."""
+        return self._client_op(
+            "op:read", {"record_id": record_id}, "read", (database,),
+            self.read, database, record_id,
+        )
 
     def read(self, database: str, record_id: str) -> tuple[bytes | None, float]:
         """Client read honoring the configured read preference.
@@ -798,99 +797,14 @@ class Cluster:
             repaired[name] = count
         return repaired
 
-    def _idle(self, seconds: float) -> float:
-        """Advance quiet time in slices so background work can drain."""
-        remaining = seconds
-        step = max(seconds / 20.0, 1e-6)
-        while remaining > 0:
-            self.clock.advance(min(step, remaining))
-            remaining -= step
-            self.failover.tick()
-            self.primary.on_idle()
-        return 0.0
-
     def run(
         self,
         operations,
         timeline_bucket_s: float | None = None,
     ) -> RunResult:
-        """Execute a trace (closed loop) and collect measurements.
-
-        Args:
-            operations: iterable of :class:`Operation`.
-            timeline_bucket_s: if set, also record an ops/sec timeline at
-                this bucket width (used by Fig. 13b).
-
-        With ``insert_batch_size > 1``, consecutive insert operations are
-        coalesced into batches and admitted through
-        :meth:`execute_insert_batch`; each batched insert is recorded at
-        its per-record share of the batch latency. Any non-insert
-        operation flushes the pending batch first, preserving the trace's
-        operation order.
-        """
-        latencies: list[float] = []
-        count = 0
-        buckets: dict[int, int] = {}
-        start = self.clock.now
-        batch_size = self.config.insert_batch_size
-        pending: list[Operation] = []
-
-        def note_op(latency: float) -> None:
-            nonlocal count
-            latencies.append(latency)
-            count += 1
-            if timeline_bucket_s:
-                bucket = int((self.clock.now - start) / timeline_bucket_s)
-                buckets[bucket] = buckets.get(bucket, 0) + 1
-
-        def flush_pending() -> None:
-            if not pending:
-                return
-            batch_latency = self.execute_insert_batch(pending)
-            share = batch_latency / len(pending)
-            for _ in pending:
-                note_op(share)
-            pending.clear()
-
-        for op in operations:
-            if batch_size > 1 and op.kind == "insert":
-                pending.append(op)
-                if len(pending) >= batch_size:
-                    flush_pending()
-                continue
-            flush_pending()
-            latency = self.execute(op)
-            if op.kind != "idle":
-                note_op(latency)
-        flush_pending()
-        self.finalize()
-        if self.sampler is not None:
-            self.sampler.finalize()
-        duration = self.clock.now - start
-        if timeline_bucket_s and buckets:
-            last_bucket = max(buckets)
-            timeline = [
-                (bucket * timeline_bucket_s,
-                 buckets.get(bucket, 0) / timeline_bucket_s)
-                for bucket in range(last_bucket + 1)
-            ]
-        else:
-            timeline = []
-        return RunResult(
-            operations=count,
-            inserts=self.inserts,
-            reads=self.reads,
-            duration_s=duration,
-            latencies_s=latencies,
-            logical_bytes=self.primary.db.logical_raw_bytes,
-            stored_bytes=self.primary.db.stored_bytes,
-            physical_bytes=self.primary.db.physical_bytes(),
-            network_bytes=self.network.bytes_delivered,
-            index_memory_bytes=(
-                self.primary.engine.index_memory_bytes if self.primary.engine else 0
-            ),
-            throughput_timeline=timeline,
-        )
+        """Execute a trace (closed loop) and collect measurements; see
+        :func:`run_trace`."""
+        return run_trace(self, [self.sampler], operations, timeline_bucket_s)
 
     def checkpoint(self, path) -> int:
         """Snapshot the primary and truncate oplog history every replica
@@ -986,3 +900,102 @@ class Cluster:
             "storage_compression_ratio": logical / stored if stored else 1.0,
             "network_compression_ratio": logical / network if network else 1.0,
         }
+
+
+def idle(clock: SimClock, clusters, seconds: float) -> float:
+    """Advance quiet time in slices so background work can drain.
+
+    ``clusters`` is every cluster on ``clock``: the one cluster of a
+    plain deployment, every shard of a sharded one.
+    """
+    remaining = seconds
+    step = max(seconds / 20.0, 1e-6)
+    while remaining > 0:
+        clock.advance(min(step, remaining))
+        remaining -= step
+        for cluster in clusters:
+            cluster.failover.tick()
+            cluster.primary.on_idle()
+    return 0.0
+
+
+def run_trace(topology, samplers, operations, timeline_bucket_s=None) -> RunResult:
+    """Execute a trace (closed loop) on a cluster or a sharded cluster.
+
+    Args:
+        topology: a :class:`Cluster` or a
+            :class:`~repro.db.sharding.ShardedCluster` — anything with
+            ``execute`` / ``execute_insert_batch`` / ``finalize`` /
+            ``summary_stats`` on one ``clock``.
+        samplers: the topology's time-series samplers (None entries are
+            skipped), closed off once the trace has run.
+        operations: iterable of :class:`Operation`.
+        timeline_bucket_s: if set, also record an ops/sec timeline at
+            this bucket width (used by Fig. 13b).
+
+    With ``insert_batch_size > 1``, consecutive insert operations are
+    coalesced into batches and admitted through ``execute_insert_batch``;
+    each batched insert is recorded at its per-record share of the batch
+    latency. Any non-insert operation flushes the pending batch first,
+    preserving the trace's operation order.
+    """
+    clock = topology.clock
+    latencies: list[float] = []
+    buckets: dict[int, int] = {}
+    start = clock.now
+    batch_size = topology.config.insert_batch_size
+    pending: list[Operation] = []
+
+    def note_op(latency: float) -> None:
+        latencies.append(latency)
+        if timeline_bucket_s:
+            bucket = int((clock.now - start) / timeline_bucket_s)
+            buckets[bucket] = buckets.get(bucket, 0) + 1
+
+    def flush_pending() -> None:
+        if not pending:
+            return
+        batch_latency = topology.execute_insert_batch(pending)
+        share = batch_latency / len(pending)
+        for _ in pending:
+            note_op(share)
+        pending.clear()
+
+    for op in operations:
+        if batch_size > 1 and op.kind == "insert":
+            pending.append(op)
+            if len(pending) >= batch_size:
+                flush_pending()
+            continue
+        flush_pending()
+        latency = topology.execute(op)
+        if op.kind != "idle":
+            note_op(latency)
+    flush_pending()
+    topology.finalize()
+    for sampler in samplers:
+        if sampler is not None:
+            sampler.finalize()
+    duration = clock.now - start
+    if timeline_bucket_s and buckets:
+        timeline = [
+            (bucket * timeline_bucket_s,
+             buckets.get(bucket, 0) / timeline_bucket_s)
+            for bucket in range(max(buckets) + 1)
+        ]
+    else:
+        timeline = []
+    stats = topology.summary_stats()
+    return RunResult(
+        operations=len(latencies),
+        inserts=stats["inserts"],
+        reads=stats["reads"],
+        duration_s=duration,
+        latencies_s=latencies,
+        logical_bytes=stats["logical_bytes"],
+        stored_bytes=stats["stored_bytes"],
+        physical_bytes=stats["physical_bytes"],
+        network_bytes=stats["network_bytes"],
+        index_memory_bytes=stats["index_memory_bytes"],
+        throughput_timeline=timeline,
+    )

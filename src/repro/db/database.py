@@ -97,21 +97,7 @@ class Database:
         Raises:
             RecordExists: on duplicate live record ids.
         """
-        if record_id in self.records:
-            # Tombstoned ids stay reserved too: their chains may still need
-            # the old content.
-            raise RecordExists(record_id)
-        record = StoredRecord(
-            record_id=record_id,
-            database=database,
-            form=RecordForm.RAW,
-            payload=content,
-            raw_size=len(content),
-        )
-        self.records[record_id] = record
-        self.pages.place(record_id, content)
-        self._note_checksum(record)
-        return self._disk_request("write", len(content))
+        return self.insert_many([(database, record_id, content)])
 
     def insert_many(
         self, items: Sequence[tuple[str, str, bytes]]
@@ -127,6 +113,8 @@ class Database:
         seen: set[str] = set()
         for _, record_id, _ in items:
             if record_id in self.records or record_id in seen:
+                # Tombstoned ids stay reserved too: their chains may still
+                # need the old content.
                 raise RecordExists(record_id)
             seen.add(record_id)
         latency = 0.0

@@ -471,44 +471,7 @@ class PrimaryNode:
 
     def insert(self, database: str, record_id: str, content: bytes) -> float:
         """Insert a record; dedup encode happens off the critical path."""
-        self._require_available()
-        self.drain_index_backlog(self.INDEX_REBUILD_SLICE)
-        latency = self.costs.request_overhead_s
-        if self.inline_block_compression:
-            # Inline page compression (the Snappy configuration) costs CPU
-            # on the write path, unlike dbDedup's background encode.
-            latency += len(content) * self.costs.cpu_compress_byte_s
-        latency += self.db.insert(database, record_id, content)
-
-        if self.engine is None:
-            self.oplog.append(
-                self.clock.now, "insert", database, record_id, payload=content
-            )
-            return latency
-
-        result = self.engine.encode(database, record_id, content, provider=self.db)
-        self._absorb_drained(result)
-        self.background_cpu_seconds += result.cpu_seconds
-        if result.deduped:
-            self.oplog.append(
-                self.clock.now,
-                "insert",
-                database,
-                record_id,
-                payload=result.forward_payload,
-                base_id=result.source_id,
-                encoded=True,
-            )
-            self._apply_writebacks(result)
-        else:
-            # Deferred records also land here: raw in storage, raw in the
-            # oplog (the WAL must cover the record *now*; out-of-line
-            # dedup later changes only the stored form, never the log).
-            self.oplog.append(
-                self.clock.now, "insert", database, record_id, payload=content
-            )
-        self.db.flush_writebacks_if_idle(max_flushes=4)
-        return latency
+        return self.insert_batch([(database, record_id, content)])
 
     def insert_batch(
         self, items: list[tuple[str, str, bytes]]
@@ -516,17 +479,19 @@ class PrimaryNode:
         """Insert a batch of records in one client request.
 
         ``items`` is ``(database, record_id, content)`` triples in insert
-        order. Storage admission is batched (one request overhead for the
-        whole batch) and the dedup encoder runs
-        :meth:`~repro.core.engine.DedupEngine.encode_batch`, amortizing
-        the vectorized sketch pass; oplog entries, write-back scheduling,
-        and chain bookkeeping are identical to the per-record path and in
-        the same order, so replicas replay the stream unchanged.
+        order. Records land raw in storage (one request overhead for the
+        whole batch) and the dedup encode happens off the critical path
+        (:meth:`~repro.core.engine.DedupEngine.encode_batch`, amortizing
+        the vectorized sketch pass); oplog entries, write-back scheduling
+        and chain bookkeeping follow insert order record by record, so
+        replicas replay the same stream however the inserts were grouped.
         """
         self._require_available()
         self.drain_index_backlog(self.INDEX_REBUILD_SLICE)
         latency = self.costs.request_overhead_s
         if self.inline_block_compression:
+            # Inline page compression (the Snappy configuration) costs CPU
+            # on the write path, unlike dbDedup's background encode.
             total_bytes = sum(len(content) for _, _, content in items)
             latency += total_bytes * self.costs.cpu_compress_byte_s
         latency += self.db.insert_many(items)
@@ -541,7 +506,7 @@ class PrimaryNode:
 
         results = self.engine.encode_batch(items, provider=self.db)
         for (database, record_id, content), result in zip(items, results):
-            self._absorb_drained(result)
+            self._absorb_drained(result.drained)
             self.background_cpu_seconds += result.cpu_seconds
             if result.deduped:
                 self.oplog.append(
@@ -555,6 +520,10 @@ class PrimaryNode:
                 )
                 self._apply_writebacks(result)
             else:
+                # Deferred records also land here: raw in storage, raw in
+                # the oplog (the WAL must cover the record *now*; out-of-
+                # line dedup later changes only the stored form, never
+                # the log).
                 self.oplog.append(
                     self.clock.now, "insert", database, record_id,
                     payload=content,
@@ -572,14 +541,15 @@ class PrimaryNode:
             for entry in result.writebacks:
                 self.db.apply_writeback(entry)
 
-    def _absorb_drained(self, result) -> None:
-        """Process deferred-drain results riding along on an encode.
+    def _absorb_drained(self, results) -> None:
+        """Process the results of deferred records drained through the
+        pipeline (riding along on an encode, or by an idle/forced drain).
 
         Drained records were stored (and oplogged) raw at insert time, so
         only their storage-side effects remain: write-backs and the CPU
         they burned. No oplog entries — replicas already have the bytes.
         """
-        for drained in result.drained:
+        for drained in results:
             self.background_cpu_seconds += drained.cpu_seconds
             if drained.deduped:
                 self._apply_writebacks(drained)
@@ -700,10 +670,7 @@ class PrimaryNode:
         results = self.engine.drain_deferred(
             self.db, max_records=max_records
         )
-        for result in results:
-            self.background_cpu_seconds += result.cpu_seconds
-            if result.deduped:
-                self._apply_writebacks(result)
+        self._absorb_drained(results)
         return len(results)
 
     @property

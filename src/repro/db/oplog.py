@@ -73,7 +73,11 @@ class Oplog:
         self._synced_upto = 0  # list index, relative to the retained tail
         self._truncated_before = 0  # absolute seq of the oldest retained
         self._builtin_cursor_used = False
-        self.total_bytes = 0
+        #: Running wire bytes: entry ``i`` of ``_entries`` spans
+        #: ``_wire_marks[i]`` to ``_wire_marks[i + 1]``, so the bytes of
+        #: any tail are one subtraction. Sliced together with
+        #: ``_entries``; only differences are read, never the marks.
+        self._wire_marks = [0]
         #: Monotonic count of entries ever appended. Unlike ``next_seq``
         #: it never moves backwards: a failover rollback truncates the
         #: log's suffix (and re-appending assigns the same seqs again),
@@ -109,16 +113,19 @@ class Oplog:
             encoded=encoded,
         )
         self._entries.append(entry)
-        self.total_bytes += entry.wire_size
+        self._wire_marks.append(self._wire_marks[-1] + entry.wire_size)
         self.appends += 1
         return entry
 
     @property
+    def total_bytes(self) -> int:
+        """Wire bytes of every retained entry."""
+        return self._wire_marks[-1] - self._wire_marks[0]
+
+    @property
     def unsynced_bytes(self) -> int:
         """Wire bytes of entries not yet shipped to the secondary."""
-        return sum(
-            entry.wire_size for entry in self._entries[self._synced_upto :]
-        )
+        return self._wire_marks[-1] - self._wire_marks[self._synced_upto]
 
     def take_unsynced(self) -> list[OplogEntry]:
         """Return the unshipped tail and advance the built-in cursor."""
@@ -126,6 +133,18 @@ class Oplog:
         batch = self._entries[self._synced_upto :]
         self._synced_upto = len(self._entries)
         return batch
+
+    def _tail_start(self, cursor: int) -> int:
+        """List index of the first retained entry with ``seq >= cursor``."""
+        if cursor < 0:
+            raise ValueError(f"cursor must be >= 0, got {cursor}")
+        if cursor < self._truncated_before:
+            raise ValueError(
+                f"cursor {cursor} points into truncated history "
+                f"(log starts at {self._truncated_before}); seed the "
+                "replica from a snapshot"
+            )
+        return min(cursor - self._truncated_before, len(self._entries))
 
     def entries_since(self, cursor: int) -> list[OplogEntry]:
         """Entries with ``seq >= cursor`` — for per-replica cursors.
@@ -137,19 +156,13 @@ class Oplog:
             ValueError: for negative cursors or cursors pointing into a
                 truncated region (the replica needs a snapshot instead).
         """
-        if cursor < 0:
-            raise ValueError(f"cursor must be >= 0, got {cursor}")
-        if cursor < self._truncated_before:
-            raise ValueError(
-                f"cursor {cursor} points into truncated history "
-                f"(log starts at {self._truncated_before}); seed the "
-                "replica from a snapshot"
-            )
-        return self._entries[cursor - self._truncated_before :]
+        return self._entries[self._tail_start(cursor) :]
 
     def bytes_since(self, cursor: int) -> int:
-        """Wire bytes pending for a per-replica cursor."""
-        return sum(entry.wire_size for entry in self.entries_since(cursor))
+        """Wire bytes pending for a per-replica cursor; raises like
+        :meth:`entries_since`. O(1): every replication link asks after
+        every client operation."""
+        return self._wire_marks[-1] - self._wire_marks[self._tail_start(cursor)]
 
     def entries(self) -> list[OplogEntry]:
         """All retained entries (oldest first); a copy safe to iterate."""
@@ -202,11 +215,10 @@ class Oplog:
                 "are not yet consumed"
             )
         drop = seq - self._truncated_before
-        dropped = self._entries[:drop]
         self._entries = self._entries[drop:]
+        self._wire_marks = self._wire_marks[drop:]
         self._synced_upto -= drop
         self._truncated_before = seq
-        self.total_bytes -= sum(entry.wire_size for entry in dropped)
         return drop
 
     def truncate_from(self, seq: int) -> list[OplogEntry]:
@@ -233,6 +245,6 @@ class Oplog:
             return []
         dropped = self._entries[keep:]
         self._entries = self._entries[:keep]
+        self._wire_marks = self._wire_marks[: keep + 1]
         self._synced_upto = min(self._synced_upto, keep)
-        self.total_bytes -= sum(entry.wire_size for entry in dropped)
         return dropped

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.db.cluster import Cluster, ClusterConfig, RunResult
+from repro.db.cluster import Cluster, ClusterConfig, RunResult, idle, run_trace
 from repro.hashing.murmur import murmur3_32
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs import runtime as obs_runtime
@@ -256,7 +256,7 @@ class ShardedCluster:
     def execute(self, op: Operation) -> float:
         """Run one client operation on its owning shard."""
         if op.kind == "idle":
-            return self._idle(op.idle_seconds)
+            return idle(self.clock, self.shards, op.idle_seconds)
         return self.shards[self.router.route(op)].execute(op)
 
     def client_read(
@@ -269,11 +269,12 @@ class ShardedCluster:
     def execute_insert_batch(self, ops: list[Operation]) -> float:
         """Run one client batch, split per shard, concurrently.
 
-        Each shard's sub-batch goes through its primary's batch path;
-        the shared clock then advances once by the *slowest* sub-batch
-        latency — the shards work in parallel, the client waits for all
-        of them. A batch that lands entirely on one shard takes that
-        shard's native batch path unchanged.
+        Each shard's sub-batch goes through that shard's client-operation
+        lifecycle; the shared clock advances once by the *slowest*
+        sub-batch latency — the shards work in parallel, the client waits
+        for all of them — and every record of the batch is recorded at
+        the same share of that latency. A batch that lands entirely on
+        one shard takes that shard's native batch path unchanged.
         """
         groups: dict[int, list[Operation]] = {}
         for op in ops:
@@ -281,47 +282,20 @@ class ShardedCluster:
         if len(groups) == 1:
             ((index, group),) = groups.items()
             return self.shards[index].execute_insert_batch(group)
-        latencies: dict[int, float] = {}
-        for index in sorted(groups):
-            shard = self.shards[index]
-            group = groups[index]
-            span = self.tracer.start_span(
-                "op:insert_batch", shard=index, records=len(group)
-            )
-            try:
-                latency = shard.primary_insert_batch(
-                    [(op.database, op.record_id, op.content) for op in group]
-                )
-                shard.inserts += len(group)
-                span.annotate("latency_s", latency)
-            finally:
-                self.tracer.end_span(span)
-            latencies[index] = latency
-        batch_latency = max(latencies.values())
+        parts = sorted(groups.items())
+        batch_latency = max(
+            self.shards[index].execute_insert_batch(group, shard=index)
+            for index, group in parts
+        )
         self.clock.advance(batch_latency)
-        for index in sorted(groups):
+        share = batch_latency / len(ops)
+        for index, group in parts:
             shard = self.shards[index]
-            for link in shard.links:
-                link.maybe_sync()
-            if shard.fault_plan is not None:
-                shard.fault_plan.after_operation(shard)
-            shard.failover.tick()
-            if shard.sampler is not None:
-                for _ in groups[index]:
-                    shard.sampler.note_op()
+            shard._settle_op(
+                "insert", [op.database for op in group], share, 0.0
+            )
+            shard._after_op(len(group))
         return batch_latency
-
-    def _idle(self, seconds: float) -> float:
-        """Advance quiet time in slices; every shard drains background work."""
-        remaining = seconds
-        step = max(seconds / 20.0, 1e-6)
-        while remaining > 0:
-            self.clock.advance(min(step, remaining))
-            remaining -= step
-            for shard in self.shards:
-                shard.failover.tick()
-                shard.primary.on_idle()
-        return 0.0
 
     def run(
         self,
@@ -330,86 +304,14 @@ class ShardedCluster:
     ) -> RunResult:
         """Execute a trace across the shards; collect merged measurements.
 
-        The batching protocol mirrors :meth:`Cluster.run
-        <repro.db.cluster.Cluster.run>` exactly — consecutive inserts
+        The same loop as :meth:`Cluster.run <repro.db.cluster.Cluster.run>`
+        (:func:`~repro.db.cluster.run_trace`) — consecutive inserts
         coalesce into client batches of ``config.insert_batch_size``,
         any other operation flushes first — and each batch is then split
         per shard by :meth:`execute_insert_batch`.
         """
-        latencies: list[float] = []
-        count = 0
-        buckets: dict[int, int] = {}
-        start = self.clock.now
-        batch_size = self.config.insert_batch_size
-        pending: list[Operation] = []
-
-        def note_op(latency: float) -> None:
-            nonlocal count
-            latencies.append(latency)
-            count += 1
-            if timeline_bucket_s:
-                bucket = int((self.clock.now - start) / timeline_bucket_s)
-                buckets[bucket] = buckets.get(bucket, 0) + 1
-
-        def flush_pending() -> None:
-            if not pending:
-                return
-            batch_latency = self.execute_insert_batch(pending)
-            share = batch_latency / len(pending)
-            for _ in pending:
-                note_op(share)
-            pending.clear()
-
-        for op in operations:
-            if batch_size > 1 and op.kind == "insert":
-                pending.append(op)
-                if len(pending) >= batch_size:
-                    flush_pending()
-                continue
-            flush_pending()
-            latency = self.execute(op)
-            if op.kind != "idle":
-                note_op(latency)
-        flush_pending()
-        self.finalize()
-        for shard in self.shards:
-            if shard.sampler is not None:
-                shard.sampler.finalize()
-        duration = self.clock.now - start
-        if timeline_bucket_s and buckets:
-            last_bucket = max(buckets)
-            timeline = [
-                (bucket * timeline_bucket_s,
-                 buckets.get(bucket, 0) / timeline_bucket_s)
-                for bucket in range(last_bucket + 1)
-            ]
-        else:
-            timeline = []
-        return RunResult(
-            operations=count,
-            inserts=sum(shard.inserts for shard in self.shards),
-            reads=sum(shard.reads for shard in self.shards),
-            duration_s=duration,
-            latencies_s=latencies,
-            logical_bytes=sum(
-                shard.primary.db.logical_raw_bytes for shard in self.shards
-            ),
-            stored_bytes=sum(
-                shard.primary.db.stored_bytes for shard in self.shards
-            ),
-            physical_bytes=sum(
-                shard.primary.db.physical_bytes() for shard in self.shards
-            ),
-            network_bytes=sum(
-                shard.network.bytes_delivered for shard in self.shards
-            ),
-            index_memory_bytes=sum(
-                shard.primary.engine.index_memory_bytes
-                for shard in self.shards
-                if shard.primary.engine
-            ),
-            throughput_timeline=timeline,
-        )
+        samplers = [shard.sampler for shard in self.shards]
+        return run_trace(self, samplers, operations, timeline_bucket_s)
 
     # -- lifecycle / maintenance ---------------------------------------------
 

@@ -118,7 +118,7 @@ class TestGovernorIntegration:
         for index in range(10):
             content = bytes(rng.randrange(256) for _ in range(1000))
             insert(engine, provider, f"r{index}", content, database="noisy")
-        assert not engine.governor.is_enabled("noisy")
+        assert not engine.admission.is_enabled("noisy")
         assert "noisy" not in engine._indexes
         # Subsequent records bypass.
         result = insert(engine, provider, "r-after", b"x" * 1000, database="noisy")

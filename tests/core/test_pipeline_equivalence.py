@@ -90,8 +90,8 @@ def test_encode_batch_equals_sequential_encode(workload_name, seed, batch_size):
     # The shared bookkeeping the next insert would read must match too.
     assert batch_engine._insert_seq == sequential_engine._insert_seq
     assert (
-        batch_engine.governor.disabled_databases
-        == sequential_engine.governor.disabled_databases
+        batch_engine.admission.disabled_databases
+        == sequential_engine.admission.disabled_databases
     )
 
 

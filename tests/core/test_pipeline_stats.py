@@ -62,7 +62,7 @@ def test_no_candidate_increments_one_reason(document):
 
 def test_governor_bypass_increments_one_reason(document):
     engine = make_engine()
-    engine.governor.disabled_databases.add("db")
+    engine.admission.disabled_databases.add("db")
     result = insert(engine, DictProvider(), "r0", document)
     assert not result.deduped
     assert engine.stats.drop_reasons == {"governor_bypass": 1}
@@ -224,8 +224,8 @@ def test_governor_disable_prunes_partition():
     # Three no-savings observations fill dbA's window at ratio 1.0 < 1.1,
     # which disables dedup and must tear the partition's bookkeeping down.
     for _ in range(3):
-        engine.observe_governor("dbA", 1000, 1000)
-    assert "dbA" in engine.governor.disabled_databases
+        engine.observe_admission("dbA", 1000, 1000)
+    assert "dbA" in engine.admission.disabled_databases
     assert not any(rid.startswith("a") for rid in engine._insert_seq)
     assert "b0" in engine._insert_seq
 

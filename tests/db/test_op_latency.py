@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api import ClusterSpec, open_cluster
 from repro.workloads.base import Operation
 from repro.obs.registry import SLO_EVENTS_FAMILY
@@ -47,6 +49,24 @@ class TestOpLatencyHistograms:
         child = _latency_children(cluster)[("insert", "db")]
         assert child.count == 4
         assert child.sum == latency
+
+    def test_batch_spanning_shards_splits_latency_share(self):
+        client = open_cluster(ClusterSpec(shards=2, insert_batch_size=64))
+        records = [
+            ("db", f"e{index % 16}/{index}", b"z" * 300) for index in range(64)
+        ]
+        counts = client.cluster.router.counts
+        latency = client.insert_many(records)
+        assert min(counts) > 0, "batch must span both shards"
+        rows = [
+            row
+            for row in client.registry.snapshot()["op_latency_seconds"]["values"]
+            if row["labels"]["op"] == "insert"
+        ]
+        assert sum(row["count"] for row in rows) == 64
+        assert sum(row["sum"] for row in rows) == pytest.approx(
+            latency, rel=1e-12
+        )
 
     def test_sharded_registry_merges_histograms(self):
         client = open_cluster(ClusterSpec(shards=2))

@@ -1,6 +1,8 @@
 """Oplog: sequencing, batching, wire sizes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.oplog import ENTRY_HEADER_BYTES, Oplog
 
@@ -55,3 +57,48 @@ class TestSyncCursor:
         entries = oplog.entries()
         entries.clear()
         assert len(oplog) == 1
+
+
+class TestRunningByteCounts:
+    """``bytes_since`` / ``unsynced_bytes`` / ``total_bytes`` are running
+    counters; they must equal the re-summed entries at every point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("append"), st.integers(0, 300)),
+                st.tuples(st.just("take"), st.just(0)),
+                st.tuples(st.just("truncate_before"), st.integers(0, 40)),
+                st.tuples(st.just("truncate_from"), st.integers(0, 40)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_counters_equal_resummed_entries(self, steps):
+        oplog = Oplog()
+        for step, arg in steps:
+            if step == "append":
+                oplog.append(0.0, "insert", "db", "r", payload=b"x" * arg)
+            elif step == "take":
+                oplog.take_unsynced()
+            elif step == "truncate_before":
+                # Only consumed history may go (the built-in cursor's rule).
+                oplog.truncate_before(min(arg, oplog.synced_seq))
+            else:
+                oplog.truncate_from(max(arg, oplog.truncated_before))
+
+            entries = oplog.entries()
+            assert oplog.total_bytes == sum(e.wire_size for e in entries)
+            assert oplog.unsynced_bytes == sum(
+                e.wire_size for e in entries if e.seq >= oplog.synced_seq
+            )
+            for cursor in range(oplog.truncated_before, oplog.next_seq + 2):
+                assert oplog.bytes_since(cursor) == sum(
+                    e.wire_size for e in oplog.entries_since(cursor)
+                )
+            for cursor in range(oplog.truncated_before):
+                with pytest.raises(ValueError):
+                    oplog.bytes_since(cursor)
+            with pytest.raises(ValueError):
+                oplog.bytes_since(-1)

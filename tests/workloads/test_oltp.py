@@ -58,7 +58,7 @@ class TestNegativeControl:
         workload = OltpWorkload(seed=3, target_bytes=120_000)
         cluster.run(workload.insert_trace())
         engine = cluster.primary.engine
-        assert not engine.governor.is_enabled("oltp")
+        assert not engine.admission.is_enabled("oltp")
         assert engine.stats.records_bypassed > 0
         # The index partition was dropped with it.
         assert engine.index_memory_bytes == 0
