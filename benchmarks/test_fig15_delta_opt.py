@@ -3,7 +3,11 @@
 Paper: at interval 16 dbDedup ≈ xDelta; at 64 it is ~80% faster for ~7%
 ratio loss; at 128 another ~10% faster for ~15% loss. The monotone
 throughput/ratio trade-off is the claim; absolute MB/s are implementation-
-bound (C there, Python+numpy here).
+bound (C there, Python+numpy here). Since the encoder computes checksums
+only at anchors the wall-clock ordering has the paper's shape too —
+anchor-16 no slower than xDelta, anchor-64 well ahead of it — and is
+asserted; the margin over xDelta is wider than the paper's because this
+xDelta still walks unmatched target bytes in Python (EXPERIMENTS.md).
 """
 
 from repro.bench.experiments import fig15
@@ -21,6 +25,9 @@ def test_fig15_anchor_interval_tradeoff(once):
 
     # At the finest interval the ratio matches xDelta's closely.
     assert fine.compression_ratio > xdelta.compression_ratio * 0.9
+    # ...at no less than xDelta's speed, and the default is well ahead.
+    assert fine.throughput_mb_s >= xdelta.throughput_mb_s * 0.9
+    assert default.throughput_mb_s >= xdelta.throughput_mb_s * 1.5
     # Larger intervals run faster...
     assert coarse.throughput_mb_s > fine.throughput_mb_s
     assert default.throughput_mb_s > fine.throughput_mb_s * 1.1

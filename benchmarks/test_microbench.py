@@ -15,7 +15,7 @@ import pytest
 from repro.chunking.cdc import ContentDefinedChunker
 from repro.compression.snappy import snappy_compress, snappy_decompress
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.decode import apply_delta
+from repro.delta.decode import apply_delta, apply_payload
 from repro.delta.reencode import delta_reencode
 from repro.hashing.adler import rolling_adler32
 from repro.hashing.murmur import murmur3_32
@@ -229,6 +229,55 @@ def test_sketch_hashing_threshold_keeps_small_records_scalar():
     baseline = json.loads(bench.BASELINE.read_text(encoding="utf-8"))
     assert baseline["vector_min_width"] == bench.features._VECTOR_MIN_WIDTH
     assert baseline["small"]["speedup"] < 0.9
+
+
+def test_delta_encode_anchor_only_vs_oracle():
+    """Anchor-only checksums + sorted-table probe must stay >= 2x the
+    frozen every-offset encoder at the default interval.
+
+    Same double gate as the chunking and murmur lanes: against the
+    oracle run here and now, and against the committed oracle baseline.
+    10 KB wiki-style revision pairs (the `wiki-insert` record size).
+    Regenerate the baseline after an intended change with::
+
+        PYTHONPATH=src python benchmarks/regen_delta_baseline.py
+    """
+    import regen_delta_baseline as bench
+    from repro.delta.reference import OracleDeltaCompressor
+
+    baseline = json.loads(bench.BASELINE.read_text(encoding="utf-8"))
+    pairs = bench.pairs()
+    oracle, encoder = OracleDeltaCompressor(64), DeltaCompressor(64)
+    for source, target in pairs:
+        assert encoder.compress(source, target) == oracle.compress(source, target)
+
+    oracle_mb_s = bench.encode_mb_s(oracle, pairs, repeat=3)
+    encoder_mb_s = bench.encode_mb_s(encoder, pairs, repeat=3)
+    assert encoder_mb_s >= 2.0 * oracle_mb_s, (
+        f"encoder {encoder_mb_s:.1f} MB/s < 2x oracle {oracle_mb_s:.1f} MB/s"
+    )
+    committed = baseline["encode"]["anchor-64"]["oracle_mb_s"]
+    assert encoder_mb_s >= 2.0 * committed, (
+        f"encoder {encoder_mb_s:.1f} MB/s < 2x committed oracle "
+        f"baseline {committed:.1f} MB/s"
+    )
+
+
+def test_delta_decode_payload_direct_vs_two_step():
+    """``apply_payload`` must stay >= 1.3x ``deserialize`` + ``apply_delta``
+    on the forward and backward deltas of the same pairs."""
+    import regen_delta_baseline as bench
+
+    cases = bench.decode_cases(bench.pairs())
+    for base, payload, expected in cases:
+        assert apply_payload(base, payload) == expected == bench.two_step(base, payload)
+
+    two_step_mb_s = bench.decode_mb_s(bench.two_step, cases, repeat=10)
+    fused_mb_s = bench.decode_mb_s(apply_payload, cases, repeat=10)
+    assert fused_mb_s >= 1.3 * two_step_mb_s, (
+        f"payload-direct {fused_mb_s:.0f} MB/s < 1.3x two-step "
+        f"{two_step_mb_s:.0f} MB/s"
+    )
 
 
 ADMISSION_BASELINE = (

@@ -26,6 +26,9 @@ from dataclasses import dataclass, field
 #: Paper configuration: "lossy write-back cache (8 MB)".
 DEFAULT_CAPACITY_BYTES = 8 * 1024 * 1024
 
+#: Stale heap items tolerated beyond the live count before a rebuild.
+_COMPACT_SLACK = 16
+
 
 @dataclass(frozen=True)
 class WriteBackEntry:
@@ -71,6 +74,11 @@ class LossyWriteBackCache:
         self.capacity_bytes = capacity_bytes
         self._by_record: dict[str, _HeapItem] = {}
         self._heap: list[_HeapItem] = []
+        # The same items keyed the other way round: the root is the most
+        # valuable entry, earliest queued among equals. Both heaps delete
+        # lazily — an item that left by the other door is marked stale
+        # and skipped when it surfaces, or dropped by ``_compact``.
+        self._flush_heap: list[tuple[int, int, _HeapItem]] = []
         self._used = 0
         self._counter = itertools.count()
         self.discarded = 0
@@ -119,6 +127,7 @@ class LossyWriteBackCache:
         item = _HeapItem(entry.space_saving, next(self._counter), entry)
         self._by_record[entry.record_id] = item
         heapq.heappush(self._heap, item)
+        heapq.heappush(self._flush_heap, (-item.space_saving, item.tiebreak, item))
         self._used += len(entry.payload)
         while self._used > self.capacity_bytes:
             victim = self._pop_least_valuable()
@@ -127,6 +136,10 @@ class LossyWriteBackCache:
             self.discarded += 1
             self.discarded_savings += victim.space_saving
             self._notify_drop(victim)
+        if max(len(self._heap), len(self._flush_heap)) > (
+            2 * len(self._by_record) + _COMPACT_SLACK
+        ):
+            self._compact()
 
     def invalidate(self, record_id: str) -> WriteBackEntry | None:
         """Remove a pending write-back (client updated/deleted the record,
@@ -148,16 +161,13 @@ class LossyWriteBackCache:
         Flushing is not a drop: the caller applies the entry and is
         responsible for releasing the pending base reference afterwards.
         """
-        best: _HeapItem | None = None
-        for item in self._by_record.values():
-            if best is None or item.space_saving > best.space_saving:
-                best = item
-        if best is None:
-            return None
-        entry = self._remove(best.entry.record_id)
-        if entry is not None:
+        while self._flush_heap:
+            item = heapq.heappop(self._flush_heap)[2]
+            if item.stale:
+                continue
             self.flushed += 1
-        return entry
+            return self._remove(item.entry.record_id)
+        return None
 
     def _remove(self, record_id: str) -> WriteBackEntry | None:
         item = self._by_record.pop(record_id, None)
@@ -166,6 +176,21 @@ class LossyWriteBackCache:
         item.stale = True
         self._used -= len(item.entry.payload)
         return item.entry
+
+    def _compact(self) -> None:
+        """Rebuild both heaps from the live items.
+
+        Stale items keep their payloads reachable, so without this the
+        heaps — not ``capacity_bytes`` — would bound memory on a run that
+        overflows often and flushes rarely, or the other way round. Called
+        once stale items outnumber live ones, so the O(live) rebuild is
+        paid for by the removals that made them stale.
+        """
+        live = list(self._by_record.values())
+        self._heap = live
+        heapq.heapify(self._heap)
+        self._flush_heap = [(-item.space_saving, item.tiebreak, item) for item in live]
+        heapq.heapify(self._flush_heap)
 
     def _notify_drop(self, entry: WriteBackEntry) -> None:
         if self.on_drop is not None:
@@ -189,7 +214,5 @@ class LossyWriteBackCache:
             item = heapq.heappop(self._heap)
             if item.stale:
                 continue
-            del self._by_record[item.entry.record_id]
-            self._used -= len(item.entry.payload)
-            return item.entry
+            return self._remove(item.entry.record_id)
         return None

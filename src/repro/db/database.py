@@ -15,6 +15,7 @@ idleness signal and the latency numbers mean something.
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 from zlib import crc32
 
@@ -25,7 +26,7 @@ from repro.db.errors import CorruptChain, CorruptPage, RecordExists, RecordNotFo
 from repro.db.pagestore import PageStore
 from repro.db.record import RecordForm, StoredRecord
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.decode import apply_delta
+from repro.delta.decode import apply_delta, apply_payload
 from repro.delta.instructions import deserialize, serialize
 from repro.sim.clock import SimClock
 from repro.sim.disk import SimDisk
@@ -68,7 +69,13 @@ class Database:
         self.record_cache = record_cache
         self.idle_queue_threshold = idle_queue_threshold
         self.records: dict[str, StoredRecord] = {}
-        self.writeback_cache.on_drop = self._on_writeback_drop
+        # Through a weak proxy: a bound method stored on a cache this store
+        # owns would make every Database a reference cycle, freed only when
+        # a full collection happens to run — and the invariant sweep replays
+        # each node's oplog into a scratch store the size of the corpus, so
+        # peak RSS would depend on when the collector gets to the first one.
+        owner = weakref.proxy(self)
+        self.writeback_cache.on_drop = lambda entry: owner._on_writeback_drop(entry)
         # GC re-encoding runs rarely; default compressor parameters suffice.
         self._gc_compressor = DeltaCompressor()
         self.writebacks_applied = 0
@@ -317,7 +324,7 @@ class Database:
                 if rec.form is RecordForm.RAW:
                     content = payload
                 else:
-                    content = apply_delta(content, deserialize(payload))
+                    content = apply_payload(content, payload)
         except CorruptPage:
             return None
         return content

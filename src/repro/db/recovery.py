@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from repro.db.database import Database
 from repro.db.errors import RecordExists, RecordNotFound
 from repro.db.oplog import OplogEntry
-from repro.delta.decode import apply_delta
-from repro.delta.instructions import deserialize
+from repro.delta.decode import apply_payload
 
 
 @dataclass
@@ -55,8 +54,8 @@ def replay_oplog(entries: list[OplogEntry], into: Database | None = None
                     report.decode_failures += 1
                     continue
                 try:
-                    content = apply_delta(base, deserialize(entry.payload))
-                except (ValueError, TypeError):
+                    content = apply_payload(base, entry.payload)
+                except ValueError:
                     report.decode_failures += 1
                     continue
             else:

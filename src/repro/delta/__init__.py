@@ -9,13 +9,21 @@ algorithmic differences only:
   target scanned at every byte offset.
 * :mod:`repro.delta.dbdelta` — dbDedup's variant: only *anchor* offsets
   (checksum low bits match a pattern) are indexed and probed, trading a
-  little ratio for a large speedup (Fig. 15).
+  little ratio for a large speedup (Fig. 15). Full checksums are computed
+  at anchors only and the source index is one sorted array.
 * :mod:`repro.delta.reencode` — Algorithm 2: transform a forward delta into
   the backward delta at memory speed, without re-running compression.
-* :mod:`repro.delta.decode` — apply a delta to its base.
+* :mod:`repro.delta.decode` — apply a delta to its base: ``apply_payload``
+  straight from the wire format, ``apply_delta`` from an instruction list.
+* :mod:`repro.delta.reference` — what the encoders are tested against,
+  imported by tests and benchmarks only: ``OracleDeltaCompressor`` (the
+  every-offset implementation ``dbdelta`` must match byte for byte) and
+  ``reference_compress`` (difflib, the ratio yardstick).
+* :mod:`repro.delta._matching` — bidirectional match extension shared by
+  the encoders.
 """
 
-from repro.delta.decode import apply_delta
+from repro.delta.decode import apply_delta, apply_payload
 from repro.delta.dbdelta import DeltaCompressor
 from repro.delta.instructions import (
     CopyInst,
@@ -41,4 +49,5 @@ __all__ = [
     "DeltaCompressor",
     "delta_reencode",
     "apply_delta",
+    "apply_payload",
 ]

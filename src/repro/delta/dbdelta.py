@@ -12,15 +12,25 @@ Because anchors are content-defined the *same* data selects the same
 anchors in source and target, so matches are still found even though only
 a fraction of offsets are examined; bidirectional byte-wise extension then
 recovers the full duplicate region around each anchor hit.
+
+The implementation takes the paper at its word: full checksums exist only
+at anchors (:func:`repro.hashing.adler.anchor_adler32`), the source index
+is one sorted array, every target anchor is resolved against it in a
+single ``searchsorted`` pair, and the Python loop visits only the anchors
+that hit. :class:`repro.delta.reference.OracleDeltaCompressor` is the
+previous every-offset implementation, kept as the differential oracle:
+both must emit the same instruction stream byte for byte.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
 from repro.delta._matching import as_array, backward_match_len, forward_match_len
 from repro.delta.instructions import CopyInst, Delta, InsertInst, coalesce
-from repro.hashing.adler import rolling_adler32
+from repro.hashing.adler import anchor_adler32
 
 #: Paper default window width (inherited from xDelta).
 DEFAULT_WINDOW = 16
@@ -59,14 +69,6 @@ class DeltaCompressor:
             raise ValueError(f"window must be >= 4, got {window}")
         self.anchor_interval = anchor_interval
         self.window = window
-        self._mask = np.uint32(anchor_interval - 1)
-        self._magic = np.uint32(anchor_interval - 1)
-
-    def _anchors(self, checksums: np.ndarray) -> np.ndarray:
-        """Offsets whose checksum low bits match the anchor pattern."""
-        if self.anchor_interval == 1:
-            return np.arange(len(checksums))
-        return np.nonzero((checksums & self._mask) == self._magic)[0]
 
     def compress(self, src: bytes, tgt: bytes) -> Delta:
         """Delta that rebuilds ``tgt`` from ``src`` (Algorithm 1).
@@ -79,42 +81,49 @@ class DeltaCompressor:
         if len(src) < self.window or len(tgt) < self.window:
             return [InsertInst(tgt)]
 
+        # An anchor is an offset whose checksum has all mask bits set.
+        mask = self.anchor_interval - 1
+        src_anchors, src_checksums = anchor_adler32(src, self.window, mask)
+        tgt_anchors, tgt_checksums = anchor_adler32(tgt, self.window, mask)
+
+        # Step 1 (Algorithm 1 lines 8-14): index source anchors. The stable
+        # sort keeps equal checksums in ascending source offset, so a run
+        # of the table is that checksum's bucket, oldest offset first.
+        order = np.argsort(src_checksums, kind="stable")
+        table = src_checksums[order]
+        table_offsets = src_anchors[order].tolist()
+
+        # Step 2 (lines 15-31): probe target anchors — all at once; only
+        # those whose checksum is in the table reach the Python loop.
+        first = np.searchsorted(table, tgt_checksums, side="left")
+        end = np.searchsorted(table, tgt_checksums, side="right")
+        hits = np.flatnonzero(first < end)
+        hit_anchors = tgt_anchors[hits].tolist()
+        first = first[hits]
+        hit_end = np.minimum(end[hits], first + MAX_OFFSETS_PER_CHECKSUM).tolist()
+        hit_first = first.tolist()
+
         src_arr = as_array(src)
         tgt_arr = as_array(tgt)
-        src_checksums = rolling_adler32(src, self.window)
-        tgt_checksums = rolling_adler32(tgt, self.window)
-
-        # Step 1 (Algorithm 1 lines 8-14): index source anchors.
-        index: dict[int, list[int]] = {}
-        for offset in self._anchors(src_checksums).tolist():
-            bucket = index.setdefault(int(src_checksums[offset]), [])
-            if len(bucket) < MAX_OFFSETS_PER_CHECKSUM:
-                bucket.append(offset)
-
-        # Step 2 (lines 15-31): probe only target anchors, extend matches.
         insts: Delta = []
         emitted = 0
-        tgt_anchors = self._anchors(tgt_checksums).tolist()
         cursor = 0
-        while cursor < len(tgt_anchors):
-            j = tgt_anchors[cursor]
+        while cursor < len(hit_anchors):
+            j = hit_anchors[cursor]
             if j < emitted:
-                cursor += 1
+                # Everything the last COPY covered is skipped in one step.
+                cursor = bisect_left(hit_anchors, emitted, cursor + 1)
                 continue
-            candidates = index.get(int(tgt_checksums[j]))
-            if not candidates:
-                cursor += 1
-                continue
+            candidates = table_offsets[hit_first[cursor] : hit_end[cursor]]
+            cursor += 1
             best = self._best_match(src_arr, tgt_arr, candidates, j, emitted)
             if best is None:
-                cursor += 1
                 continue
             s_off, t_off, length = best
             if emitted < t_off:
                 insts.append(InsertInst(tgt[emitted:t_off]))
             insts.append(CopyInst(s_off, length))
             emitted = t_off + length
-            cursor += 1
         if emitted < len(tgt):
             insts.append(InsertInst(tgt[emitted:]))
         return coalesce(insts, base=src)

@@ -97,6 +97,47 @@ def deserialize(payload: bytes) -> Delta:
     return insts
 
 
+def apply_payload(base: bytes, payload: bytes) -> bytes:
+    """Rebuild the target stream from ``base`` and a wire-format delta.
+
+    The same walk as :func:`deserialize`, but slices of ``base`` and of
+    ``payload`` itself are joined directly, without instruction objects in
+    between: ``apply_payload(base, p) == apply_delta(base, deserialize(p))``.
+
+    Raises:
+        ValueError: on a truncated varint or INSERT, an unknown
+            instruction tag, or a COPY that references bytes outside
+            ``base`` — the signal that a delta is being applied to the
+            wrong base record.
+    """
+    parts = []
+    limit = len(base)
+    end = len(payload)
+    pos = 0
+    while pos < end:
+        tag = payload[pos]
+        pos += 1
+        if tag == _TAG_COPY:
+            offset, pos = decode_uvarint(payload, pos)
+            length, pos = decode_uvarint(payload, pos)
+            stop = offset + length
+            if stop > limit:
+                raise ValueError(
+                    f"COPY [{offset}, {stop}) outside base of {limit} bytes"
+                )
+            parts.append(base[offset:stop])
+        elif tag == _TAG_INSERT:
+            length, pos = decode_uvarint(payload, pos)
+            stop = pos + length
+            if stop > end:
+                raise ValueError("truncated INSERT payload")
+            parts.append(payload[pos:stop])
+            pos = stop
+        else:
+            raise ValueError(f"unknown delta instruction tag 0x{tag:02x}")
+    return b"".join(parts)
+
+
 def encoded_size(insts: Delta) -> int:
     """Wire-format size in bytes without materializing the encoding."""
     total = 0

@@ -1,9 +1,12 @@
 """Lossy write-back delta cache (§3.3.2)."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import writeback
 from repro.cache.writeback import LossyWriteBackCache, WriteBackEntry
 
 
@@ -101,3 +104,92 @@ def test_property_used_bytes_within_capacity(operations):
         cache.put(entry(record_id, payload, saving))
         assert cache.used_bytes <= 20
         assert len(cache) <= 20
+
+
+class ScanModel:
+    """The flush order as a full scan defines it.
+
+    ``pending`` is in queueing order (a re-put moves the record to the
+    end). Flush takes the first entry with the strictly greatest saving;
+    overflow drops the first entry with the strictly smallest.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.pending: dict[str, WriteBackEntry] = {}
+
+    def put(self, new: WriteBackEntry) -> None:
+        self.pending.pop(new.record_id, None)
+        if len(new.payload) > self.capacity:
+            return
+        self.pending[new.record_id] = new
+        while sum(len(e.payload) for e in self.pending.values()) > self.capacity:
+            victim = min(self.pending.values(), key=lambda e: e.space_saving)
+            del self.pending[victim.record_id]
+
+    def flush(self) -> WriteBackEntry | None:
+        if not self.pending:
+            return None
+        best = max(self.pending.values(), key=lambda e: e.space_saving)
+        return self.pending.pop(best.record_id)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("put"),
+                st.sampled_from("abcdefgh"),
+                st.binary(min_size=1, max_size=9),
+                st.integers(0, 2),  # few distinct savings: ties everywhere
+            ),
+            st.tuples(st.just("invalidate"), st.sampled_from("abcdefgh")),
+            st.tuples(st.just("flush")),
+            st.tuples(st.just("drain")),
+        ),
+        max_size=120,
+    ),
+    st.sampled_from([0, 16]),  # 0: the heaps are rebuilt at every chance
+)
+def test_property_flush_order_equals_full_scan(operations, slack):
+    """The heap-backed flush picks what scanning every entry would:
+    highest saving, earliest queued among equals — through any mix of
+    re-puts, invalidations, flushes, capacity evictions and heap
+    compactions."""
+    with mock.patch.object(writeback, "_COMPACT_SLACK", slack):
+        _check_against_scan(operations)
+
+
+def _check_against_scan(operations):
+    cache = LossyWriteBackCache(20)
+    model = ScanModel(20)
+    for op, *args in operations:
+        if op == "put":
+            cache.put(entry(*args))
+            model.put(entry(*args))
+        elif op == "invalidate":
+            cache.invalidate(*args)
+            model.pending.pop(*args, None)
+        elif op == "flush":
+            assert cache.flush_most_valuable() == model.flush()
+        else:
+            drained = cache.drain()
+            assert drained == [model.flush() for _ in drained]
+            assert model.flush() is None
+        assert cache.pending_entries() == list(model.pending.values())
+        assert cache.used_bytes == sum(len(e.payload) for e in model.pending.values())
+
+
+def test_heaps_do_not_outgrow_the_live_entries():
+    """Flushed, invalidated and evicted items are dropped from both lazy
+    heaps once they outnumber the live ones — stale items hold payloads."""
+    cache = LossyWriteBackCache(20)
+    for round_ in range(200):
+        if round_ % 5 == 0:
+            cache.flush_most_valuable()
+        if round_ % 11 == 0:
+            cache.invalidate(f"r{(round_ + 1) % 7}")
+        cache.put(entry(f"r{round_ % 7}", b"12345678", round_ % 3))  # overflows
+        bound = 2 * len(cache) + 16
+        assert len(cache._heap) <= bound and len(cache._flush_heap) <= bound

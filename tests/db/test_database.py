@@ -1,5 +1,8 @@
 """Database CRUD + encoding-chain semantics (§4.1)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cache.writeback import WriteBackEntry
@@ -106,6 +109,28 @@ class TestWriteback:
         db.clock.advance(10.0)
         assert db.flush_writebacks_if_idle() == 1
         assert db.records["v0"].form is RecordForm.DELTA
+
+    def test_store_is_freed_without_the_cycle_collector(self, revision_pair):
+        """The drop callback must not tie the store to its own cache: a
+        scratch store (oplog replay in the invariant sweep) has to go when
+        its last reference does, not at the next full collection."""
+        source, target = revision_pair
+        gc.collect()
+        gc.disable()
+        try:
+            db = Database()
+            db.insert("wiki", "v0", source)
+            db.insert("wiki", "v1", target)
+            db.schedule_writebacks(
+                [backward_entry(target, source, "v0", "v1", len(source))]
+            )
+            db.writeback_cache.invalidate("v0")  # the callback still fires
+            assert db.records["v1"].ref_count == 0
+            alive = weakref.ref(db)
+            del db
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestDecodeChains:

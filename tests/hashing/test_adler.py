@@ -1,12 +1,15 @@
-"""Rolling Adler-32: vectorized path vs scalar reference vs zlib."""
+"""Rolling Adler-32: vectorized path vs scalar reference vs zlib, and the
+anchor-only path vs the every-offset one."""
 
+import random
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.adler import adler32_block, rolling_adler32
+from repro.hashing.adler import adler32_block, anchor_adler32, rolling_adler32
 
 
 class TestAdlerBlock:
@@ -61,3 +64,56 @@ class TestRollingAdler:
         width = 11
         checksums = rolling_adler32(data, width)
         assert checksums[0] == checksums[18]
+
+
+def assert_anchors_match_rolling(data: bytes, width: int, mask: int) -> None:
+    """``anchor_adler32`` is ``rolling_adler32`` filtered by the mask."""
+    positions, checksums = anchor_adler32(data, width, mask)
+    everywhere = rolling_adler32(data, width)
+    expected = np.flatnonzero((everywhere & np.uint32(mask)) == mask)
+    assert positions.tolist() == expected.tolist(), (len(data), width, mask)
+    assert checksums.dtype == np.uint32
+    assert checksums.tolist() == everywhere[expected].tolist(), (len(data), width, mask)
+
+
+class TestAnchorAdler:
+    #: Interval masks (2^k - 1, up to one above the A half), and masks
+    #: that reach into the B half without saturating the A half, which
+    #: only the re-filter on the full checksum can apply.
+    MASKS = (0, 1, 15, 63, 127, 0xFFFF, 0x1FFFF, 0x10000, 0x30001, 3 << 15)
+
+    def test_short_input_empty(self):
+        positions, checksums = anchor_adler32(b"abc", 16, 63)
+        assert positions.size == 0 and checksums.size == 0
+
+    def test_invalid_width(self):
+        with pytest.raises(ValueError):
+            anchor_adler32(b"abcdef", 0, 63)
+
+    def test_mask_zero_selects_every_offset(self):
+        data = random.Random(1).randbytes(500)
+        positions, checksums = anchor_adler32(data, 16, 0)
+        assert positions.tolist() == list(range(len(data) - 15))
+        assert checksums.tolist() == rolling_adler32(data, 16).tolist()
+
+    @pytest.mark.parametrize("width", [1, 4, 16, 22, 23, 256, 257, 300])
+    @pytest.mark.parametrize("mask", MASKS)
+    def test_matches_rolling_at_the_same_positions(self, width, mask):
+        rng = random.Random(width * 1000 + mask)
+        for data in (
+            rng.randbytes(2500),
+            bytes(rng.choice(b"abcde \n") for _ in range(2500)),
+            bytes(2500),
+            b"\xff" * 2500,  # 1 + 255 * width reaches 65521 at width 257
+            rng.randbytes(width),
+        ):
+            assert_anchors_match_rolling(data, width, mask)
+
+    @settings(max_examples=60)
+    @given(
+        st.binary(min_size=0, max_size=600),
+        st.sampled_from([1, 4, 16, 23, 257]),
+        st.sampled_from(MASKS),
+    )
+    def test_property_matches_rolling(self, data, width, mask):
+        assert_anchors_match_rolling(data, width, mask)

@@ -59,3 +59,12 @@ class TestBoundary:
         monkeypatch.setitem(check_api_boundary.FROZEN_SOURCES, key, "0" * 64)
         (violation,) = check_api_boundary.find_frozen_source_violations()
         assert violation[2] == "murmur3_32"
+
+    def test_frozen_oracle_class_is_pinned_too(self, monkeypatch):
+        # The every-offset delta encoder DeltaCompressor must match is a
+        # class: the gate has to find it and hash its whole body.
+        key = ("src/repro/delta/reference.py", "OracleDeltaCompressor")
+        assert key in check_api_boundary.FROZEN_SOURCES
+        monkeypatch.setitem(check_api_boundary.FROZEN_SOURCES, key, "0" * 64)
+        (violation,) = check_api_boundary.find_frozen_source_violations()
+        assert violation[2] == "OracleDeltaCompressor"

@@ -146,15 +146,21 @@ FROZEN_SURFACES = {
     ),
 }
 
-#: Oracle functions whose *source text* is frozen: ``(module, function)``
-#: mapped to the SHA-256 of the function's source segment. The numpy
-#: murmur lanes are proven against ``murmur3_32`` and it still hashes
-#: for the router, the cuckoo and Bloom indexes and the tenant harness,
-#: so an edit here moves every golden value at once. A deliberate
-#: change updates the digest in the same commit.
+#: Oracles whose *source text* is frozen: ``(module, function or class)``
+#: mapped to the SHA-256 of its source segment. The numpy murmur lanes
+#: are proven against ``murmur3_32`` and it still hashes for the router,
+#: the cuckoo and Bloom indexes and the tenant harness, so an edit here
+#: moves every golden value at once. ``OracleDeltaCompressor`` is the
+#: every-offset encoder the anchor-only ``DeltaCompressor`` must match
+#: byte for byte; "optimising" it would make the differential suite
+#: compare the new code with itself. A deliberate change updates the
+#: digest in the same commit.
 FROZEN_SOURCES = {
     ("src/repro/hashing/murmur.py", "murmur3_32"): (
         "04cf2e2903d123922e6139a0adc6279354eba5058b60b589b0f38415fcb45c18"
+    ),
+    ("src/repro/delta/reference.py", "OracleDeltaCompressor"): (
+        "8d7552aee8ef0857fbefe09c582d1c4b5ecbad37debfd5a38850f0c3eb27d74f"
     ),
 }
 
@@ -202,13 +208,13 @@ def find_frozen_surface_violations() -> list[tuple[str, int, str, str]]:
 
 
 def find_frozen_source_violations() -> list[tuple[str, int, str, str]]:
-    """Frozen oracle functions whose source text no longer matches."""
+    """Frozen oracle functions or classes whose source text no longer matches."""
     violations: list[tuple[str, int, str, str]] = []
     for (relative, function), digest in FROZEN_SOURCES.items():
         path = REPO_ROOT / relative
         source = path.read_text(encoding="utf-8") if path.is_file() else ""
         for node in ast.parse(source).body:
-            if isinstance(node, ast.FunctionDef) and node.name == function:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == function:
                 segment = ast.get_source_segment(source, node)
                 if hashlib.sha256(segment.encode("utf-8")).hexdigest() != digest:
                     violations.append((
