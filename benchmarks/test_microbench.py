@@ -280,6 +280,99 @@ def test_delta_decode_payload_direct_vs_two_step():
     )
 
 
+def _best_us(setup, timed, repeat):
+    """Best-of-N wall time of ``timed(setup())`` in microseconds."""
+    import time
+
+    best = float("inf")
+    for _ in range(repeat):
+        state = setup()
+        t0 = time.perf_counter()
+        timed(state)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6
+
+
+def test_fragmented_page_insert_vs_reference_page():
+    """One-unpack directory + bulk compaction must stay >= 3x the frozen
+    per-slot page on the insert that has to compact first.
+
+    The `oltp-mixed` shape: a 32 KB page filled with 145 cells of
+    200-240 B, one of them shrunk, then an insert that fits only once the
+    hole is squeezed out. Both pages must end byte-identical.
+    """
+    import importlib.util
+
+    from repro.storage.page import SlottedPage
+
+    spec = importlib.util.spec_from_file_location(
+        "reference_page",
+        Path(__file__).parent.parent / "tests" / "storage" / "reference_page.py",
+    )
+    reference_page = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference_page)
+
+    rng = random.Random(22)
+    cells = [bytes([65 + i % 26]) * rng.randint(200, 240) for i in range(145)]
+    full = SlottedPage(32 * 1024)
+    for cell in cells:
+        full.insert(cell)
+    full.update(72, b"shrunk")
+    blocked = b"n" * (full.free_bytes - 4)
+    assert len(blocked) > full.contiguous_free_bytes
+    image = full.image()
+
+    def fresh(page_cls):
+        return lambda: page_cls(32 * 1024, image=image)
+
+    done = [fresh(cls)() for cls in (SlottedPage, reference_page.SlottedPage)]
+    for page in done:
+        page.insert(blocked)
+        assert page.contiguous_free_bytes == 0  # it did compact
+    assert done[0].image() == done[1].image()
+
+    def insert(page):
+        page.insert(blocked)
+
+    reference_us = _best_us(fresh(reference_page.SlottedPage), insert, repeat=200)
+    page_us = _best_us(fresh(SlottedPage), insert, repeat=200)
+    assert reference_us >= 3.0 * page_us, (
+        f"fragmented insert {page_us:.1f} us is not 3x faster than the "
+        f"reference page's {reference_us:.1f} us"
+    )
+
+
+def test_cuckoo_closed_form_key_hash_vs_scalar_murmur():
+    """``lookup_and_insert`` with the closed-form key hash must stay
+    >= 1.3x the same index hashing through three ``murmur3_32`` calls."""
+
+    class ScalarHashed(CuckooFeatureIndex):
+        def _hashed(self, feature):
+            raw = feature.to_bytes(8, "little")
+            first = murmur3_32(raw, seed=0x1) & self._mask
+            second = murmur3_32(raw, seed=0x2) & self._mask
+            if second == first:
+                second = (first + 1) & self._mask
+            return murmur3_32(raw, seed=0xC0FFEE) & 0xFFFF, first, second
+
+    rng = random.Random(22)
+    features = [rng.getrandbits(64) for _ in range(4000)]
+
+    def run(index):
+        return [
+            index.lookup_and_insert(feature, position)
+            for position, feature in enumerate(features)
+        ]
+
+    assert run(CuckooFeatureIndex(1 << 12)) == run(ScalarHashed(1 << 12))
+    scalar_us = _best_us(lambda: ScalarHashed(1 << 12), run, repeat=5)
+    closed_us = _best_us(lambda: CuckooFeatureIndex(1 << 12), run, repeat=5)
+    assert scalar_us >= 1.3 * closed_us, (
+        f"closed-form {closed_us / len(features):.2f} us/op is not 1.3x faster "
+        f"than scalar murmur's {scalar_us / len(features):.2f} us/op"
+    )
+
+
 ADMISSION_BASELINE = (
     Path(__file__).parent / "baselines" / "admission_microbench.json"
 )

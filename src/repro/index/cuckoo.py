@@ -32,7 +32,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
-from repro.hashing.murmur import murmur3_32
+from repro.hashing.murmur import murmur3_32_u64_batch
 
 #: Bytes charged per occupied entry: 2-byte checksum + 4-byte pointer.
 #: The retained source feature (``_Entry.feature``) is simulation
@@ -40,6 +40,35 @@ from repro.hashing.murmur import murmur3_32
 #: this figure — :mod:`repro.index.tiered` charges it separately when a
 #: real deployment would actually have to store it.
 ENTRY_BYTES = 6
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# MurmurHash3 (x86, 32-bit) of an 8-byte key in closed form. The key is
+# exactly two body blocks and an empty tail, and the block pre-mix does
+# not depend on the seed: a feature's three digests share it, and each
+# is then a fixed chain of int arithmetic. Bit-identical to the frozen
+# oracle ``murmur3_32(feature.to_bytes(8, "little"), seed)``.
+
+
+def _premix(block: int) -> int:
+    """``rotl(block * c1, 15) * c2`` of one 32-bit key half."""
+    block = (block * 0xCC9E2D51) & _MASK32
+    return ((((block << 15) | (block >> 17)) & _MASK32) * 0x1B873593) & _MASK32
+
+
+def _digest(low: int, high: int, seed: int) -> int:
+    """Digest of the key whose pre-mixed halves are ``low`` and ``high``."""
+    h = seed ^ low
+    h = ((((h << 13) | (h >> 19)) & _MASK32) * 5 + 0xE6546B64) & _MASK32
+    h ^= high
+    h = ((((h << 13) | (h >> 19)) & _MASK32) * 5 + 0xE6546B64) & _MASK32
+    h ^= 8  # key length
+    h ^= h >> 16
+    h = (h * 0x85EBCA6B) & _MASK32
+    h ^= h >> 13
+    h = (h * 0xC2B2AE35) & _MASK32
+    return h ^ (h >> 16)
 
 
 @dataclass
@@ -117,15 +146,22 @@ class CuckooFeatureIndex:
     def _hashed(self, feature: int) -> tuple[int, int, int]:
         """``(checksum, first bucket, second bucket)`` of one feature.
 
-        Three murmur digests of the same 8-byte key: the compact 16-bit
-        checksum stored as the entry key, and the two candidate buckets.
+        Three murmur digests of the same 8-byte little-endian key: the
+        compact 16-bit checksum stored as the entry key, and the two
+        candidate buckets.
+
+        Raises:
+            OverflowError: if ``feature`` is outside ``[0, 2**64)``.
         """
-        raw = feature.to_bytes(8, "little")
-        first = murmur3_32(raw, seed=0x1) & self._mask
-        second = murmur3_32(raw, seed=0x2) & self._mask
+        if not 0 <= feature <= _MASK64:
+            raise OverflowError(f"feature {feature} is not an unsigned 64-bit key")
+        low = _premix(feature & _MASK32)
+        high = _premix(feature >> 32)
+        first = _digest(low, high, 0x1) & self._mask
+        second = _digest(low, high, 0x2) & self._mask
         if second == first:
             second = (first + 1) & self._mask
-        return murmur3_32(raw, seed=0xC0FFEE) & 0xFFFF, first, second
+        return _digest(low, high, 0xC0FFEE) & 0xFFFF, first, second
 
     # -- operations ----------------------------------------------------------
 
@@ -192,8 +228,6 @@ class CuckooFeatureIndex:
         run as one numpy batch — the lane that makes the 10⁷-feature
         budget probes in ``benchmarks/`` feasible in pure Python.
         """
-        from repro.hashing.murmur import murmur3_32_u64_batch
-
         checksums = murmur3_32_u64_batch(features, seed=0xC0FFEE)
         firsts = murmur3_32_u64_batch(features, seed=0x1)
         seconds = murmur3_32_u64_batch(features, seed=0x2)

@@ -18,9 +18,9 @@ from repro.compression.block import BlockCompressor, NullCompressor
 from repro.sim.disk import SimDisk
 from repro.storage.bufferpool import BufferPool
 from repro.storage.device import SimBlockDevice
-from repro.storage.page import SlottedPage
+from repro.storage.page import HEADER_BYTES, SLOT_BYTES, SlottedPage
 
-_PAGE_OVERHEAD = 10  # header + one slot entry
+_PAGE_OVERHEAD = HEADER_BYTES + SLOT_BYTES  # what a one-cell page spends
 
 
 class HeapFile:
@@ -208,7 +208,7 @@ class HeapFile:
         return ("overflow", page_ids, len(data))
 
     def _find_space(self, needed: int) -> int:
-        needed_with_slot = needed + 4
+        needed_with_slot = needed + SLOT_BYTES
         for page_id, free in self._free_space.items():
             if free >= needed_with_slot:
                 return page_id

@@ -1,9 +1,12 @@
 """Cuckoo feature index: lookup/insert semantics, LRU, memory accounting."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hashing.murmur import murmur3_32
 from repro.index.cuckoo import ENTRY_BYTES, CuckooFeatureIndex
 
 
@@ -139,3 +142,63 @@ class TestChecksumBehaviour:
         )
         # All found while capacity is ample.
         assert found == len(features)
+
+
+class TestKeyHashClosedForm:
+    """``_hashed`` unrolls murmur for 8-byte keys; the scalar function is
+    the frozen oracle it must match bit for bit."""
+
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    @staticmethod
+    def _oracle(feature: int, mask: int) -> tuple[int, int, int]:
+        raw = feature.to_bytes(8, "little")
+        first = murmur3_32(raw, seed=0x1) & mask
+        second = murmur3_32(raw, seed=0x2) & mask
+        if second == first:
+            second = (first + 1) & mask
+        return murmur3_32(raw, seed=0xC0FFEE) & 0xFFFF, first, second
+
+    @pytest.fixture(scope="class")
+    def features(self) -> list[int]:
+        rng = random.Random(22)
+        return self.EDGES + [
+            rng.getrandbits(rng.randint(1, 64)) for _ in range(4000)
+        ]
+
+    @pytest.mark.parametrize("num_buckets", [2, 1 << 16])
+    def test_matches_scalar_murmur(self, features, num_buckets):
+        index = CuckooFeatureIndex(num_buckets=num_buckets)
+        mask = num_buckets - 1
+        bumped = 0
+        for feature in features:
+            hashed = index._hashed(feature)
+            assert hashed == self._oracle(feature, mask), feature
+            raw = feature.to_bytes(8, "little")
+            bumped += hashed[2] != murmur3_32(raw, seed=0x2) & mask
+        # Two buckets collide on every other key; 65 536 hardly ever.
+        assert (bumped > 1000) == (num_buckets == 2)
+
+    @pytest.mark.parametrize("num_buckets", [2, 1 << 16])
+    def test_agrees_with_the_batch_lane(self, features, num_buckets):
+        records = [f"r{position}" for position in range(len(features))]
+        scalar = CuckooFeatureIndex(num_buckets=num_buckets)
+        for feature, record in zip(features, records):
+            scalar.insert(feature, record)
+        batch = CuckooFeatureIndex(num_buckets=num_buckets)
+        batch.insert_batch(features, records)
+        assert [bucket.slots for bucket in scalar._buckets] == [
+            bucket.slots for bucket in batch._buckets
+        ]
+        assert len(scalar) == len(batch) > 0
+
+    @pytest.mark.parametrize("feature", [2**64, -1])
+    def test_rejects_keys_that_do_not_fit_eight_bytes(self, index, feature):
+        with pytest.raises(OverflowError):
+            feature.to_bytes(8, "little")
+        for operation in (index.lookup, lambda f: index.insert(f, "r")):
+            with pytest.raises(OverflowError):
+                operation(feature)
+        with pytest.raises(OverflowError):
+            index.lookup_and_insert(feature, "r")
+        assert len(index) == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.block import ZlibCompressor
+from repro.compression.snappy import SnappyCompressor
 from repro.storage.heapfile import HeapFile, HeapFileStore
 
 
@@ -168,3 +169,53 @@ class TestHeapFileStore:
         for op in ops:
             content, _ = node.read(op.database, op.record_id)
             assert content == op.content
+
+
+class TestMatchesReferencePage:
+    """The physical engine on the production page and on the frozen
+    per-slot reference page must be indistinguishable from outside."""
+
+    @pytest.mark.parametrize("compressor", [ZlibCompressor, SnappyCompressor])
+    def test_oltp_mixed_trace_is_byte_identical(self, monkeypatch, compressor):
+        from reference_page import SlottedPage as ReferencePage
+        from repro.storage import bufferpool
+        from repro.storage.page import SlottedPage
+        from repro.workloads.oltp import OltpWorkload
+
+        compactions = []
+
+        class Counted(SlottedPage):
+            def compact(self):
+                compactions.append(self.live_cells)
+                return super().compact()
+
+        def run(page_cls) -> HeapFileStore:
+            monkeypatch.setattr(bufferpool, "SlottedPage", page_cls)
+            # A dozen pages, three frames: images also travel through the device.
+            store = HeapFileStore(
+                page_size=16 * 1024, compressor=compressor(), buffer_frames=3
+            )
+            rng = random.Random(22)
+            for op in OltpWorkload(seed=22, target_bytes=200_000).mixed_trace():
+                if op.kind == "insert":
+                    store.place(op.record_id, op.content)
+                elif op.kind == "update":
+                    store.update(op.record_id, op.content)
+                elif op.record_id in store:
+                    assert store.heap.get(op.record_id)
+                    if rng.random() < 0.1:  # the trace itself never deletes
+                        store.remove(op.record_id)
+            return store
+
+        store, reference = run(Counted), run(ReferencePage)
+        assert len(compactions) >= 100 and max(compactions) > 60
+        assert store.physical_bytes() == reference.physical_bytes() > 0
+        assert store.logical_bytes == reference.logical_bytes
+        assert store.heap._locations == reference.heap._locations
+        assert store.heap._free_space == reference.heap._free_space
+        assert store.page_count == reference.page_count >= 10
+        for page_id in reference.heap.device.written_page_ids():
+            assert (
+                store.heap.device.read_page(page_id)[0]
+                == reference.heap.device.read_page(page_id)[0]
+            ), page_id

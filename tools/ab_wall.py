@@ -2,7 +2,8 @@
 """Paired A/B of the wall-clock benchmark between two revisions.
 
     python tools/ab_wall.py <parent-rev> <change-rev> --pairs 10 \\
-        [--workload W ...] [--seed S ...] [--out benchmarks/trajectory/pr-N.json]
+        [--workload W ...] [--seed S ...] [--trace N] \\
+        [--out benchmarks/trajectory/pr-N.json]
 
 Exports both revisions into a scratch directory (``git archive``: nothing
 is left behind in ``.git``, and each side runs its *own* copy of
@@ -21,9 +22,20 @@ metric each side's median and quartiles, how many pairs the change won
 (ties count for neither) and the relative difference of the medians. A
 gain may be claimed when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's inter-quartile
-distance — ``claimable`` says whether both hold. The three exact
+distance — ``claimable`` says whether both hold. ``verdict`` holds the
+metric to its ``BENCHMARK.json`` bound: ``improved`` when claimable,
+``unresolved`` when either side's inter-quartile distance is wider than
+the bound (unless every run of the change beats every run of the
+parent), else ``regressed`` or ``within_bound``. The three exact
 counters must be identical in every run of a workload x seed; if they
 are not, or any run fails an operation, the tool exits 1.
+
+``--trace N`` adds, after the pairs of each workload x seed, N more
+pairs of ``--trace 1`` runs (same alternation) and records every
+layer's ``self_s`` / ``calls`` / ``share`` per run and as medians per
+side: where the trace puts a saving, measured in the same session as
+the verdicts. Traced wall times carry the tracing overhead and feed no
+verdict.
 
 To measure uncommitted work, pass ``$(git stash create)`` as the change
 revision after ``git add -A``.
@@ -48,6 +60,9 @@ SIDES = ("parent", "change")
 #: on both sides (``benchmarks/wall/run.py::EXACT``).
 EXACT = ("storage_ratio", "network_ratio", "index_bytes_per_record")
 
+#: What a traced run keeps: each layer's self time, call count and share.
+LAYER_SUFFIXES = (".self_s", ".calls", ".share")
+
 
 def _git(*args: str) -> str:
     return subprocess.run(
@@ -68,11 +83,13 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; the result object of its last line."""
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False
+) -> dict:
+    """One benchmark run; the result object of its last line."""
     command = [
         sys.executable, "benchmarks/wall/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace)),
     ]
     # PYTHONHASHSEED as run.py's own fan-out sets it; PYTHONPATH dropped
     # so each side can only import its own src/.
@@ -90,7 +107,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "metrics": {
+            name: m["value"] for name, m in result["metrics"].items()
+            if not trace or name.endswith(LAYER_SUFFIXES)
+        },
     }
 
 
@@ -99,13 +119,32 @@ def _side_summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def _verdict(parent: dict, change: dict, sign: float, bound: float, claimable: bool) -> str:
+    """``improved`` / ``unresolved`` / ``regressed`` / ``within_bound``."""
+    if claimable:
+        return "improved"
+    wide = any(
+        side["q3"] - side["q1"] > bound * abs(side["median"]) for side in (parent, change)
+    )
+    # Every run of the change better than every run of the parent.
+    if sign > 0:
+        separated = change["max"] < parent["min"]
+    else:
+        separated = change["min"] > parent["max"]
+    if wide and not separated:
+        return "unresolved"
+    worse = sign * (change["median"] - parent["median"]) / abs(parent["median"])
+    return "regressed" if worse > bound else "within_bound"
+
+
+def summarize(runs: list[dict], specs: list[dict]) -> dict:
     """Per metric: both sides' quartiles, the win count and the verdict."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
     summary = {}
-    for metric, direction in better.items():
+    for spec in specs:
+        metric, direction = spec["name"], spec["better"]
         sign = 1.0 if direction == "lower" else -1.0
         sides = {
             side: _side_summary([pair[side][metric] for pair in by_pair.values()])
@@ -116,6 +155,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         wins = sum(gap > 0 for gap in gaps)
         parent, change = sides["parent"], sides["change"]
         gain = sign * (parent["median"] - change["median"])
+        claimable = wins >= 0.9 * len(gaps) and gain > parent["q3"] - parent["q1"]
         summary[metric] = {
             "better": direction,
             **sides,
@@ -123,11 +163,50 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "change_wins": wins,
             "parent_wins": sum(gap < 0 for gap in gaps),
             "median_change_rel": (change["median"] - parent["median"]) / parent["median"],
-            "claimable": (
-                wins >= 0.9 * len(gaps) and gain > parent["q3"] - parent["q1"]
-            ),
+            "claimable": claimable,
+            "bound": spec["bound"],
+            "verdict": _verdict(parent, change, sign, spec["bound"], claimable),
         }
     return summary
+
+
+def run_pairs(checkouts, workload, seed, seconds, pairs, trace=False) -> list[dict]:
+    """``pairs`` parent/change pairs, alternating which side goes first."""
+    runs = []
+    for pair in range(pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for position, side in enumerate(order):
+            run = run_once(checkouts[side], workload, seed, seconds, trace)
+            runs.append({"pair": pair, "side": side, "ran": position, **run})
+            shown = "traced" if trace else f"workload_s {run['metrics']['workload_s']:.3f}"
+            print(
+                f"{workload} seed {seed} pair {pair} {side:6s} {shown} "
+                f"failed {run['failed']}",
+                file=sys.stderr, flush=True,
+            )
+    return runs
+
+
+def failures(workload: str, seed: int, runs: list[dict]) -> list[str]:
+    """One line per run that failed an operation or its own checks."""
+    return [
+        f"{workload} seed {seed} pair {run['pair']} {run['side']}: "
+        f"failed {run['failed']}, correct {run['correct']}"
+        for run in runs if run["failed"] or not run["correct"]
+    ]
+
+
+def summarize_trace(runs: list[dict]) -> dict:
+    """Per layer metric: each side's median over its traced runs."""
+    return {
+        metric: {
+            side: statistics.median(
+                run["metrics"][metric] for run in runs if run["side"] == side
+            )
+            for side in SIDES
+        }
+        for metric in runs[0]["metrics"]
+    }
 
 
 def parse(argv: list[str]) -> argparse.Namespace:
@@ -140,6 +219,8 @@ def parse(argv: list[str]) -> argparse.Namespace:
                         help="repeatable; default: every workload of BENCHMARK.json")
     parser.add_argument("--seed", type=int, action="append",
                         help="repeatable; default: 7")
+    parser.add_argument("--trace", type=int, default=0, metavar="N",
+                        help="also N traced pairs per workload and seed (default: 0)")
     parser.add_argument("--seconds", type=float,
                         help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--out", help="write the document here (default: stdout only)")
@@ -157,7 +238,6 @@ def main(argv: list[str]) -> int:
     workloads = args.workload or [w["name"] for w in contract["workloads"]]
     seeds = args.seed or [7]
     seconds = args.seconds or contract["run_seconds"]
-    better = {m["name"]: m["better"] for m in contract["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="ab-wall-", dir=args.workdir) as scratch:
         checkouts = {side: Path(scratch) / side for side in SIDES}
@@ -174,21 +254,8 @@ def main(argv: list[str]) -> int:
         problems: list[str] = []
         for workload in workloads:
             for seed in seeds:
-                runs = []
-                for pair in range(args.pairs):
-                    order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                    for position, side in enumerate(order):
-                        run = run_once(checkouts[side], workload, seed, seconds)
-                        runs.append({"pair": pair, "side": side, "ran": position, **run})
-                        print(
-                            f"{workload} seed {seed} pair {pair} {side:6s} "
-                            f"workload_s {run['metrics']['workload_s']:.3f} "
-                            f"failed {run['failed']}",
-                            file=sys.stderr, flush=True,
-                        )
-                        if run["failed"] or not run["correct"]:
-                            problems.append(f"{workload} seed {seed} pair {pair} {side}: "
-                                            f"failed {run['failed']}, correct {run['correct']}")
+                runs = run_pairs(checkouts, workload, seed, seconds, args.pairs)
+                problems.extend(failures(workload, seed, runs))
                 exact = {}
                 for name in EXACT:
                     seen = {run["metrics"][name] for run in runs}
@@ -197,11 +264,18 @@ def main(argv: list[str]) -> int:
                             f"{workload} seed {seed}: {name} differs between runs: {sorted(seen)}"
                         )
                     exact[name] = sorted(seen)[0]
-                doc["workloads"].setdefault(workload, {})[f"seed-{seed}"] = {
+                entry = {
                     "exact": exact,
-                    "summary": summarize(runs, better),
+                    "summary": summarize(runs, contract["end_to_end"]),
                     "runs": runs,
                 }
+                if args.trace:
+                    traced = run_pairs(
+                        checkouts, workload, seed, seconds, args.trace, trace=True
+                    )
+                    problems.extend(failures(workload, seed, traced))
+                    entry["trace"] = {"summary": summarize_trace(traced), "runs": traced}
+                doc["workloads"].setdefault(workload, {})[f"seed-{seed}"] = entry
         doc["problems"] = problems
 
     for workload, seeds_doc in doc["workloads"].items():
@@ -214,9 +288,15 @@ def main(argv: list[str]) -> int:
                     f"change {row['change']['median']:10.4f} "
                     f"[{row['change']['q1']:.4f} .. {row['change']['q3']:.4f}]  "
                     f"{row['median_change_rel']:+7.1%}  "
-                    f"wins {row['change_wins']}/{row['pairs']}"
-                    f"{'  claimable' if row['claimable'] else ''}"
+                    f"wins {row['change_wins']}/{row['pairs']}  {row['verdict']}"
                 )
+            traced = entry.get("trace", {}).get("summary", {})
+            for layer in (m[: -len(".self_s")] for m in traced if m.endswith(".self_s")):
+                print(f"{workload:18s} {seed_name:8s} traced {layer:16s}" + "".join(
+                    f"  {suffix[1:]} {traced[layer + suffix]['parent']:.4g}"
+                    f" -> {traced[layer + suffix]['change']:.4g}"
+                    for suffix in LAYER_SUFFIXES
+                ))
     for problem in problems:
         print(f"ERROR {problem}")
     if args.out:
