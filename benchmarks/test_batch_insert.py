@@ -18,7 +18,8 @@ import pytest
 
 from repro.chunking.cdc import ContentDefinedChunker
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.sketch.features import SketchExtractor
 from repro.workloads.text import TextGenerator
 from repro.workloads import make_workload
@@ -38,7 +39,7 @@ def trace_factory():
 def run_cluster(trace_factory, batch_size: int):
     """Drive one cluster over the trace; return (wall seconds, result)."""
     cluster = Cluster(
-        ClusterConfig(
+        ClusterSpec(
             dedup=DedupConfig(chunk_size=64),
             insert_batch_size=batch_size,
         )

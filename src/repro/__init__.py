@@ -28,7 +28,7 @@ from repro.core import (
     DedupStats,
     SecondaryReencoder,
 )
-from repro.db import Cluster, ClusterConfig, Database, RunResult
+from repro.db import Cluster, Database, RunResult
 from repro.delta import (
     DeltaCompressor,
     apply_delta,
@@ -58,7 +58,6 @@ __all__ = [
     "SecondaryReencoder",
     "TradDedupEngine",
     "Cluster",
-    "ClusterConfig",
     "Database",
     "RunResult",
     "DeltaCompressor",

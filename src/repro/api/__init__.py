@@ -13,8 +13,8 @@ see ``docs/API.md``.
 """
 
 from repro.api.client import DedupClient, open_cluster
-from repro.api.spec import ClusterSpec
 from repro.db.errors import NodeUnavailableError
+from repro.db.spec import ClusterSpec
 from repro.index.spec import IndexSpec
 
 __all__ = [

@@ -12,12 +12,13 @@ the client never branches on topology.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable
 
-from repro.api.spec import ClusterSpec
 from repro.db.cluster import Cluster, RunResult
 from repro.db.errors import NodeUnavailableError
 from repro.db.sharding import ShardedCluster
+from repro.db.spec import ClusterSpec
 from repro.workloads.base import Operation
 
 
@@ -32,12 +33,10 @@ def open_cluster(spec: ClusterSpec | None = None, **overrides) -> "DedupClient":
     if spec is None:
         spec = ClusterSpec(**overrides)
     elif overrides:
-        spec = ClusterSpec(**{**spec.__dict__, **overrides})
-    if spec.shards == 1:
-        cluster = Cluster.from_spec(spec)
-    else:
-        cluster = ShardedCluster.from_spec(spec)
-    return DedupClient(cluster, spec)
+        spec = replace(spec, **overrides)
+    return DedupClient(
+        Cluster(spec) if spec.shards == 1 else ShardedCluster(spec)
+    )
 
 
 class DedupClient:
@@ -48,11 +47,8 @@ class DedupClient:
     All mutation latencies are simulated seconds.
     """
 
-    def __init__(
-        self, cluster: Cluster | ShardedCluster, spec: ClusterSpec | None = None
-    ) -> None:
+    def __init__(self, cluster: Cluster | ShardedCluster) -> None:
         self._cluster = cluster
-        self._spec = spec
 
     # -- introspection --------------------------------------------------------
 
@@ -62,9 +58,9 @@ class DedupClient:
         return self._cluster
 
     @property
-    def spec(self) -> ClusterSpec | None:
-        """The spec this client was opened with (None when wrapped)."""
-        return self._spec
+    def spec(self) -> ClusterSpec:
+        """The spec the deployment runs — the cluster's own config."""
+        return self._cluster.config
 
     @property
     def shards(self) -> int:
@@ -173,8 +169,6 @@ class DedupClient:
     ) -> RunResult:
         """Execute a workload trace end to end; see :meth:`Cluster.run
         <repro.db.cluster.Cluster.run>`."""
-        if timeline_bucket_s is None:
-            return self._cluster.run(operations)
         return self._cluster.run(operations, timeline_bucket_s)
 
     def finalize(self) -> None:

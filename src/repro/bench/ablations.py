@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from repro.bench.report import render_table
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.db.cluster import Cluster
+from repro.db.spec import ClusterSpec
 from repro.workloads import make_workload
 
 
@@ -94,7 +95,7 @@ def sketch_sweep(
     for chunk_size in chunk_sizes:
         for top_k in top_ks:
             dedup = DedupConfig(chunk_size=chunk_size, top_k=top_k)
-            cluster = Cluster(config=ClusterConfig(dedup=dedup))
+            cluster = Cluster(ClusterSpec(dedup=dedup))
             workload = make_workload(
                 workload_name, seed=seed, target_bytes=target_bytes
             )
@@ -162,7 +163,7 @@ def encoding_sweep(
     for workload_name in workloads:
         for encoding in encodings:
             dedup = DedupConfig(chunk_size=64, encoding=encoding)
-            cluster = Cluster(config=ClusterConfig(dedup=dedup))
+            cluster = Cluster(ClusterSpec(dedup=dedup))
             workload = make_workload(
                 workload_name, seed=seed, target_bytes=target_bytes
             )
@@ -215,7 +216,7 @@ def writeback_capacity_sweep(
     rows = []
     for capacity in capacities:
         dedup = DedupConfig(chunk_size=64, writeback_cache_bytes=capacity)
-        cluster = Cluster(config=ClusterConfig(dedup=dedup))
+        cluster = Cluster(ClusterSpec(dedup=dedup))
         workload = make_workload("wikipedia", seed=seed, target_bytes=target_bytes)
         result = cluster.run(workload.insert_trace())
         cache = cluster.primary.db.writeback_cache
@@ -291,9 +292,7 @@ def compaction_ablation(
     from repro.db.record import RecordForm
     from repro.workloads.wikipedia import WikipediaWorkload
 
-    cluster = Cluster(
-        config=ClusterConfig(dedup=DedupConfig(chunk_size=64))
-    )
+    cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
     workload = WikipediaWorkload(
         seed=seed, target_bytes=target_bytes,
         incremental_fraction=incremental_fraction,
@@ -326,22 +325,22 @@ def network_stack_ablation(
 ) -> NetworkStackResult:
     """Batch compression vs forward encoding vs both, on the wire."""
     configs = [
-        ("original", ClusterConfig(dedup_enabled=False)),
+        ("original", ClusterSpec(dedup_enabled=False)),
         (
             "batch-snappy",
-            ClusterConfig(dedup_enabled=False, batch_compression="snappy"),
+            ClusterSpec(dedup_enabled=False, batch_compression="snappy"),
         ),
-        ("dbDedup", ClusterConfig(dedup=DedupConfig(chunk_size=64))),
+        ("dbDedup", ClusterSpec(dedup=DedupConfig(chunk_size=64))),
         (
             "dbDedup+batch-snappy",
-            ClusterConfig(
+            ClusterSpec(
                 dedup=DedupConfig(chunk_size=64), batch_compression="snappy"
             ),
         ),
     ]
     rows = []
     for label, config in configs:
-        cluster = Cluster(config=config)
+        cluster = Cluster(config)
         workload = make_workload("wikipedia", seed=seed, target_bytes=target_bytes)
         result = cluster.run(workload.insert_trace())
         rows.append(

@@ -151,8 +151,8 @@ def admission_experiment(
             dedup=DedupConfig(
                 chunk_size=chunk_size,
                 governor_window=window,
+                admission_mode=mode,
             ),
-            admission_mode=mode,
         )
         client = open_cluster(spec)
         run = client.run(trace)

@@ -15,7 +15,8 @@ from repro.baselines.trad_dedup import TradDedupEngine
 from repro.bench.report import render_table
 from repro.compression.snappy import snappy_compress
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.db.cluster import Cluster
+from repro.db.spec import ClusterSpec
 from repro.util.stats import weighted_cdf_points
 from repro.workloads import make_workload
 
@@ -76,11 +77,11 @@ class CompressionResult:
 def _run_dbdedup(
     workload_name: str, chunk_size: int, target_bytes: int, seed: int
 ) -> CompressionRow:
-    config = ClusterConfig(
+    config = ClusterSpec(
         dedup=DedupConfig(chunk_size=chunk_size),
         block_compression="snappy",
     )
-    cluster = Cluster(config=config)
+    cluster = Cluster(config)
     workload = make_workload(workload_name, seed=seed, target_bytes=target_bytes)
     result = cluster.run(workload.insert_trace())
     return CompressionRow(
@@ -124,8 +125,8 @@ def _run_trad(
 
 
 def _run_snappy_only(workload_name: str, target_bytes: int, seed: int) -> CompressionRow:
-    config = ClusterConfig(dedup_enabled=False, block_compression="snappy")
-    cluster = Cluster(config=config)
+    config = ClusterSpec(dedup_enabled=False, block_compression="snappy")
+    cluster = Cluster(config)
     workload = make_workload(workload_name, seed=seed, target_bytes=target_bytes)
     result = cluster.run(workload.insert_trace())
     return CompressionRow(
@@ -221,8 +222,8 @@ def fig11(
     """Fig. 11: dbDedup's storage vs network savings per dataset."""
     rows = []
     for name in workloads:
-        config = ClusterConfig(dedup=DedupConfig(chunk_size=64))
-        cluster = Cluster(config=config)
+        config = ClusterSpec(dedup=DedupConfig(chunk_size=64))
+        cluster = Cluster(config)
         workload = make_workload(name, seed=seed, target_bytes=target_bytes)
         result = cluster.run(workload.insert_trace())
         rows.append(
@@ -258,10 +259,10 @@ def fig07(
     workload_name: str, target_bytes: int = 1_500_000, seed: int = 7
 ) -> SizeCdfResult:
     """Fig. 7: where the dedup savings live in the record-size distribution."""
-    config = ClusterConfig(
+    config = ClusterSpec(
         dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
     )
-    cluster = Cluster(config=config)
+    cluster = Cluster(config)
     workload = make_workload(workload_name, seed=seed, target_bytes=target_bytes)
     cluster.run(workload.insert_trace())
     samples = cluster.primary.engine.stats.saving_samples

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from repro.bench.report import render_table
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.db.cluster import Cluster
+from repro.db.spec import ClusterSpec
 from repro.encoding.analysis import (
     EncodingCosts,
     backward_costs,
@@ -81,7 +82,7 @@ def _run_chain(
         hop_distance=hop_distance,
         size_filter_enabled=False,
     )
-    cluster = Cluster(config=ClusterConfig(dedup=dedup))
+    cluster = Cluster(ClusterSpec(dedup=dedup))
     workload = WikipediaWorkload(
         seed=seed,
         target_bytes=10_000_000_000,  # bounded by num_articles/revision cap below

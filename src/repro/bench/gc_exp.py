@@ -128,9 +128,11 @@ def gc_reclaim_experiment(
     for label, gc_enabled in (("gc-off", False), ("gc-on", True)):
         client = open_cluster(
             ClusterSpec(
-                dedup=DedupConfig(chunk_size=chunk_size),
-                gc_enabled=gc_enabled,
-                gc_reclaim_threshold_bytes=4096,
+                dedup=DedupConfig(
+                    chunk_size=chunk_size,
+                    gc_enabled=gc_enabled,
+                    gc_reclaim_threshold_bytes=4096,
+                ),
             )
         )
         result = client.run(trace)

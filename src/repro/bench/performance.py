@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 from repro.bench.report import render_table
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.db.cluster import Cluster
+from repro.db.spec import ClusterSpec
 from repro.workloads import make_workload
 from repro.workloads.wikipedia import WikipediaWorkload
 
@@ -18,11 +19,11 @@ PERF_CONFIGS = ("original", "dbdedup", "snappy")
 
 def _cluster_for(config_name: str, dedup: DedupConfig | None = None) -> Cluster:
     if config_name == "original":
-        return Cluster(config=ClusterConfig(dedup_enabled=False))
+        return Cluster(ClusterSpec(dedup_enabled=False))
     if config_name == "dbdedup":
-        return Cluster(config=ClusterConfig(dedup=dedup or DedupConfig(chunk_size=64)))
+        return Cluster(ClusterSpec(dedup=dedup or DedupConfig(chunk_size=64)))
     if config_name == "snappy":
-        return Cluster(config=ClusterConfig(dedup_enabled=False, block_compression="snappy"))
+        return Cluster(ClusterSpec(dedup_enabled=False, block_compression="snappy"))
     raise ValueError(f"unknown performance configuration {config_name!r}")
 
 
@@ -148,7 +149,7 @@ def fig13a(
         dedup = DedupConfig(
             chunk_size=64, cache_reward=reward, source_cache_bytes=cache_bytes
         )
-        cluster = Cluster(config=ClusterConfig(dedup=dedup))
+        cluster = Cluster(ClusterSpec(dedup=dedup))
         workload = make_workload("wikipedia", seed=seed, target_bytes=target_bytes)
         result = cluster.run(workload.insert_trace())
         stats = cluster.primary.engine.stats
@@ -196,7 +197,7 @@ def fig13b(
     timelines = []
     for use_cache in (True, False):
         dedup = DedupConfig(chunk_size=64)
-        cluster = Cluster(config=ClusterConfig(dedup=dedup, use_writeback_cache=use_cache))
+        cluster = Cluster(ClusterSpec(dedup=dedup, use_writeback_cache=use_cache))
         workload = WikipediaWorkload(seed=seed, target_bytes=target_bytes)
         result = cluster.run(
             workload.bursty_insert_trace(idle_seconds=2.0, inserts_per_burst=60),

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from repro.bench.report import render_table
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.db.cluster import Cluster
+from repro.db.spec import ClusterSpec
 from repro.workloads import make_workload
 
 
@@ -95,15 +96,13 @@ def pipeline_profile(
     """
     dedup = DedupConfig(chunk_size=64)
 
-    sequential = Cluster(config=ClusterConfig(dedup=dedup))
+    sequential = Cluster(ClusterSpec(dedup=dedup))
     workload = make_workload(workload_name, seed=seed, target_bytes=target_bytes)
     began = time.perf_counter()
     sequential.run(workload.insert_trace())
     per_record_wall = time.perf_counter() - began
 
-    batched = Cluster(
-        config=ClusterConfig(dedup=dedup, insert_batch_size=batch_size)
-    )
+    batched = Cluster(ClusterSpec(dedup=dedup, insert_batch_size=batch_size))
     workload = make_workload(workload_name, seed=seed, target_bytes=target_bytes)
     began = time.perf_counter()
     batched.run(workload.insert_trace())

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from repro.baselines.trad_dedup import TradDedupEngine
 from repro.bench.report import render_table
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.db.cluster import Cluster
+from repro.db.spec import ClusterSpec
 from repro.index import IndexSpec, TieredFeatureIndex
 from repro.index.cuckoo import ENTRY_BYTES
 from repro.index.tiered import HOT_ENTRY_BYTES
@@ -64,7 +65,7 @@ def scale_sweep(
     """Run dbDedup and trad-dedup at increasing corpus sizes."""
     rows = []
     for target in targets:
-        cluster = Cluster(config=ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+        cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
         workload = make_workload(workload_name, seed=seed, target_bytes=target)
         result = cluster.run(workload.insert_trace())
 
@@ -161,7 +162,7 @@ def index_memory_sweep(
 
     def drive(index_spec: IndexSpec | None, label: str,
               budget: int | None) -> None:
-        cluster = Cluster(config=ClusterConfig(
+        cluster = Cluster(ClusterSpec(
             dedup=DedupConfig(chunk_size=64, index=index_spec)
         ))
         workload = make_workload(

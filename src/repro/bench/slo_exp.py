@@ -291,8 +291,11 @@ def _build_client(
         base, cpu_chunk_byte_s=base.cpu_chunk_byte_s * cpu_scale
     )
     spec = ClusterSpec(
-        dedup=DedupConfig(chunk_size=chunk_size, governor_window=window),
-        admission_mode=scenario.admission_mode,
+        dedup=DedupConfig(
+            chunk_size=chunk_size,
+            governor_window=window,
+            admission_mode=scenario.admission_mode,
+        ),
         shards=scenario.shards,
         placement=scenario.placement,
         num_secondaries=scenario.num_secondaries,

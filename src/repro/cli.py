@@ -488,9 +488,9 @@ def command_run(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             encoding=args.encoding,
             hop_distance=args.hop_distance,
+            index=_index_spec_from_args(args),
         ),
         dedup_enabled=not args.no_dedup,
-        index=_index_spec_from_args(args),
         block_compression=args.block_compression,
         insert_batch_size=args.batch_size,
         shards=args.shards,
@@ -569,8 +569,9 @@ def command_index_report(args: argparse.Namespace) -> int:
     import json
 
     spec = ClusterSpec(
-        dedup=DedupConfig(chunk_size=args.chunk_size),
-        index=_index_spec_from_args(args),
+        dedup=DedupConfig(
+            chunk_size=args.chunk_size, index=_index_spec_from_args(args)
+        ),
         shards=args.shards,
     )
     client = open_cluster(spec)

@@ -17,9 +17,10 @@ _FLAT_INDEX_KNOBS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DedupConfig:
-    """Tunable parameters, defaulting to the paper's chosen values.
+    """Tunable parameters, defaulting to the paper's chosen values
+    (frozen: derive a variant with :func:`dataclasses.replace`).
 
     Attributes:
         chunk_size: average content-defined chunk size for feature
@@ -91,6 +92,9 @@ class DedupConfig:
         gc_max_batch_records: most dependent records re-encoded per GC
             batch — bounds the work (and the rollback scope) of one
             idle slice.
+        murmur_seed: seed of the MurmurHash3 feature hash the sketch
+            extractor uses; fixed so sketches (and every golden value
+            downstream of them) are reproducible.
         saving_sample_cap: maximum per-record saving samples retained for
             Fig. 7's weighted CDF; beyond the cap the engine reservoir-
             samples so memory stays O(cap) however long the run. <= 0

@@ -45,7 +45,6 @@ from repro.index.tiered import FeatureIndex, build_index
 from repro.obs.registry import MetricsRegistry, slo_events_family
 from repro.sim.costs import CostModel
 from repro.sketch.features import SketchExtractor
-from repro.util.deprecation import positional_shim
 
 
 class RecordProvider(Protocol):
@@ -112,12 +111,6 @@ class EncodeResult:
 class DedupEngine:
     """Primary-side deduplication engine."""
 
-    @positional_shim(
-        ("config", "costs", "observers", "registry"),
-        "DedupEngine",
-        "positional DedupEngine(...) arguments are deprecated; pass them "
-        "by keyword (engine parameters live on repro.api.ClusterSpec.dedup)",
-    )
     def __init__(
         self,
         *,

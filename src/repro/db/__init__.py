@@ -6,11 +6,10 @@ shipped in batches to a secondary, and the CRUD semantics dbDedup needs
 (reference counts, deferred deletes, append-style updates, GC).
 """
 
-from repro.db.cluster import Cluster, ClusterConfig, RunResult
+from repro.db.cluster import Cluster, RunResult
 from repro.db.database import Database
 from repro.db.errors import NodeUnavailableError
 from repro.db.failover import (
-    FailoverConfig,
     FailoverEvent,
     FailoverManager,
     divergence_point,
@@ -32,7 +31,6 @@ from repro.db.snapshot import load_snapshot, save_snapshot
 
 __all__ = [
     "Cluster",
-    "ClusterConfig",
     "RunResult",
     "Database",
     "PrimaryNode",
@@ -54,7 +52,6 @@ __all__ = [
     "ClusterInvariantError",
     "InvariantReport",
     "InvariantViolation",
-    "FailoverConfig",
     "FailoverEvent",
     "FailoverManager",
     "NodeUnavailableError",

@@ -8,20 +8,14 @@ storage footprints at every layer, replicated bytes, and index memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.compression.block import make_block_compressor
-from repro.core.config import DedupConfig
 from repro.db.errors import CorruptChain, CorruptPage, NodeUnavailableError
-from repro.db.failover import (
-    DEFAULT_FAILOVER_TIMEOUT_S,
-    DEFAULT_HEARTBEAT_INTERVAL_S,
-    DEFAULT_REJOIN_DELAY_S,
-    FailoverConfig,
-    FailoverManager,
-)
+from repro.db.failover import FailoverManager
 from repro.db.node import PrimaryNode, SecondaryNode
-from repro.db.replication import DEFAULT_BATCH_BYTES, ReplicationLink
+from repro.db.replication import ReplicationLink
+from repro.db.spec import ClusterSpec
 from repro.obs import (
     OP_LATENCY_BUCKETS_S,
     MetricsRegistry,
@@ -31,87 +25,9 @@ from repro.obs import (
 )
 from repro.obs import runtime as obs_runtime
 from repro.sim.clock import SimClock
-from repro.sim.costs import CostModel
 from repro.sim.network import SimNetwork
-from repro.util.deprecation import positional_shim
 from repro.util.stats import percentile
 from repro.workloads.base import Operation
-
-
-@dataclass
-class ClusterConfig:
-    """Deployment configuration — one per bar of Fig. 10/12.
-
-    Attributes:
-        dedup: dbDedup engine parameters.
-        dedup_enabled: False for the "Original"/"Snappy" baselines.
-        block_compression: page compressor name: 'none', 'snappy', 'zlib'.
-        batch_compression: oplog-batch compressor applied before transfer
-            ('none' by default) — the block-level oplog compression §1
-            names as what DBMSs do today; composes with forward encoding.
-        use_writeback_cache: False for the Fig. 13b ablation.
-        oplog_batch_bytes: replication batching threshold.
-        page_size: storage page size.
-        insert_batch_size: > 1 coalesces consecutive client inserts into
-            batches of this size, admitted via the primary's batch path
-            (one request overhead per batch, vectorized sketching). The
-            encode outcome per record is identical to per-record inserts.
-    """
-
-    dedup: DedupConfig = field(default_factory=DedupConfig)
-    dedup_enabled: bool = True
-    block_compression: str = "none"
-    batch_compression: str = "none"
-    use_writeback_cache: bool = True
-    oplog_batch_bytes: int = DEFAULT_BATCH_BYTES
-    page_size: int = 32 * 1024
-    insert_batch_size: int = 1
-    num_secondaries: int = 1
-    #: 'primary' (default) or 'secondary' — route client reads to the
-    #: replicas round-robin. Replication is asynchronous, so secondary
-    #: reads can be stale; missing records fall back to the primary.
-    read_preference: str = "primary"
-    #: Use the full slotted-page/buffer-pool engine (repro.storage) instead
-    #: of the accounting page store. Slower, physically faithful.
-    physical_storage: bool = False
-    #: Automatic failover: promote a caught-up secondary when the primary
-    #: stays down. Default-on is safe — the monitor only acts when a node
-    #: actually stays unavailable, which only fault injection causes, and
-    #: its heartbeat observation is passive (no clock, no randomness).
-    failover_enabled: bool = True
-    #: Heartbeat observation cadence (simulated seconds).
-    heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S
-    #: Primary unavailability span that triggers an election.
-    failover_timeout_s: float = DEFAULT_FAILOVER_TIMEOUT_S
-    #: Wait before the demoted old primary rejoins as a secondary.
-    rejoin_delay_s: float = DEFAULT_REJOIN_DELAY_S
-
-    def __post_init__(self) -> None:
-        if self.insert_batch_size < 1:
-            raise ValueError(
-                f"insert_batch_size must be >= 1, got {self.insert_batch_size}"
-            )
-        if self.num_secondaries < 1:
-            raise ValueError(
-                f"num_secondaries must be >= 1, got {self.num_secondaries}"
-            )
-        if self.read_preference not in ("primary", "secondary"):
-            raise ValueError(
-                f"read_preference must be 'primary' or 'secondary', got "
-                f"{self.read_preference!r}"
-            )
-        # FailoverConfig owns the knob validation; a bad combination
-        # fails at configuration time, not first outage.
-        self.to_failover_config()
-
-    def to_failover_config(self) -> FailoverConfig:
-        """The failover knobs as a validated :class:`FailoverConfig`."""
-        return FailoverConfig(
-            enabled=self.failover_enabled,
-            heartbeat_interval_s=self.heartbeat_interval_s,
-            failover_timeout_s=self.failover_timeout_s,
-            rejoin_delay_s=self.rejoin_delay_s,
-        )
 
 
 @dataclass
@@ -176,48 +92,37 @@ class RunResult:
 class Cluster:
     """One-primary / N-secondary deployment driven by a client trace.
 
-    Construct with keyword arguments (or :meth:`from_spec` /
-    :func:`repro.api.open_cluster`); the legacy ``Cluster(config, costs)``
-    positional path still works behind a deprecation shim.
+    ``Cluster(spec)`` reads every deployment knob from the one
+    :class:`~repro.db.spec.ClusterSpec` (kept as ``config``; its sharding
+    fields are ignored here — a one-shard topology *is* a plain cluster).
+    The keyword arguments only inject shared collaborators: a sharded
+    cluster hands its shards one clock and tracer and passes
+    ``capture=False``.
     """
 
-    @positional_shim(
-        ("config", "costs"),
-        "Cluster",
-        "positional Cluster(config, costs) arguments are deprecated; "
-        "pass them by keyword, or build the cluster through "
-        "repro.api.open_cluster(ClusterSpec(...))",
-    )
     def __init__(
         self,
+        spec: ClusterSpec | None = None,
         *,
-        config: ClusterConfig | None = None,
-        costs: CostModel | None = None,
         clock: SimClock | None = None,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
-        trace: bool = False,
-        sample_every_s: float | None = None,
-        sample_every_ops: int | None = None,
         capture: bool = True,
     ) -> None:
-        self.config = config if config is not None else ClusterConfig()
-        self.costs = costs if costs is not None else CostModel()
+        # An ambient capture (opened by the CLI around experiment code
+        # that builds clusters internally) turns observability on without
+        # constructor plumbing; the spec's own settings still win. A
+        # sharded cluster registers itself instead and passes
+        # ``capture=False`` to its shards.
+        cap = obs_runtime.active_capture() if capture else None
+        #: The spec this cluster runs — every layer below reads it.
+        self.config = captured_spec(
+            spec if spec is not None else ClusterSpec(), cap
+        )
+        self.costs = self.config.costs
         #: Simulated clock — private by default, injected (shared) when
         #: this cluster is one shard of a :class:`ShardedCluster`.
         self.clock = clock if clock is not None else SimClock()
-        # An ambient capture (opened by the CLI around experiment code
-        # that builds clusters internally) turns observability on without
-        # constructor plumbing; explicit arguments still win. A sharded
-        # cluster registers itself instead and passes ``capture=False``
-        # to its shards.
-        cap = obs_runtime.active_capture() if capture else None
-        if cap is not None:
-            trace = trace or cap.trace
-            if sample_every_s is None:
-                sample_every_s = cap.sample_seconds
-            if sample_every_ops is None:
-                sample_every_ops = cap.sample_ops
         #: Shared metrics registry every layer of this cluster reports to.
         self.registry = registry if registry is not None else MetricsRegistry()
         #: Per-operation service latency by op kind and tenant (logical
@@ -237,8 +142,12 @@ class Cluster:
         #: Shared sim-clock tracer (disabled unless ``trace=True``);
         #: injectable so shards of one topology trace into one span store.
         self.tracer = (
-            tracer if tracer is not None else Tracer(self.clock, enabled=trace)
+            tracer
+            if tracer is not None
+            else Tracer(self.clock, enabled=self.config.trace)
         )
+        sample_every_s = self.config.sample_every_s
+        sample_every_ops = self.config.sample_every_ops
         #: Optional time-series sampler driven by client operations.
         self.sampler = (
             TimeSeriesSampler(
@@ -250,30 +159,17 @@ class Cluster:
             if sample_every_s is not None or sample_every_ops is not None
             else None
         )
-        compressor_name = self.config.block_compression
         self.primary = PrimaryNode(
+            self.config,
             clock=self.clock,
-            costs=self.costs,
-            config=self.config.dedup,
-            dedup_enabled=self.config.dedup_enabled,
-            block_compressor=make_block_compressor(compressor_name),
-            inline_block_compression=compressor_name != "none",
-            use_writeback_cache=self.config.use_writeback_cache,
-            page_size=self.config.page_size,
-            physical_storage=self.config.physical_storage,
             registry=self.registry,
             tracer=self.tracer,
             node_name="primary",
         )
         self.secondaries = [
             SecondaryNode(
+                self.config,
                 clock=self.clock,
-                costs=self.costs,
-                config=self.config.dedup,
-                dedup_enabled=self.config.dedup_enabled,
-                block_compressor=make_block_compressor(compressor_name),
-                page_size=self.config.page_size,
-                physical_storage=self.config.physical_storage,
                 registry=self.registry,
                 tracer=self.tracer,
                 node_name=f"secondary{index}",
@@ -291,7 +187,7 @@ class Cluster:
             self._make_link(secondary) for secondary in self.secondaries
         ]
         #: Heartbeat monitor + promotion/rollback/resync driver.
-        self.failover = FailoverManager(self, self.config.to_failover_config())
+        self.failover = FailoverManager(self)
         self.inserts = 0
         self.reads = 0
         self.secondary_reads = 0
@@ -419,35 +315,6 @@ class Cluster:
         ).collect(lambda: {
             (name,): float(node.oplog.appends) for name, node in self.nodes()
         })
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec,
-        *,
-        clock: SimClock | None = None,
-        tracer: Tracer | None = None,
-        registry: MetricsRegistry | None = None,
-        capture: bool = True,
-    ):
-        """Build a cluster from a :class:`repro.api.ClusterSpec`.
-
-        The spec's sharding fields are ignored here (a one-shard topology
-        *is* a plain cluster); :class:`~repro.db.sharding.ShardedCluster`
-        consumes them. Accepts any object with the spec's attributes, so
-        this module never imports :mod:`repro.api`.
-        """
-        return cls(
-            config=spec.to_cluster_config(),
-            costs=spec.costs,
-            clock=clock,
-            tracer=tracer,
-            registry=registry,
-            trace=spec.trace,
-            sample_every_s=spec.sample_every_s,
-            sample_every_ops=spec.sample_every_ops,
-            capture=capture,
-        )
 
     @property
     def secondary(self) -> SecondaryNode:
@@ -900,6 +767,27 @@ class Cluster:
             "storage_compression_ratio": logical / stored if stored else 1.0,
             "network_compression_ratio": logical / network if network else 1.0,
         }
+
+
+def captured_spec(spec: ClusterSpec, cap) -> ClusterSpec:
+    """``spec`` with the observability settings of the ambient capture
+    ``cap`` (or None) filled in wherever the spec leaves them off."""
+    if cap is None:
+        return spec
+    return replace(
+        spec,
+        trace=spec.trace or cap.trace,
+        sample_every_s=(
+            cap.sample_seconds
+            if spec.sample_every_s is None
+            else spec.sample_every_s
+        ),
+        sample_every_ops=(
+            cap.sample_ops
+            if spec.sample_every_ops is None
+            else spec.sample_every_ops
+        ),
+    )
 
 
 def idle(clock: SimClock, clusters, seconds: float) -> float:

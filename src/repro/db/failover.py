@@ -44,15 +44,6 @@ from dataclasses import dataclass
 from repro.db.node import PrimaryNode, SecondaryNode
 from repro.db.oplog import Oplog
 
-#: Default heartbeat observation cadence (simulated seconds).
-DEFAULT_HEARTBEAT_INTERVAL_S = 0.25
-
-#: Default unavailability span after which the primary is declared dead.
-DEFAULT_FAILOVER_TIMEOUT_S = 1.0
-
-#: Default wait before a demoted old primary rejoins as a secondary.
-DEFAULT_REJOIN_DELAY_S = 2.0
-
 #: Sync rounds attempted during an immediate catch-up resync; leftovers
 #: (possible only under delivery-fault injection) drain at finalize.
 RESYNC_ROUNDS = 8
@@ -123,44 +114,21 @@ class FailoverEvent:
         return " ".join(parts)
 
 
-@dataclass
-class FailoverConfig:
-    """Knobs the cluster passes through from its configuration."""
-
-    enabled: bool = True
-    heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S
-    failover_timeout_s: float = DEFAULT_FAILOVER_TIMEOUT_S
-    rejoin_delay_s: float = DEFAULT_REJOIN_DELAY_S
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError(
-                f"heartbeat_interval_s must be > 0, got "
-                f"{self.heartbeat_interval_s}"
-            )
-        if self.failover_timeout_s < self.heartbeat_interval_s:
-            raise ValueError(
-                "failover_timeout_s must be >= heartbeat_interval_s "
-                f"({self.failover_timeout_s} < {self.heartbeat_interval_s})"
-            )
-        if self.rejoin_delay_s < 0:
-            raise ValueError(
-                f"rejoin_delay_s must be >= 0, got {self.rejoin_delay_s}"
-            )
-
-
 class FailoverManager:
     """Heartbeat monitor + election + promotion driver for one cluster.
 
     Owned by :class:`~repro.db.cluster.Cluster`; the cluster calls
     :meth:`tick` from its operation hooks and :meth:`settle` at the top
     of ``finalize()`` so invariant sweeps always see a completed
-    topology (promotion done, rejoin done, index backlog drained).
+    topology (promotion done, rejoin done, index backlog drained). The
+    knobs (``failover_enabled``, ``heartbeat_interval_s``,
+    ``failover_timeout_s``, ``rejoin_delay_s``) are read from the
+    cluster's :class:`~repro.db.spec.ClusterSpec`, which validated them.
     """
 
-    def __init__(self, cluster, config: FailoverConfig) -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.config = config
+        self.config = cluster.config
         self.events: list[FailoverEvent] = []
         #: Promotions performed (``failovers_total``).
         self.failovers = 0
@@ -190,7 +158,7 @@ class FailoverManager:
         failover enabled. At most one observation per
         ``heartbeat_interval_s`` does any work.
         """
-        if not self.config.enabled:
+        if not self.config.failover_enabled:
             return
         now = self.cluster.clock.now
         if now - self._last_tick_s < self.config.heartbeat_interval_s:
@@ -214,7 +182,7 @@ class FailoverManager:
         invariant sweeps and convergence checks operate on a quiescent,
         fully-formed replica set.
         """
-        if not self.config.enabled:
+        if not self.config.failover_enabled:
             return
         now = self.cluster.clock.now
         for secondary in list(self.cluster.secondaries):
@@ -290,9 +258,7 @@ class FailoverManager:
         ):
             cluster.secondaries.pop(index)
             cluster.links.pop(index)
-            new_primary = PrimaryNode.from_secondary(
-                winner, use_writeback_cache=cluster.config.use_writeback_cache
-            )
+            new_primary = PrimaryNode.from_secondary(winner)
             cluster.primary = new_primary
             cluster.links = [
                 self._relink(secondary, now)
@@ -426,12 +392,4 @@ class FailoverManager:
         return True
 
 
-__all__ = [
-    "FailoverConfig",
-    "FailoverEvent",
-    "FailoverManager",
-    "divergence_point",
-    "DEFAULT_HEARTBEAT_INTERVAL_S",
-    "DEFAULT_FAILOVER_TIMEOUT_S",
-    "DEFAULT_REJOIN_DELAY_S",
-]
+__all__ = ["FailoverEvent", "FailoverManager", "divergence_point"]

@@ -9,28 +9,61 @@ oplog batches through the re-encoder so both replicas converge.
 
 from __future__ import annotations
 
-from repro.core.config import DedupConfig
+from repro.compression.block import make_block_compressor
 from repro.core.engine import DedupEngine
 from repro.core.gc import GarbageCollector
 from repro.core.reencoder import SecondaryReencoder
-from repro.compression.block import BlockCompressor
 from repro.db.database import Database
 from repro.db.errors import NodeUnavailableError
 from repro.db.oplog import Oplog, OplogEntry
+from repro.db.spec import ClusterSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer, TracingObserver
 from repro.sim.clock import SimClock
-from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
-from repro.util.deprecation import positional_shim
 
 
-def _physical_store(page_size: int, block_compressor, disk: SimDisk):
-    """Build the slotted-page engine variant of the page store."""
-    from repro.storage.heapfile import HeapFileStore
+def _bind_spec(node, spec: ClusterSpec, clock, registry, tracer, name):
+    """Bind what both node kinds share: the spec, the injected clock /
+    registry / tracer, and the per-operation knobs as plain attributes
+    (hot paths read ``node.costs``, never ``node.spec.costs``)."""
+    node.spec = spec
+    node.clock = clock
+    node.costs = spec.costs
+    #: The engine's :class:`~repro.core.config.DedupConfig`.
+    node.config = spec.dedup
+    node.dedup_enabled = spec.dedup_enabled
+    node.registry = registry
+    node.tracer = tracer if tracer is not None else NULL_TRACER
+    node.node_name = name
+    node._block_compressor = make_block_compressor(spec.block_compression)
 
-    return HeapFileStore(
-        page_size=page_size, compressor=block_compressor, disk=disk
+
+def _build_database(node, role: str, record_cache, disk: SimDisk | None) -> Database:
+    """Wire a fresh record store for ``node`` (initial boot, post-crash
+    restart, rollback); ``disk`` is the surviving device, if any."""
+    spec = node.spec
+    disk = disk if disk is not None else SimDisk(node.clock, node.costs)
+    disk.tracer = node.tracer
+    page_store = None
+    if spec.physical_storage:
+        from repro.storage.heapfile import HeapFileStore
+
+        page_store = HeapFileStore(
+            page_size=spec.page_size,
+            compressor=node._block_compressor,
+            disk=disk,
+        )
+    return Database(
+        clock=node.clock,
+        disk=disk,
+        page_size=spec.page_size,
+        block_compressor=node._block_compressor,
+        writeback_capacity=node.config.writeback_cache_bytes,
+        record_cache=record_cache,
+        idle_queue_threshold=node.config.idle_queue_threshold,
+        page_store=page_store,
+        node_role=role,
     )
 
 
@@ -209,45 +242,21 @@ def _install_node_collectors(registry: MetricsRegistry, node) -> None:
 class PrimaryNode:
     """Write-serving node with the dbDedup encoder attached."""
 
-    @positional_shim(
-        (
-            "clock", "costs", "config", "dedup_enabled", "block_compressor",
-            "inline_block_compression", "use_writeback_cache", "page_size",
-            "physical_storage", "registry", "tracer", "node_name",
-        ),
-        "PrimaryNode",
-        "positional PrimaryNode(...) arguments are deprecated; pass them "
-        "by keyword (clusters are best built via repro.api.open_cluster)",
-    )
     def __init__(
         self,
+        spec: ClusterSpec,
         *,
         clock: SimClock,
-        costs: CostModel | None = None,
-        config: DedupConfig | None = None,
-        dedup_enabled: bool = True,
-        block_compressor: BlockCompressor | None = None,
-        inline_block_compression: bool = False,
-        use_writeback_cache: bool = True,
-        page_size: int = 32 * 1024,
-        physical_storage: bool = False,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         node_name: str = "primary",
     ) -> None:
-        self.clock = clock
-        self.costs = costs if costs is not None else CostModel()
-        self.config = config if config is not None else DedupConfig()
-        self.dedup_enabled = dedup_enabled
-        self.inline_block_compression = inline_block_compression
-        self.use_writeback_cache = use_writeback_cache
-        self._block_compressor = block_compressor
-        self._page_size = page_size
-        self._physical_storage = physical_storage
-        self.registry = registry
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.node_name = node_name
-        self.engine = self._build_engine() if dedup_enabled else None
+        _bind_spec(self, spec, clock, registry, tracer, node_name)
+        # Inline page compression (anything but 'none') costs CPU on the
+        # write path; both knobs are read on every insert.
+        self.inline_block_compression = spec.block_compression != "none"
+        self.use_writeback_cache = spec.use_writeback_cache
+        self.engine = self._build_engine() if self.dedup_enabled else None
         self.db = self._build_database()
         self.gc = GarbageCollector(self.db, self.costs)
         self.oplog = Oplog()
@@ -262,9 +271,7 @@ class PrimaryNode:
             _install_node_collectors(self.registry, self)
 
     @classmethod
-    def from_secondary(
-        cls, secondary: "SecondaryNode", *, use_writeback_cache: bool = True
-    ) -> "PrimaryNode":
+    def from_secondary(cls, secondary: "SecondaryNode") -> "PrimaryNode":
         """Promote a caught-up secondary: adopt its store and local oplog.
 
         The promoted node keeps the secondary's record store (every
@@ -280,15 +287,8 @@ class PrimaryNode:
         — costing compression, never correctness.
         """
         node = cls(
+            secondary.spec,
             clock=secondary.clock,
-            costs=secondary.costs,
-            config=secondary.config,
-            dedup_enabled=secondary.dedup_enabled,
-            block_compressor=secondary._block_compressor,
-            inline_block_compression=secondary._block_compressor is not None,
-            use_writeback_cache=use_writeback_cache,
-            page_size=secondary._page_size,
-            physical_storage=secondary._physical_storage,
             registry=secondary.registry,
             tracer=secondary.tracer,
             node_name=secondary.node_name,
@@ -371,23 +371,11 @@ class PrimaryNode:
         )
 
     def _build_database(self, disk: SimDisk | None = None) -> Database:
-        """Wire a fresh record store (initial boot and post-crash restart)."""
-        disk = disk if disk is not None else SimDisk(self.clock, self.costs)
-        disk.tracer = self.tracer
-        return Database(
-            clock=self.clock,
-            disk=disk,
-            page_size=self._page_size,
-            block_compressor=self._block_compressor,
-            writeback_capacity=self.config.writeback_cache_bytes,
-            record_cache=self.engine.source_cache if self.engine else None,
-            idle_queue_threshold=self.config.idle_queue_threshold,
-            page_store=_physical_store(
-                self._page_size, self._block_compressor, disk
-            )
-            if self._physical_storage
-            else None,
-            node_role="primary",
+        """A fresh primary store whose decode cache is the engine's
+        source cache."""
+        return _build_database(
+            self, "primary",
+            self.engine.source_cache if self.engine else None, disk,
         )
 
     # -- crash/recovery (§4.4) ------------------------------------------------
@@ -717,41 +705,20 @@ class PrimaryNode:
 class SecondaryNode:
     """Replica that replays oplog batches through the re-encoder."""
 
-    @positional_shim(
-        (
-            "clock", "costs", "config", "dedup_enabled", "block_compressor",
-            "page_size", "physical_storage", "registry", "tracer", "node_name",
-        ),
-        "SecondaryNode",
-        "positional SecondaryNode(...) arguments are deprecated; pass "
-        "them by keyword (clusters are best built via repro.api.open_cluster)",
-    )
     def __init__(
         self,
+        spec: ClusterSpec,
         *,
         clock: SimClock,
-        costs: CostModel | None = None,
-        config: DedupConfig | None = None,
-        dedup_enabled: bool = True,
-        block_compressor: BlockCompressor | None = None,
-        page_size: int = 32 * 1024,
-        physical_storage: bool = False,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         node_name: str = "secondary",
     ) -> None:
-        self.clock = clock
-        self.costs = costs if costs is not None else CostModel()
-        self.config = config if config is not None else DedupConfig()
-        self.dedup_enabled = dedup_enabled
-        self._block_compressor = block_compressor
-        self._page_size = page_size
-        self._physical_storage = physical_storage
-        self.registry = registry
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.node_name = node_name
+        _bind_spec(self, spec, clock, registry, tracer, node_name)
         self.reencoder = (
-            SecondaryReencoder(self.config, self.costs) if dedup_enabled else None
+            SecondaryReencoder(self.config, self.costs)
+            if self.dedup_enabled
+            else None
         )
         self.db = self._build_database()
         self.oplog = Oplog()
@@ -788,13 +755,8 @@ class SecondaryNode:
                 "needs the checkpoint snapshot"
             )
         secondary = cls(
+            node.spec,
             clock=node.clock,
-            costs=node.costs,
-            config=node.config,
-            dedup_enabled=node.dedup_enabled,
-            block_compressor=node._block_compressor,
-            page_size=node._page_size,
-            physical_storage=node._physical_storage,
             registry=node.registry,
             tracer=node.tracer,
             node_name=node.node_name,
@@ -847,25 +809,12 @@ class SecondaryNode:
         return dropped
 
     def _build_database(self, disk: SimDisk | None = None) -> Database:
-        """Wire a fresh record store (initial boot and post-crash restart)."""
-        disk = disk if disk is not None else SimDisk(self.clock, self.costs)
-        disk.tracer = self.tracer
-        return Database(
-            clock=self.clock,
-            disk=disk,
-            page_size=self._page_size,
-            block_compressor=self._block_compressor,
-            writeback_capacity=self.config.writeback_cache_bytes,
-            record_cache=(
-                self.reencoder.planner.source_cache if self.reencoder else None
-            ),
-            idle_queue_threshold=self.config.idle_queue_threshold,
-            page_store=_physical_store(
-                self._page_size, self._block_compressor, disk
-            )
-            if self._physical_storage
-            else None,
-            node_role="secondary",
+        """A fresh replica store whose decode cache is the re-encoder's
+        source cache."""
+        return _build_database(
+            self, "secondary",
+            self.reencoder.planner.source_cache if self.reencoder else None,
+            disk,
         )
 
     # -- crash/recovery (§4.4) ------------------------------------------------

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from repro.compression.block import BlockCompressor
 from repro.db.node import PrimaryNode, SecondaryNode
+from repro.db.spec import DEFAULT_BATCH_BYTES
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.sim.faults import DeliveryFault
 from repro.sim.network import SimNetwork
-
-#: Default batch threshold: ship once 256 KiB of oplog is pending.
-DEFAULT_BATCH_BYTES = 256 * 1024
 
 #: Delivery attempts per sync before giving up and leaving the batch
 #: pending (it is resent by the next sync — the cursor only advances on

@@ -36,16 +36,13 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.db.cluster import Cluster, ClusterConfig, RunResult, idle, run_trace
+from repro.db.cluster import Cluster, RunResult, captured_spec, idle, run_trace
+from repro.db.spec import PLACEMENTS, ClusterSpec
 from repro.hashing.murmur import murmur3_32
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs import runtime as obs_runtime
 from repro.sim.clock import SimClock
-from repro.sim.costs import CostModel
 from repro.workloads.base import Operation
-
-#: Placement strategies understood by :class:`ShardRouter`.
-PLACEMENTS = ("hash", "prefix")
 
 #: Seed of the routing hash — fixed so placement is stable across runs
 #: and across processes (record ids must not migrate between shards).
@@ -140,64 +137,39 @@ class _MergedRegistryView:
 class ShardedCluster:
     """N independent cluster shards behind one hash-routing client.
 
-    Construct with keyword arguments or :meth:`from_spec`; the public
+    ``ShardedCluster(spec)`` builds ``spec.shards`` shards placed by
+    ``spec.placement``, every one running the same
+    :class:`~repro.db.spec.ClusterSpec` (kept as ``config``); the public
     entry point is :func:`repro.api.open_cluster` with a spec whose
-    ``shards`` is greater than one.
-
-    Args:
-        config: per-shard :class:`~repro.db.cluster.ClusterConfig`
-            (every shard runs the same configuration).
-        shards: number of shards (>= 1).
-        placement: router placement strategy (see :class:`ShardRouter`).
-        costs: shared cost model.
-        trace: enable sim-clock tracing (one tracer spans all shards).
-        sample_every_s / sample_every_ops: per-shard sampler cadence.
-        capture: register with an ambient observability capture.
+    ``shards`` is greater than one. ``capture=False`` keeps the topology
+    out of an ambient observability capture.
     """
 
     def __init__(
-        self,
-        *,
-        config: ClusterConfig | None = None,
-        shards: int = 2,
-        placement: str = "hash",
-        costs: CostModel | None = None,
-        trace: bool = False,
-        sample_every_s: float | None = None,
-        sample_every_ops: int | None = None,
-        capture: bool = True,
+        self, spec: ClusterSpec | None = None, *, capture: bool = True
     ) -> None:
-        self.config = config if config is not None else ClusterConfig()
-        self.costs = costs if costs is not None else CostModel()
         cap = obs_runtime.active_capture() if capture else None
-        if cap is not None:
-            trace = trace or cap.trace
-            if sample_every_s is None:
-                sample_every_s = cap.sample_seconds
-            if sample_every_ops is None:
-                sample_every_ops = cap.sample_ops
+        self.config = captured_spec(
+            spec if spec is not None else ClusterSpec(), cap
+        )
         #: One simulated clock shared by every shard — client batches fan
         #: out concurrently and background work on all shards sees one
         #: consistent timeline.
         self.clock = SimClock()
         #: One tracer spanning all shards (spans carry shard annotations).
-        self.tracer = Tracer(self.clock, enabled=trace)
-        self.router = ShardRouter(shards, placement)
+        self.tracer = Tracer(self.clock, enabled=self.config.trace)
+        self.router = ShardRouter(self.config.shards, self.config.placement)
         #: The shard clusters. Each keeps its *own* metrics registry so
         #: identical label sets (node="primary", ...) never collide; the
         #: merged view re-labels them with ``shard`` at export time.
         self.shards = [
             Cluster(
-                config=self.config,
-                costs=self.costs,
+                self.config,
                 clock=self.clock,
                 tracer=self.tracer,
-                trace=trace,
-                sample_every_s=sample_every_s,
-                sample_every_ops=sample_every_ops,
                 capture=False,
             )
-            for _ in range(shards)
+            for _ in range(self.config.shards)
         ]
         #: Merged-snapshot registry view (valid exporter input).
         self.registry = _MergedRegistryView(self)
@@ -208,24 +180,6 @@ class ShardedCluster:
         self._install_router_collectors()
         if cap is not None:
             cap.register(self)
-
-    @classmethod
-    def from_spec(cls, spec, *, capture: bool = True) -> "ShardedCluster":
-        """Build a sharded cluster from a :class:`repro.api.ClusterSpec`.
-
-        Duck-typed on the spec's attributes so this module never imports
-        :mod:`repro.api` (which imports this one).
-        """
-        return cls(
-            config=spec.to_cluster_config(),
-            shards=spec.shards,
-            placement=spec.placement,
-            costs=spec.costs,
-            trace=spec.trace,
-            sample_every_s=spec.sample_every_s,
-            sample_every_ops=spec.sample_every_ops,
-            capture=capture,
-        )
 
     def _install_router_collectors(self) -> None:
         """Export the router's counters from the topology-level registry."""

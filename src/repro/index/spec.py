@@ -6,7 +6,7 @@ on :class:`~repro.core.config.DedupConfig` (``index_buckets`` /
 unbounded cuckoo structure. :class:`IndexSpec` consolidates them and
 adds the memory-bounded tiered variant: a frozen, keyword-only record of
 *which* index to build and *how big it may get*, nested as
-``ClusterSpec.index`` (and ``DedupConfig.index``) and consumed by
+``DedupConfig.index`` and consumed by
 :func:`repro.index.tiered.build_index`.
 
 This module is deliberately dependency-free (a dataclass and its

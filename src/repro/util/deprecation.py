@@ -1,24 +1,14 @@
-"""Once-per-process deprecation warnings for the legacy constructor paths.
-
-The public entry point of the library is :mod:`repro.api`
-(:class:`~repro.api.ClusterSpec` + :func:`~repro.api.open_cluster`).
-The pre-redesign constructors — ``Cluster(config, costs)``,
-``PrimaryNode(clock, ...)``, ``DedupEngine(config, costs)`` — accepted a
-pile of positional arguments that every call site wired by hand; those
-positional paths now live behind :func:`positional_shim`, which keeps
-them working, emits one :class:`DeprecationWarning` per constructor per
-process, and delegates to the keyword-only implementation.
+"""Once-per-process deprecation warnings for the remaining legacy paths
+(the ``DedupGovernor`` shim and ``DedupConfig``'s flat index knobs).
 
 Warning once (not per call) keeps bulk call sites — a test suite builds
-hundreds of clusters — from drowning real warnings; tests that assert on
+hundreds of configs — from drowning real warnings; tests that assert on
 the warning call :func:`reset_deprecation_warnings` first.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
-from typing import Callable
 
 _WARNED: set[str] = set()
 
@@ -39,38 +29,3 @@ def warn_once(key: str, message: str, *, stacklevel: int = 3) -> bool:
 def reset_deprecation_warnings() -> None:
     """Forget which keys already warned (test isolation helper)."""
     _WARNED.clear()
-
-
-def positional_shim(
-    order: tuple[str, ...], key: str, message: str
-) -> Callable:
-    """Decorator: accept legacy positional arguments on a keyword-only init.
-
-    ``order`` is the historical positional parameter order. Calls that
-    pass positional arguments are mapped onto keywords, warn once per
-    ``key``, and delegate; keyword-only calls pass through untouched, so
-    the migrated code path pays nothing.
-    """
-
-    def decorate(init: Callable) -> Callable:
-        @functools.wraps(init)
-        def wrapper(self, *args, **kwargs):
-            if args:
-                if len(args) > len(order):
-                    raise TypeError(
-                        f"{key}() takes at most {len(order)} positional "
-                        f"arguments ({len(args)} given)"
-                    )
-                warn_once(key, message)
-                for name, value in zip(order, args):
-                    if name in kwargs:
-                        raise TypeError(
-                            f"{key}() got multiple values for argument "
-                            f"{name!r}"
-                        )
-                    kwargs[name] = value
-            return init(self, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -4,7 +4,8 @@ import pytest
 
 from repro.analysis.chains import profile_chains
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.database import Database
 from repro.workloads.wikipedia import WikipediaWorkload
 
@@ -25,7 +26,7 @@ class TestProfileChains:
         assert profile.raw_fraction == 1.0
 
     def test_encoded_cluster_profile(self):
-        cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+        cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
         workload = WikipediaWorkload(seed=15, target_bytes=200_000)
         cluster.run(workload.insert_trace())
         profile = profile_chains(cluster.primary.db)
@@ -40,7 +41,7 @@ class TestProfileChains:
 
         def run(encoding):
             cluster = Cluster(
-                ClusterConfig(
+                ClusterSpec(
                     dedup=DedupConfig(
                         chunk_size=64, encoding=encoding, hop_distance=4
                     )

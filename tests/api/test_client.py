@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import ClusterSpec, DedupClient, open_cluster
+from repro.api import ClusterSpec, DedupClient, IndexSpec, open_cluster
+from repro.core.config import DedupConfig
 from repro.db.cluster import Cluster
 from repro.db.sharding import ShardedCluster
 from repro.workloads import WikipediaWorkload
@@ -93,9 +94,28 @@ class TestIntrospection:
         assert client.registry is client.cluster.registry
         assert client.tracer is client.cluster.tracer
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_spec_is_the_config_the_engines_run(self, shards):
+        # Non-default admission, GC and index settings: the spec the
+        # client reports is the object every engine was built from.
+        dedup = DedupConfig(
+            admission_mode="hybrid",
+            admission_queue_records=8,
+            gc_enabled=True,
+            gc_max_batch_records=4,
+            index=IndexSpec(kind="tiered", hot_bytes_budget=4096),
+        )
+        client = open_cluster(ClusterSpec(dedup=dedup), shards=shards)
+        assert client.spec is client.cluster.config
+        assert client.spec.dedup is dedup
+        for primary in client._primaries():
+            assert primary.engine.config is client.spec.dedup
+            assert primary.engine.admission.mode == "hybrid"
+            assert primary.engine.index_spec is dedup.index
+
     def test_wrapping_existing_cluster(self):
         cluster = Cluster()
         client = DedupClient(cluster)
         assert client.cluster is cluster
-        assert client.spec is None
+        assert client.spec is cluster.config
         assert client.shards == 1

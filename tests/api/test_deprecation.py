@@ -1,17 +1,19 @@
-"""Legacy positional constructors: still work, warn exactly once."""
+"""What is left of the legacy constructor paths: ``warn_once`` (behind
+the governor and flat-index shims), and a ``Cluster`` that takes the one
+spec and nothing it could disagree with."""
 
 import warnings
 
 import pytest
 
-from repro.core.config import DedupConfig
-from repro.core.engine import DedupEngine
-from repro.db.cluster import Cluster, ClusterConfig
-from repro.sim.costs import CostModel
+from repro.api import ClusterSpec, open_cluster
 from repro.util.deprecation import (
     reset_deprecation_warnings,
     warn_once,
 )
+
+#: The internal constructor, reached through the public escape hatch.
+Cluster = type(open_cluster().cluster)
 
 
 @pytest.fixture(autouse=True)
@@ -33,60 +35,33 @@ class TestWarnOnce:
 
 
 class TestClusterShim:
-    def test_positional_construction_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            Cluster(ClusterConfig())
-            Cluster(ClusterConfig(), CostModel())
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.api" in str(deprecations[0].message)
-
     def test_positional_still_builds_equivalent_cluster(self):
-        config = ClusterConfig(insert_batch_size=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            legacy = Cluster(config)
-        assert legacy.config is config
+        spec = ClusterSpec(insert_batch_size=2)
+        assert Cluster(spec).config is spec
 
     def test_keyword_construction_never_warns(self):
+        spec = ClusterSpec()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            Cluster(config=ClusterConfig())
+            assert Cluster(spec=spec).config is spec
+            assert Cluster(spec).config is spec
         assert not [
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
 
     def test_duplicate_argument_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(TypeError):
-                Cluster(ClusterConfig(), config=ClusterConfig())
+        with pytest.raises(TypeError):
+            Cluster(ClusterSpec(), spec=ClusterSpec())
 
     def test_excess_positionals_rejected(self):
+        # The second positional used to be the cost model; it lives on
+        # the spec now, and nothing else is accepted by position.
         with pytest.raises(TypeError):
-            Cluster(ClusterConfig(), CostModel(), "surprise")
+            Cluster(ClusterSpec(), ClusterSpec().costs)
 
+    def test_engine_is_keyword_only(self):
+        from repro.core.config import DedupConfig
+        from repro.core.engine import DedupEngine
 
-class TestEngineShim:
-    def test_positional_engine_warns_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.raises(TypeError):
             DedupEngine(DedupConfig())
-            DedupEngine(DedupConfig())
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_each_constructor_warns_independently(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            Cluster(ClusterConfig())
-            DedupEngine(DedupConfig())
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2

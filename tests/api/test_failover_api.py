@@ -79,14 +79,15 @@ class TestSpecKnobs:
             )
         )
         config = client.cluster.failover.config
-        assert config.enabled is True
+        assert config is client.spec
+        assert config.failover_enabled is True
         assert config.heartbeat_interval_s == 0.5
         assert config.failover_timeout_s == 3.0
         assert config.rejoin_delay_s == 7.0
 
     def test_disabled_knob_reaches_the_manager(self):
         client = open_cluster(ClusterSpec(failover_enabled=False))
-        assert client.cluster.failover.config.enabled is False
+        assert client.cluster.failover.config.failover_enabled is False
 
     def test_sharded_topology_gets_per_shard_managers(self):
         client = open_cluster(ClusterSpec(shards=2, failover_timeout_s=2.0))

@@ -51,14 +51,17 @@ class TestIndexSpecValidation:
 class TestSpecThreading:
     def test_cluster_spec_nests_index(self):
         index = IndexSpec(kind="tiered", hot_bytes_budget=4096)
-        spec = ClusterSpec(index=index)
-        config = spec.to_cluster_config()
-        assert config.dedup.index is index
-        assert config.dedup.resolved_index() is index
+        spec = ClusterSpec(dedup=DedupConfig(index=index))
+        engine = open_cluster(spec).cluster.primary.engine
+        assert engine.config is spec.dedup
+        assert engine.config.index is index
+        assert engine.index_spec is index
 
     def test_open_cluster_builds_tiered_index(self):
         client = open_cluster(
-            ClusterSpec(index=IndexSpec(kind="tiered", hot_bytes_budget=2048))
+            ClusterSpec(dedup=DedupConfig(
+                index=IndexSpec(kind="tiered", hot_bytes_budget=2048)
+            ))
         )
         workload = WikipediaWorkload(seed=7, target_bytes=60_000)
         client.run(workload.insert_trace())
@@ -129,7 +132,9 @@ class TestIndexReport:
     def test_tiered_report_shape(self, shards):
         client = open_cluster(ClusterSpec(
             shards=shards,
-            index=IndexSpec(kind="tiered", hot_bytes_budget=448),
+            dedup=DedupConfig(
+                index=IndexSpec(kind="tiered", hot_bytes_budget=448)
+            ),
         ))
         workload = WikipediaWorkload(seed=3, target_bytes=120_000)
         client.run(workload.insert_trace())

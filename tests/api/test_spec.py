@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import ClusterSpec
+from repro.api import ClusterSpec, open_cluster
 from repro.core.config import DedupConfig
 
 
@@ -37,8 +37,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClusterSpec(read_preference="nearest")
 
+    @pytest.mark.parametrize("field, value", [
+        ("block_compression", "lzma"),
+        ("batch_compression", "lzma"),
+        ("page_size", 0),
+        ("page_size", 1023),
+        ("oplog_batch_bytes", -1),
+        ("oplog_batch_bytes", 0),
+        ("insert_batch_size", 0),
+        ("num_secondaries", 0),
+        ("read_preference", "nearest"),
+        ("heartbeat_interval_s", 0),
+        ("failover_timeout_s", 0.1),
+        ("rejoin_delay_s", -1),
+        ("shards", 0),
+        ("placement", "round-robin"),
+    ])
+    def test_bad_value_fails_at_construction(self, field, value):
+        # Not at open_cluster() and not at first use: the message names
+        # the field or the rejected value.
+        with pytest.raises(ValueError, match=f"{field}|{value}"):
+            ClusterSpec(**{field: value})
+
 
 class TestToClusterConfig:
+    """The spec is the cluster's config: nothing is copied out of it."""
+
     def test_round_trips_every_shared_field(self):
         dedup = DedupConfig(chunk_size=128)
         spec = ClusterSpec(
@@ -53,19 +77,34 @@ class TestToClusterConfig:
             num_secondaries=2,
             read_preference="secondary",
         )
-        config = spec.to_cluster_config()
-        assert config.dedup is dedup
-        assert config.dedup_enabled is False
-        assert config.block_compression == "snappy"
-        assert config.batch_compression == "zlib"
-        assert config.use_writeback_cache is False
-        assert config.oplog_batch_bytes == 1234
-        assert config.page_size == 8192
-        assert config.insert_batch_size == 4
-        assert config.num_secondaries == 2
-        assert config.read_preference == "secondary"
+        cluster = open_cluster(spec).cluster
+        assert cluster.config is spec
+        assert cluster.failover.config is spec
+        nodes = [cluster.primary, *cluster.secondaries]
+        assert len(nodes) == 3
+        for node in nodes:
+            assert node.spec is spec
+            assert node.config is dedup
+            assert node.dedup_enabled is False
+            assert node.db.pages.page_size == 8192
+            assert node.db.pages.compressor.name == "snappy"
+        assert cluster.primary.use_writeback_cache is False
+        assert cluster.primary.inline_block_compression is True
+        assert cluster.link.batch_bytes == 1234
+        assert cluster.link.batch_compressor.name == "zlib"
 
     def test_topology_fields_stay_on_spec(self):
-        config = ClusterSpec(shards=4, placement="prefix").to_cluster_config()
-        assert not hasattr(config, "shards")
-        assert not hasattr(config, "placement")
+        spec = ClusterSpec(shards=4, placement="prefix")
+        sharded = open_cluster(spec).cluster
+        assert sharded.config is spec
+        assert sharded.router.shards == 4
+        assert sharded.router.placement == "prefix"
+        assert all(shard.config is spec for shard in sharded.shards)
+
+    def test_one_field_per_knob(self):
+        names = [field.name for field in dataclasses.fields(ClusterSpec)]
+        assert len(names) == 21
+        # No None-means-inherit twin of a DedupConfig knob survives.
+        assert not set(names) & {
+            field.name for field in dataclasses.fields(DedupConfig)
+        }

@@ -1,5 +1,7 @@
 """DedupConfig validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import DedupConfig
@@ -20,6 +22,12 @@ class TestDefaults:
 
 
 class TestValidation:
+    def test_frozen(self):
+        config = DedupConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.chunk_size = 64
+        assert dataclasses.replace(config, chunk_size=64).chunk_size == 64
+
     def test_chunk_size_power_of_two(self):
         with pytest.raises(ValueError):
             DedupConfig(chunk_size=1000)

@@ -36,7 +36,7 @@ def make_engine(**overrides) -> DedupEngine:
     defaults = dict(chunk_size=64, governor_window=100_000,
                     size_filter_enabled=False)
     defaults.update(overrides)
-    return DedupEngine(DedupConfig(**defaults))
+    return DedupEngine(config=DedupConfig(**defaults))
 
 
 def insert(engine, provider, record_id, content, database="db"):

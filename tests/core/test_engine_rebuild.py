@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.config import DedupConfig
 from repro.core.engine import DedupEngine
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.snapshot import dump_database, load_database
 from repro.workloads.wikipedia import WikipediaWorkload
 
@@ -12,7 +13,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 @pytest.fixture()
 def restored_node():
     """A database restored from snapshot, plus the original trace."""
-    cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+    cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
     workload = WikipediaWorkload(seed=77, target_bytes=120_000, num_articles=2)
     ops = list(workload.insert_trace())
     for op in ops:
@@ -28,7 +29,7 @@ def restored_node():
 class TestRebuild:
     def test_rebuild_counts_live_records(self, restored_node):
         restored, ops, _ = restored_node
-        engine = DedupEngine(DedupConfig(chunk_size=64, size_filter_enabled=False))
+        engine = DedupEngine(config=DedupConfig(chunk_size=64, size_filter_enabled=False))
         indexed = engine.rebuild_from(restored)
         assert indexed == len(ops)
         assert engine.index_memory_bytes > 0
@@ -37,7 +38,7 @@ class TestRebuild:
         restored, ops, future_ops = restored_node
         if not future_ops:
             pytest.skip("trace continuation produced no extra revisions")
-        engine = DedupEngine(DedupConfig(chunk_size=64, size_filter_enabled=False))
+        engine = DedupEngine(config=DedupConfig(chunk_size=64, size_filter_enabled=False))
         engine.rebuild_from(restored, order=[op.record_id for op in ops])
         hits = 0
         for op in future_ops[:6]:
@@ -53,7 +54,7 @@ class TestRebuild:
         restored, _, future_ops = restored_node
         if not future_ops:
             pytest.skip("trace continuation produced no extra revisions")
-        engine = DedupEngine(DedupConfig(chunk_size=64, size_filter_enabled=False))
+        engine = DedupEngine(config=DedupConfig(chunk_size=64, size_filter_enabled=False))
         op = future_ops[0]
         result = engine.encode(op.database, op.record_id, op.content,
                                provider=restored)
@@ -63,6 +64,6 @@ class TestRebuild:
         restored, ops, _ = restored_node
         victim = ops[0].record_id
         restored.records[victim].deleted = True
-        engine = DedupEngine(DedupConfig(chunk_size=64, size_filter_enabled=False))
+        engine = DedupEngine(config=DedupConfig(chunk_size=64, size_filter_enabled=False))
         indexed = engine.rebuild_from(restored)
         assert indexed == len(ops) - 1

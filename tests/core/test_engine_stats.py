@@ -22,7 +22,7 @@ class DictProvider:
 @pytest.fixture()
 def engine() -> DedupEngine:
     return DedupEngine(
-        DedupConfig(chunk_size=64, size_filter_enabled=False,
+        config=DedupConfig(chunk_size=64, size_filter_enabled=False,
                     governor_window=100)
     )
 
@@ -64,7 +64,7 @@ class TestPerDatabaseStats:
 
     def test_bypassed_counted_per_database(self, rng):
         engine = DedupEngine(
-            DedupConfig(chunk_size=64, size_filter_enabled=False,
+            config=DedupConfig(chunk_size=64, size_filter_enabled=False,
                         governor_window=10)
         )
         provider = DictProvider()
@@ -86,7 +86,7 @@ class TestDescribe:
 
     def test_describe_shows_disabled_governor(self, rng):
         engine = DedupEngine(
-            DedupConfig(chunk_size=64, size_filter_enabled=False,
+            config=DedupConfig(chunk_size=64, size_filter_enabled=False,
                         governor_window=10)
         )
         provider = DictProvider()

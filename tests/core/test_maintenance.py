@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.config import DedupConfig
 from repro.core.maintenance import BackgroundCompactor
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.record import RecordForm
 from repro.workloads.base import Operation
 from repro.workloads.edits import revise
@@ -22,7 +23,7 @@ def forked_cluster():
     the cluster and then check for raw orphans generically.
     """
     cluster = Cluster(
-        ClusterConfig(
+        ClusterSpec(
             dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
         )
     )
@@ -107,7 +108,7 @@ class TestCompaction:
                 )
 
     def test_compaction_on_dedup_disabled_node(self):
-        cluster = Cluster(ClusterConfig(dedup_enabled=False))
+        cluster = Cluster(ClusterSpec(dedup_enabled=False))
         cluster.execute(Operation("insert", "db", "r", b"data " * 50))
         assert cluster.primary.compact_storage() is None
 
@@ -125,7 +126,7 @@ class TestMutualOrphanSafety:
         """Two raw records most similar to each other must not end up
         encoding against one another."""
         cluster = Cluster(
-            ClusterConfig(
+            ClusterSpec(
                 dedup=DedupConfig(
                     chunk_size=64, size_filter_enabled=False,
                     min_savings_ratio=0.99,

@@ -41,7 +41,7 @@ def make_engine() -> DedupEngine:
     # Small governor window and filter interval so both mechanisms
     # actually trip inside the tiny corpora hypothesis can afford.
     return DedupEngine(
-        DedupConfig(
+        config=DedupConfig(
             chunk_size=64,
             governor_window=30,
             size_filter_interval=20,

@@ -33,7 +33,7 @@ class DictProvider:
 
 def make_engine(**overrides) -> DedupEngine:
     config = DedupConfig(**{"chunk_size": 64, **overrides})
-    return DedupEngine(config)
+    return DedupEngine(config=config)
 
 
 def insert(engine, provider, record_id, content, database="db"):

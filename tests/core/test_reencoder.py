@@ -28,7 +28,7 @@ def replicate(config, revisions):
 
     Returns (primary writeback payload map, secondary writeback payload map,
     secondary reconstructed contents)."""
-    engine = DedupEngine(config)
+    engine = DedupEngine(config=config)
     reencoder = SecondaryReencoder(config)
     primary = DictProvider()
     secondary = DictProvider()

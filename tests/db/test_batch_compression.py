@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.workloads.wikipedia import WikipediaWorkload
 
 
 def run_cluster(batch_compression: str, dedup_enabled: bool = True):
-    config = ClusterConfig(
+    config = ClusterSpec(
         dedup=DedupConfig(chunk_size=64),
         dedup_enabled=dedup_enabled,
         batch_compression=batch_compression,
@@ -41,5 +42,5 @@ class TestBatchCompression:
         assert stacked.network_bytes < baseline.network_bytes
 
     def test_unknown_compressor_rejected(self):
-        with pytest.raises(ValueError):
-            Cluster(ClusterConfig(batch_compression="lzma"))
+        with pytest.raises(ValueError, match="lzma"):
+            ClusterSpec(batch_compression="lzma")

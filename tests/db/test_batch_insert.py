@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.database import Database
 from repro.db.errors import RecordExists
 from repro.workloads import make_workload
@@ -47,7 +48,7 @@ class TestClusterBatchPath:
         clusters = []
         for size in (1, batch_size):
             cluster = Cluster(
-                ClusterConfig(
+                ClusterSpec(
                     dedup=DedupConfig(chunk_size=64),
                     insert_batch_size=size,
                 )
@@ -67,11 +68,11 @@ class TestClusterBatchPath:
 
     def test_batch_size_must_be_positive(self):
         with pytest.raises(ValueError):
-            ClusterConfig(insert_batch_size=0)
+            ClusterSpec(insert_batch_size=0)
 
     def test_mixed_trace_flushes_before_reads(self):
         cluster = Cluster(
-            ClusterConfig(
+            ClusterSpec(
                 dedup=DedupConfig(chunk_size=64), insert_batch_size=32
             )
         )

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.oplog import Oplog
 from repro.db.recovery import replay_oplog
 from repro.db.snapshot import load_snapshot
@@ -68,7 +69,7 @@ class TestOplogTruncation:
 
 class TestClusterCheckpoint:
     def test_checkpoint_then_recover(self, tmp_path):
-        cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+        cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
         workload = WikipediaWorkload(seed=44, target_bytes=120_000)
         ops = list(workload.insert_trace())
         midpoint = len(ops) // 2
@@ -95,7 +96,7 @@ class TestClusterCheckpoint:
 
     def test_checkpoint_respects_lagging_replica(self, tmp_path):
         cluster = Cluster(
-            ClusterConfig(
+            ClusterSpec(
                 dedup=DedupConfig(chunk_size=64),
                 num_secondaries=2,
                 oplog_batch_bytes=10_000_000,

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.workloads.base import Operation
 from repro.workloads.wikipedia import WikipediaWorkload
 
@@ -11,7 +12,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 def dedup_cluster(**dedup_overrides) -> Cluster:
     defaults = dict(chunk_size=64)
     defaults.update(dedup_overrides)
-    return Cluster(ClusterConfig(dedup=DedupConfig(**defaults)))
+    return Cluster(ClusterSpec(dedup=DedupConfig(**defaults)))
 
 
 class TestBasicOperation:
@@ -65,7 +66,7 @@ class TestReplication:
 
     def test_batching_defers_shipping(self):
         cluster = Cluster(
-            ClusterConfig(
+            ClusterSpec(
                 dedup=DedupConfig(chunk_size=64),
                 oplog_batch_bytes=10_000_000,  # never triggers mid-run
             )
@@ -84,7 +85,7 @@ class TestReplication:
 
 class TestConfigurations:
     def test_dedup_disabled_baseline(self):
-        cluster = Cluster(ClusterConfig(dedup_enabled=False))
+        cluster = Cluster(ClusterSpec(dedup_enabled=False))
         workload = WikipediaWorkload(seed=11, target_bytes=200_000)
         result = cluster.run(workload.insert_trace())
         assert result.storage_compression_ratio == pytest.approx(1.0, rel=0.01)
@@ -93,7 +94,7 @@ class TestConfigurations:
 
     def test_snappy_baseline_compresses_physically(self):
         cluster = Cluster(
-            ClusterConfig(dedup_enabled=False, block_compression="snappy")
+            ClusterSpec(dedup_enabled=False, block_compression="snappy")
         )
         workload = WikipediaWorkload(seed=11, target_bytes=200_000)
         result = cluster.run(workload.insert_trace())
@@ -105,7 +106,7 @@ class TestConfigurations:
         dedup = dedup_cluster().run(
             WikipediaWorkload(**workload_args).insert_trace()
         )
-        plain = Cluster(ClusterConfig(dedup_enabled=False)).run(
+        plain = Cluster(ClusterSpec(dedup_enabled=False)).run(
             WikipediaWorkload(**workload_args).insert_trace()
         )
         assert dedup.stored_bytes < plain.stored_bytes / 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ClusterSpec, NodeUnavailableError, open_cluster
-from repro.db import FailoverConfig, divergence_point
+from repro.db import divergence_point
 from repro.db.oplog import Oplog
 
 
@@ -120,11 +120,11 @@ class TestDivergencePoint:
 class TestFailoverConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="heartbeat_interval_s"):
-            FailoverConfig(heartbeat_interval_s=0)
+            ClusterSpec(heartbeat_interval_s=0)
         with pytest.raises(ValueError, match="failover_timeout_s"):
-            FailoverConfig(heartbeat_interval_s=1.0, failover_timeout_s=0.5)
+            ClusterSpec(heartbeat_interval_s=1.0, failover_timeout_s=0.5)
         with pytest.raises(ValueError, match="rejoin_delay_s"):
-            FailoverConfig(rejoin_delay_s=-1)
+            ClusterSpec(rejoin_delay_s=-1)
 
     def test_spec_validates_at_construction(self):
         with pytest.raises(ValueError, match="failover_timeout_s"):
@@ -164,6 +164,28 @@ class TestElection:
         cluster.failover.settle()
         assert cluster.primary.index_backlog_len == 0
         assert cluster.primary.engine is not None
+
+
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_promoted_and_rejoined_nodes_run_the_same_spec(self, compression):
+        # Promotion and rejoin rebuild nodes from the spec, not from a
+        # field-by-field copy: the promoted primary charges inline
+        # compression CPU exactly when the spec compresses pages (the
+        # copy used to charge it always), and keeps the write-back knob.
+        cluster = make_cluster(
+            block_compression=compression, use_writeback_cache=False
+        )
+        spec = cluster.config
+        cluster.primary.insert("db", "r1", b"x" * 300)
+        cluster.primary.crash()
+        cluster.failover.settle()
+        promoted = cluster.primary
+        assert promoted.node_name.startswith("secondary")
+        assert promoted.spec is spec
+        assert promoted.inline_block_compression is (compression != "none")
+        assert promoted.use_writeback_cache is False
+        assert all(node.spec is spec for _, node in cluster.nodes())
+        assert len(cluster.secondaries) == 2  # old primary rejoined
 
 
 class TestUnavailableErrors:

@@ -5,7 +5,8 @@ from zlib import crc32
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.database import Database
 from repro.db.invariants import (
     ClusterInvariantError,
@@ -96,7 +97,7 @@ class TestDatabaseChecks:
         )
 
     def test_oplog_divergence_is_caught(self):
-        cluster = Cluster(ClusterConfig())
+        cluster = Cluster(ClusterSpec())
         cluster.execute(Operation("insert", "db", "r0", b"truth " * 30))
         db = cluster.primary.db
         # Store different bytes but keep the checksum honest, so only the
@@ -108,7 +109,7 @@ class TestDatabaseChecks:
         assert "oplog" in checks_of(report)
 
     def test_truncated_oplog_skips_ground_truth(self):
-        cluster = Cluster(ClusterConfig())
+        cluster = Cluster(ClusterSpec())
         for index in range(4):
             cluster.execute(
                 Operation("insert", "db", f"r{index}", b"x %d " % index * 20)
@@ -124,7 +125,7 @@ class TestDatabaseChecks:
 class TestHopBoundGating:
     def test_clean_drained_cluster_arms_the_bound(self):
         cluster = Cluster(
-            ClusterConfig(
+            ClusterSpec(
                 dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
             )
         )
@@ -142,7 +143,7 @@ class TestHopBoundGating:
         from repro.delta.instructions import serialize
 
         cluster = Cluster(
-            ClusterConfig(
+            ClusterSpec(
                 dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
             )
         )
@@ -174,7 +175,7 @@ class TestHopBoundGating:
 
 class TestClusterCheck:
     def _loaded_cluster(self):
-        cluster = Cluster(ClusterConfig())
+        cluster = Cluster(ClusterSpec())
         for index in range(6):
             cluster.execute(
                 Operation("insert", "db", f"r{index}", b"content %d " % index * 25)

@@ -3,18 +3,19 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.workloads.wikipedia import WikipediaWorkload
 
 
 class TestMultiSecondary:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            ClusterConfig(num_secondaries=0)
+            ClusterSpec(num_secondaries=0)
 
     def test_all_secondaries_converge(self):
         cluster = Cluster(
-            ClusterConfig(dedup=DedupConfig(chunk_size=64), num_secondaries=3)
+            ClusterSpec(dedup=DedupConfig(chunk_size=64), num_secondaries=3)
         )
         workload = WikipediaWorkload(seed=71, target_bytes=150_000)
         cluster.run(workload.insert_trace())
@@ -23,7 +24,7 @@ class TestMultiSecondary:
 
     def test_secondaries_store_identically(self):
         cluster = Cluster(
-            ClusterConfig(dedup=DedupConfig(chunk_size=64), num_secondaries=2)
+            ClusterSpec(dedup=DedupConfig(chunk_size=64), num_secondaries=2)
         )
         workload = WikipediaWorkload(seed=71, target_bytes=120_000)
         cluster.run(workload.insert_trace())
@@ -38,7 +39,7 @@ class TestMultiSecondary:
     def test_network_bytes_scale_with_fanout(self):
         def run(n):
             cluster = Cluster(
-                ClusterConfig(dedup=DedupConfig(chunk_size=64), num_secondaries=n)
+                ClusterSpec(dedup=DedupConfig(chunk_size=64), num_secondaries=n)
             )
             workload = WikipediaWorkload(seed=71, target_bytes=120_000)
             result = cluster.run(workload.insert_trace())
@@ -50,7 +51,7 @@ class TestMultiSecondary:
 
     def test_independent_cursors(self):
         cluster = Cluster(
-            ClusterConfig(
+            ClusterSpec(
                 dedup=DedupConfig(chunk_size=64),
                 num_secondaries=2,
                 oplog_batch_bytes=10_000_000,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import ClusterSpec
 from repro.core.config import DedupConfig
 from repro.db.node import PrimaryNode
 from repro.sim.clock import SimClock
@@ -10,8 +11,8 @@ from repro.sim.clock import SimClock
 @pytest.fixture()
 def primary() -> PrimaryNode:
     return PrimaryNode(
+        ClusterSpec(dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)),
         clock=SimClock(),
-        config=DedupConfig(chunk_size=64, size_filter_enabled=False),
     )
 
 
@@ -61,9 +62,11 @@ class TestPrimaryInsert:
 
     def test_immediate_writeback_mode(self, revision_pair):
         node = PrimaryNode(
+            ClusterSpec(
+                dedup=DedupConfig(chunk_size=64, size_filter_enabled=False),
+                use_writeback_cache=False,
+            ),
             clock=SimClock(),
-            config=DedupConfig(chunk_size=64, size_filter_enabled=False),
-            use_writeback_cache=False,
         )
         source, target = revision_pair
         node.insert("db", "v0", source)
@@ -82,9 +85,10 @@ class TestPrimaryReadPath:
         assert primary.db.decode_cost(tail) == 0
 
     def test_inline_compression_charges_latency(self, document):
-        plain = PrimaryNode(clock=SimClock(), dedup_enabled=False)
+        plain = PrimaryNode(ClusterSpec(dedup_enabled=False), clock=SimClock())
         inline = PrimaryNode(
-            clock=SimClock(), dedup_enabled=False, inline_block_compression=True
+            ClusterSpec(dedup_enabled=False, block_compression="zlib"),
+            clock=SimClock(),
         )
         base = plain.insert("db", "r", document)
         charged = inline.insert("db", "r", document)

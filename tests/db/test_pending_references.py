@@ -10,7 +10,8 @@ updates append (§4.1 semantics) until the entry flushes or drops.
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.record import RecordForm
 from repro.workloads.base import Operation
 from repro.workloads.edits import revise
@@ -23,7 +24,7 @@ def scenario():
     import random
 
     cluster = Cluster(
-        ClusterConfig(dedup=DedupConfig(chunk_size=64, size_filter_enabled=False))
+        ClusterSpec(dedup=DedupConfig(chunk_size=64, size_filter_enabled=False))
     )
     rng = random.Random(3)
     text_gen = TextGenerator(seed=3)

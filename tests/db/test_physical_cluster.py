@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.storage.bufferpool import BufferPool
 from repro.storage.heapfile import HeapFileStore
 from repro.workloads.wikipedia import WikipediaWorkload
@@ -12,7 +13,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 @pytest.fixture()
 def physical_cluster():
     return Cluster(
-        ClusterConfig(
+        ClusterSpec(
             dedup=DedupConfig(chunk_size=64),
             physical_storage=True,
             block_compression="zlib",

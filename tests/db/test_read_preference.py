@@ -3,14 +3,15 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.workloads.base import Operation
 from repro.workloads.wikipedia import WikipediaWorkload
 
 
 def cluster_with(read_preference: str, **kwargs) -> Cluster:
     return Cluster(
-        ClusterConfig(
+        ClusterSpec(
             dedup=DedupConfig(chunk_size=64),
             read_preference=read_preference,
             **kwargs,
@@ -21,7 +22,7 @@ def cluster_with(read_preference: str, **kwargs) -> Cluster:
 class TestReadPreference:
     def test_invalid_preference_rejected(self):
         with pytest.raises(ValueError):
-            ClusterConfig(read_preference="nearest")
+            ClusterSpec(read_preference="nearest")
 
     def test_secondary_serves_synced_reads(self):
         cluster = cluster_with("secondary", oplog_batch_bytes=1)

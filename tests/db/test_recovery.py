@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.oplog import OplogEntry
 from repro.db.recovery import replay_oplog
 from repro.workloads.base import Operation
@@ -12,7 +13,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 
 @pytest.fixture()
 def run_cluster():
-    cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+    cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
     workload = WikipediaWorkload(seed=61, target_bytes=150_000)
     ops = list(workload.insert_trace())
     for op in ops:

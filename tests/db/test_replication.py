@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import ClusterSpec
 from repro.core.config import DedupConfig
 from repro.db.node import PrimaryNode, SecondaryNode
 from repro.db.replication import ReplicationLink
@@ -12,9 +13,11 @@ from repro.sim.network import SimNetwork
 @pytest.fixture()
 def link():
     clock = SimClock()
-    config = DedupConfig(chunk_size=64, size_filter_enabled=False)
-    primary = PrimaryNode(clock=clock, config=config)
-    secondary = SecondaryNode(clock=clock, config=config)
+    spec = ClusterSpec(
+        dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
+    )
+    primary = PrimaryNode(spec, clock=clock)
+    secondary = SecondaryNode(spec, clock=clock)
     network = SimNetwork(clock)
     return ReplicationLink(primary, secondary, network, batch_bytes=2000)
 

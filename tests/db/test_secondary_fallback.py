@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import ClusterSpec
 from repro.core.config import DedupConfig
 from repro.db.node import PrimaryNode, SecondaryNode
 from repro.db.oplog import OplogEntry
@@ -11,9 +12,11 @@ from repro.sim.clock import SimClock
 @pytest.fixture()
 def nodes():
     clock = SimClock()
-    config = DedupConfig(chunk_size=64, size_filter_enabled=False)
-    primary = PrimaryNode(clock=clock, config=config)
-    secondary = SecondaryNode(clock=clock, config=config)
+    spec = ClusterSpec(
+        dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
+    )
+    primary = PrimaryNode(spec, clock=clock)
+    secondary = SecondaryNode(spec, clock=clock)
     return primary, secondary
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ClusterSpec, IndexSpec, open_cluster
+from repro.core.config import DedupConfig
 from repro.db.sharding import ShardedCluster
 from repro.workloads import make_workload
 
@@ -64,11 +65,11 @@ def strip_shard_dimension(snapshot: dict) -> dict:
 def test_one_shard_topology_is_byte_identical(
     seed, workload_name, batch_size, trace_kind, index_spec
 ):
-    spec = ClusterSpec(insert_batch_size=batch_size, index=index_spec)
-    plain = open_cluster(spec).cluster
-    sharded = ShardedCluster.from_spec(
-        dataclasses.replace(spec, shards=1)
+    spec = ClusterSpec(
+        dedup=DedupConfig(index=index_spec), insert_batch_size=batch_size
     )
+    plain = open_cluster(spec).cluster
+    sharded = ShardedCluster(dataclasses.replace(spec, shards=1))
 
     def trace():
         workload = make_workload(

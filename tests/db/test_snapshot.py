@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.database import Database
 from repro.db.record import RecordForm
 from repro.db.snapshot import (
@@ -18,7 +19,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 @pytest.fixture()
 def encoded_db():
     """A database with delta chains, a tombstone, and a pending update."""
-    cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+    cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
     workload = WikipediaWorkload(seed=51, target_bytes=150_000, num_articles=1)
     ops = list(workload.insert_trace())
     for op in ops:

@@ -33,9 +33,9 @@ def open_mode(mode: str, window: int, queue_bound: int):
                 chunk_size=64,
                 governor_window=window,
                 size_filter_interval=20,
+                admission_mode=mode,
+                admission_queue_records=queue_bound,
             ),
-            admission_mode=mode,
-            admission_queue_records=queue_bound,
         )
     )
 

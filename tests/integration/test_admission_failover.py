@@ -33,12 +33,15 @@ def test_failover_with_pending_deferred_queue():
     assert len(ops) > 40
     client = open_cluster(
         ClusterSpec(
-            dedup=DedupConfig(chunk_size=64, governor_window=8),
-            admission_mode="hybrid",
-            # Impossible inline bar: after the warm-up window, every
-            # record defers — the queue is guaranteed non-empty when
-            # the crash lands (no idle ops drain it mid-trace).
-            admission_inline_threshold=100.0,
+            dedup=DedupConfig(
+                chunk_size=64,
+                governor_window=8,
+                admission_mode="hybrid",
+                # Impossible inline bar: after the warm-up window, every
+                # record defers — the queue is guaranteed non-empty when
+                # the crash lands (no idle ops drain it mid-trace).
+                admission_inline_threshold=100.0,
+            ),
             oplog_batch_bytes=1,
             num_secondaries=2,
         )
@@ -93,9 +96,12 @@ def test_restarted_primary_queue_dies_with_engine():
     ops = [op for op in workload.insert_trace() if op.kind == "insert"]
     client = open_cluster(
         ClusterSpec(
-            dedup=DedupConfig(chunk_size=64, governor_window=4),
-            admission_mode="hybrid",
-            admission_inline_threshold=100.0,
+            dedup=DedupConfig(
+                chunk_size=64,
+                governor_window=4,
+                admission_mode="hybrid",
+                admission_inline_threshold=100.0,
+            ),
         )
     )
     cluster = client.cluster

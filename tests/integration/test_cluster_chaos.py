@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.invariants import check_cluster
 from repro.sim.faults import (
     CorruptPageReads,
@@ -56,7 +57,7 @@ def test_random_crud_under_faults_preserves_invariants(
     steps, fault_seed, scenario
 ):
     cluster = Cluster(
-        ClusterConfig(
+        ClusterSpec(
             dedup=DedupConfig(chunk_size=64, size_filter_enabled=False),
             oplog_batch_bytes=4096,
         )

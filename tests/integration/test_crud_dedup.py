@@ -3,14 +3,15 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.workloads.base import Operation
 from repro.workloads.wikipedia import WikipediaWorkload
 
 
 @pytest.fixture()
 def loaded_cluster():
-    cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+    cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
     workload = WikipediaWorkload(seed=31, target_bytes=150_000, num_articles=1)
     ops = list(workload.insert_trace())
     for op in ops:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.workloads import make_workload
 
 WORKLOADS = ("wikipedia", "enron", "stackexchange", "messageboards")
@@ -12,7 +13,7 @@ WORKLOADS = ("wikipedia", "enron", "stackexchange", "messageboards")
 @pytest.mark.parametrize("name", WORKLOADS)
 class TestAllWorkloadsConverge:
     def test_insert_trace_replicates_exactly(self, name):
-        cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+        cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
         workload = make_workload(name, seed=21, target_bytes=150_000)
         result = cluster.run(workload.insert_trace())
         assert cluster.replicas_converged()
@@ -20,7 +21,7 @@ class TestAllWorkloadsConverge:
         assert result.network_compression_ratio >= 1.0
 
     def test_mixed_trace_reads_return_correct_content(self, name):
-        cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+        cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
         workload = make_workload(name, seed=21, target_bytes=100_000)
         contents: dict[str, bytes] = {}
         checked = 0
@@ -39,7 +40,7 @@ class TestEncodingSchemesEndToEnd:
     @pytest.mark.parametrize("encoding", ["backward", "hop", "version-jumping", "forward"])
     def test_every_scheme_converges(self, encoding):
         cluster = Cluster(
-            ClusterConfig(
+            ClusterSpec(
                 dedup=DedupConfig(chunk_size=64, encoding=encoding, hop_distance=4)
             )
         )
@@ -49,7 +50,7 @@ class TestEncodingSchemesEndToEnd:
 
     def test_forward_mode_compresses_network_only(self):
         cluster = Cluster(
-            ClusterConfig(dedup=DedupConfig(chunk_size=64, encoding="forward"))
+            ClusterSpec(dedup=DedupConfig(chunk_size=64, encoding="forward"))
         )
         workload = make_workload("wikipedia", seed=22, target_bytes=150_000)
         result = cluster.run(workload.insert_trace())
@@ -64,7 +65,7 @@ class TestEncodingSchemesEndToEnd:
         results = {}
         for encoding in ("backward", "hop"):
             cluster = Cluster(
-                ClusterConfig(
+                ClusterSpec(
                     dedup=DedupConfig(
                         chunk_size=64, encoding=encoding, hop_distance=4
                     )
@@ -89,7 +90,7 @@ class TestCombinedCompression:
 
         def run(dedup_enabled, block):
             cluster = Cluster(
-                ClusterConfig(
+                ClusterSpec(
                     dedup=DedupConfig(chunk_size=64),
                     dedup_enabled=dedup_enabled,
                     block_compression=block,

@@ -20,7 +20,8 @@ import random
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.invariants import check_cluster
 from repro.sim.faults import (
     CorruptPageReads,
@@ -57,7 +58,7 @@ SCENARIOS = {
 
 def make_cluster() -> Cluster:
     return Cluster(
-        ClusterConfig(
+        ClusterSpec(
             dedup=DedupConfig(chunk_size=64, size_filter_enabled=False),
             oplog_batch_bytes=4096,
         )

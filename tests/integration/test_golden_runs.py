@@ -107,9 +107,7 @@ CASES = {
     "hybrid-oltp-wikipedia": (
         lambda: mixed_trace("oltp,wikipedia", SEED, 150_000, idle_every=48),
         dict(
-            dedup=_dedup(),
-            admission_mode="hybrid",
-            admission_queue_records=8,
+            dedup=_dedup(admission_mode="hybrid", admission_queue_records=8),
         ),
         {},
     ),

@@ -11,7 +11,8 @@ and the legacy paper-facing counters are the same numbers (no drift).
 import random
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.obs.export import (
     check_reconciliation,
     metrics_document,
@@ -23,10 +24,13 @@ from repro.workloads.base import Operation
 def _observed_cluster() -> Cluster:
     # oplog_batch_bytes=1 ships every insert immediately, so replication
     # spans nest inside the same root as the encode stages.
-    config = ClusterConfig(
-        dedup=DedupConfig(chunk_size=64), oplog_batch_bytes=1
+    config = ClusterSpec(
+        dedup=DedupConfig(chunk_size=64),
+        oplog_batch_bytes=1,
+        trace=True,
+        sample_every_ops=5,
     )
-    return Cluster(config, trace=True, sample_every_ops=5)
+    return Cluster(config)
 
 
 def _dedup_friendly_ops(count: int = 12) -> list[Operation]:

@@ -21,7 +21,8 @@ from hypothesis.stateful import (
 
 from repro.cache.writeback import WriteBackEntry
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.db.database import Database
 from repro.db.errors import RecordExists, RecordNotFound
 from repro.db.invariants import check_cluster
@@ -190,7 +191,7 @@ class ClusterFaultMachine(RuleBasedStateMachine):
     @initialize(seed=st.integers(0, 2**16))
     def setup(self, seed) -> None:
         self.cluster = Cluster(
-            ClusterConfig(
+            ClusterSpec(
                 dedup=DedupConfig(chunk_size=64, size_filter_enabled=False),
                 oplog_batch_bytes=2048,
             )

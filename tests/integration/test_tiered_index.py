@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.api import ClusterSpec, IndexSpec, open_cluster
+from repro.core.config import DedupConfig
 from repro.obs.export import check_reconciliation, metrics_document
 from repro.sim.faults import CrashNode, FaultPlan
 from repro.workloads import make_workload
@@ -33,7 +34,7 @@ TIERED_TIGHT = IndexSpec(kind="tiered", hot_bytes_budget=448,
 
 
 def tiered_client(index: IndexSpec = TIERED, **overrides):
-    spec = ClusterSpec(index=index, **overrides)
+    spec = ClusterSpec(dedup=DedupConfig(index=index), **overrides)
     return open_cluster(spec)
 
 

@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.sim.faults import (
     MAX_EVENTS,
     CorruptPageReads,
@@ -199,7 +200,7 @@ class TestDiskHook:
 
 class TestInstallUninstall:
     def test_install_wires_and_uninstall_unwires(self):
-        cluster = Cluster(ClusterConfig())
+        cluster = Cluster(ClusterSpec())
         plan = FaultPlan(seed=3, rules=[DropBatches(every=2)])
         plan.install(cluster)
         assert cluster.fault_plan is plan
@@ -215,7 +216,7 @@ class TestInstallUninstall:
             assert node.db.disk.interceptor is None
 
     def test_uninstall_is_a_noop_for_foreign_plans(self):
-        cluster = Cluster(ClusterConfig())
+        cluster = Cluster(ClusterSpec())
         installed = FaultPlan(seed=4, rules=[DropBatches(every=2)])
         other = FaultPlan(seed=5, rules=[DropBatches(every=3)])
         installed.install(cluster)
@@ -228,7 +229,7 @@ class TestCrashHook:
     def test_crash_fires_once_at_threshold(self):
         from repro.workloads.base import Operation
 
-        cluster = Cluster(ClusterConfig())
+        cluster = Cluster(ClusterSpec())
         plan = FaultPlan(
             seed=6, rules=[CrashNode(node="primary", after_appends=3)]
         )
@@ -243,9 +244,7 @@ class TestCrashHook:
     def test_indexed_address_crashes_that_replica_only(self):
         from repro.workloads.base import Operation
 
-        cluster = Cluster(
-            config=ClusterConfig(num_secondaries=3, oplog_batch_bytes=1)
-        )
+        cluster = Cluster(ClusterSpec(num_secondaries=3, oplog_batch_bytes=1))
         plan = FaultPlan(
             seed=6, rules=[CrashNode(node="secondary:1", after_appends=2)]
         )
@@ -259,7 +258,7 @@ class TestCrashHook:
     def test_out_of_range_address_stays_pending(self):
         from repro.workloads.base import Operation
 
-        cluster = Cluster(config=ClusterConfig(oplog_batch_bytes=1))
+        cluster = Cluster(ClusterSpec(oplog_batch_bytes=1))
         plan = FaultPlan(
             seed=6, rules=[CrashNode(node="secondary:5", after_appends=1)]
         )

@@ -147,14 +147,17 @@ class TestHeapFileStore:
         assert db.read("wiki", "v0")[0] is None
 
     def test_cluster_runs_on_physical_engine(self):
+        from repro.api import ClusterSpec
         from repro.core.config import DedupConfig
         from repro.db.node import PrimaryNode
         from repro.sim.clock import SimClock
 
         clock = SimClock()
         node = PrimaryNode(
+            ClusterSpec(
+                dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
+            ),
             clock=clock,
-            config=DedupConfig(chunk_size=64, size_filter_enabled=False),
         )
         # Swap in the physical engine under the same disk.
         node.db.pages = HeapFileStore(page_size=8192, disk=node.db.disk)

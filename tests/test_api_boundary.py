@@ -28,12 +28,36 @@ class TestBoundary:
         for relative in ALLOWED:
             assert (REPO_ROOT / relative).is_file(), relative
 
+    def test_stale_allowlist_entry_is_a_violation(self, monkeypatch):
+        # "Shrink only" is enforced: a listed file that no longer (or
+        # never did) match the pattern it is excused from must leave the
+        # list — here a file that imports nothing internal stands in for
+        # a migrated one.
+        assert check_api_boundary.find_stale_allowlist_entries() == []
+        migrated = "tests/test_docstrings.py"
+        monkeypatch.setattr(
+            check_api_boundary,
+            "RULES",
+            ((BANNED, ALLOWED | {migrated, "tests/gone.py"}, "unused"),),
+        )
+        stale = check_api_boundary.find_stale_allowlist_entries()
+        assert sorted(entry[0] for entry in stale) == [
+            "tests/gone.py", migrated,
+        ]
+        assert set(stale) <= set(find_violations())
+
+    def test_spec_modules_are_internal(self):
+        banned = check_api_boundary.INDEX_SPEC_BANNED
+        assert banned.match("from repro.db.spec import ClusterSpec")
+        assert banned.match("from repro.index.spec import IndexSpec")
+        assert not banned.match("from repro.api import ClusterSpec, IndexSpec")
+
     def test_regex_catches_each_banned_form(self):
         banned = [
             "from repro.db.cluster import Cluster",
             "from repro.db import Cluster, Database",
             "from repro import Cluster",
-            "from repro import ClusterConfig, Cluster",
+            "from repro import ClusterSpec, Cluster",
             "import repro.db.cluster",
         ]
         for line in banned:
@@ -43,7 +67,7 @@ class TestBoundary:
         allowed = [
             "from repro.api import ClusterSpec, open_cluster",
             "from repro import ClusterSpec, open_cluster",
-            "from repro.db.cluster import ClusterConfig, RunResult",
+            "from repro.db.cluster import RunResult, run_trace",
             "from repro.db.sharding import ShardedCluster",
         ]
         for line in allowed:

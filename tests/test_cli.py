@@ -168,8 +168,8 @@ class TestCommands:
 
         original = Cluster.run
 
-        def sabotage(self, trace):
-            result = original(self, trace)
+        def sabotage(self, trace, timeline_bucket_s=None):
+            result = original(self, trace, timeline_bucket_s)
             # Lose a replicated record behind the checker's back.
             victim = next(iter(self.secondary.db.records))
             del self.secondary.db.records[victim]

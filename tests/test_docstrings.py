@@ -50,3 +50,26 @@ def test_every_public_class_method_documented():
             if not (inspect.getdoc(target) or "").strip():
                 missing.append(f"{name}.{method_name}")
     assert not missing, f"undocumented public methods: {missing}"
+
+
+def test_every_config_field_is_documented():
+    """Config docs cannot drift: each field of the three config classes
+    is named in its class docstring and in docs/TUNING.md."""
+    import dataclasses
+    import re
+    from pathlib import Path
+
+    from repro.api import ClusterSpec, IndexSpec
+    from repro.core.config import DedupConfig
+
+    tuning = (
+        Path(__file__).resolve().parent.parent / "docs" / "TUNING.md"
+    ).read_text(encoding="utf-8")
+    missing = [
+        f"{cls.__name__}.{field.name} ({where})"
+        for cls in (ClusterSpec, DedupConfig, IndexSpec)
+        for field in dataclasses.fields(cls)
+        for where, text in (("docstring", cls.__doc__), ("TUNING.md", tuning))
+        if not re.search(rf"\b{field.name}\b", text)
+    ]
+    assert not missing, f"undocumented config fields: {missing}"

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.db.cluster import Cluster, ClusterConfig
+from repro.api import ClusterSpec
+from repro.db.cluster import Cluster
 from repro.workloads.oltp import OltpWorkload
 
 
@@ -42,7 +43,7 @@ class TestGenerator:
 
 class TestNegativeControl:
     def test_dedup_finds_little(self):
-        config = ClusterConfig(
+        config = ClusterSpec(
             dedup=DedupConfig(chunk_size=64, governor_window=10**9)
         )
         cluster = Cluster(config)
@@ -51,7 +52,7 @@ class TestNegativeControl:
         assert result.storage_compression_ratio < 1.3
 
     def test_governor_disables_oltp_database(self):
-        config = ClusterConfig(
+        config = ClusterSpec(
             dedup=DedupConfig(chunk_size=64, governor_window=150)
         )
         cluster = Cluster(config)
@@ -64,7 +65,7 @@ class TestNegativeControl:
         assert engine.index_memory_bytes == 0
 
     def test_mixed_trace_replicates(self):
-        config = ClusterConfig(dedup=DedupConfig(chunk_size=64))
+        config = ClusterSpec(dedup=DedupConfig(chunk_size=64))
         cluster = Cluster(config)
         workload = OltpWorkload(seed=4, target_bytes=80_000)
         cluster.run(workload.mixed_trace())

@@ -41,14 +41,15 @@ class TestRoundTrip:
 
     def test_replaying_trace_reproduces_run(self, tmp_path):
         from repro.core.config import DedupConfig
-        from repro.db.cluster import Cluster, ClusterConfig
+        from repro.api import ClusterSpec
+        from repro.db.cluster import Cluster
 
         workload = WikipediaWorkload(seed=67, target_bytes=80_000)
         path = tmp_path / "wiki.trace"
         save_trace(workload.insert_trace(), path)
 
         def run(trace):
-            cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+            cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
             return cluster.run(trace)
 
         live = run(WikipediaWorkload(seed=67, target_bytes=80_000).insert_trace())

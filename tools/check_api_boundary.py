@@ -6,7 +6,9 @@ The supported entry point is ``repro.api`` (``ClusterSpec`` +
 internal constructor. This script fails CI when a file outside the
 library internals imports ``Cluster`` directly — unless the file is on
 the grandfathered allowlist of pre-redesign call sites below, which may
-shrink but must never grow.
+shrink but must never grow: a listed file that no longer matches the
+pattern it was excused from is reported too, so a migrated file has to
+leave its list in the same change.
 
 Run:  python tools/check_api_boundary.py
 """
@@ -26,9 +28,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SCANNED_TREES = ("tests", "benchmarks", "examples", "tools")
 
 #: A ``from repro[...] import`` (or direct module import) that binds the
-#: bare name ``Cluster``. ``ClusterConfig``/``ClusterSpec``/
-#: ``ShardedCluster`` stay importable — only the internal constructor is
-#: fenced off.
+#: bare name ``Cluster``. ``ClusterSpec``/``ShardedCluster``/``RunResult``
+#: stay importable — only the internal constructor is fenced off.
 BANNED = re.compile(
     r"^\s*("
     r"from\s+repro(\.db(\.cluster)?)?\s+import\s+[(\w ,]*\bCluster\b"
@@ -57,7 +58,7 @@ GOVERNOR_ALLOWED = frozenset({
 })
 
 #: The flat index knobs on ``DedupConfig`` are deprecated in favour of
-#: ``IndexSpec`` (nested as ``ClusterSpec.index`` / ``DedupConfig.index``).
+#: ``IndexSpec`` (nested as ``DedupConfig.index``).
 #: Code outside ``src/repro`` must not set them; only the test that pins
 #: the warn-once deprecation shim may. ``max_candidates`` stays legal —
 #: it is a first-class ``IndexSpec`` kwarg, not only a flat knob.
@@ -67,12 +68,13 @@ FLAT_INDEX_ALLOWED = frozenset({
     "tests/api/test_index_spec.py",  # asserts the flat-knob shim warns
 })
 
-#: ``IndexSpec`` must be imported from the public surface (``repro.api``
-#: or the ``repro.index`` package root), not from the internal module
-#: that defines it — the spec module's location is an implementation
-#: detail the API re-export insulates callers from.
+#: ``IndexSpec`` and ``ClusterSpec`` must be imported from the public
+#: surface (``repro.api``, or the ``repro.index`` package root), not from
+#: the internal modules that define them — a spec module's location is
+#: an implementation detail the API re-export insulates callers from.
 INDEX_SPEC_BANNED = re.compile(
-    r"^\s*(from\s+repro\.index\.spec\s+import\b|import\s+repro\.index\.spec\b)"
+    r"^\s*(from\s+repro\.(index|db)\.spec\s+import\b"
+    r"|import\s+repro\.(index|db)\.spec\b)"
 )
 
 INDEX_SPEC_ALLOWED: frozenset[str] = frozenset()
@@ -81,7 +83,6 @@ ALLOWED = frozenset({
     "benchmarks/test_batch_insert.py",
     "tests/analysis/test_chains.py",
     "tests/api/test_client.py",       # exercises the boundary itself
-    "tests/api/test_deprecation.py",  # asserts the legacy shim warns
     "tests/core/test_engine_rebuild.py",
     "tests/core/test_maintenance.py",
     "tests/db/test_batch_compression.py",
@@ -127,8 +128,8 @@ RULES = (
     (
         INDEX_SPEC_BANNED,
         INDEX_SPEC_ALLOWED,
-        "imports the internal spec module "
-        "(import IndexSpec from repro.api)",
+        "imports an internal spec module "
+        "(import IndexSpec / ClusterSpec from repro.api)",
     ),
 )
 
@@ -253,7 +254,35 @@ def find_violations() -> list[tuple[str, int, str, str]]:
                         violations.append(
                             (relative, number, line.strip(), message)
                         )
+    violations.extend(find_stale_allowlist_entries())
     return violations
+
+
+def find_stale_allowlist_entries() -> list[tuple[str, int, str, str]]:
+    """Allowlisted files that no longer do what they were excused for.
+
+    A migrated, renamed or deleted file must leave its allowlist in the
+    same change — that is what makes "shrink only" checked, not
+    remembered.
+    """
+    stale: list[tuple[str, int, str, str]] = []
+    for pattern, allowed, _message in RULES:
+        for relative in sorted(allowed):
+            path = REPO_ROOT / relative
+            lines = (
+                path.read_text(encoding="utf-8").splitlines()
+                if path.is_file()
+                else []
+            )
+            if not any(pattern.match(line) for line in lines):
+                stale.append((
+                    relative,
+                    0,
+                    "<allowlist>",
+                    "is allowlisted but no longer matches the banned "
+                    "pattern (drop its entry in tools/check_api_boundary.py)",
+                ))
+    return stale
 
 
 def main() -> int:
