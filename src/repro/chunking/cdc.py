@@ -16,8 +16,11 @@ Two lanes compute the same boundaries:
   (:func:`repro.chunking.scalar.scalar_boundaries`). This is the
   differential-testing *oracle*: slow, obvious, frozen.
 * **vectorized** — a numpy bulk sweep (:func:`~repro.hashing.gear.
-  gear_sweep`) computes the hash at every position in six shift-add
-  passes; only the sparse mask matches are visited in Python.
+  gear_sweep`) computes, at every position, the low bits of the hash
+  that the strict mask reads, in the narrowest unsigned dtype holding
+  them (uint8 at ``avg_size=64``: three shift-add passes over one byte
+  per position, not six over eight); Python then visits one chunk at a
+  time, finding its cut with ``bytes.find`` over the mask-test flags.
   :meth:`ContentDefinedChunker.boundaries_many` amortizes one padded
   sweep across the small records of a batch, and
   :meth:`~ContentDefinedChunker.boundaries` is its batch of one.
@@ -31,13 +34,12 @@ hybrid) holds regardless of lane.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.chunking.scalar import scalar_boundaries
-from repro.hashing.gear import GEAR_NP, WINDOW, gear_hashes, gear_sweep
+from repro.hashing.gear import gear_hashes, gear_sweep, gear_table_np
 
 #: Recognized ``impl`` values: the explicit lanes plus ``"auto"``, which
 #: resolves to the vectorized lane (numpy is a hard dependency; the
@@ -47,12 +49,6 @@ CHUNKER_IMPLS = ("scalar", "vectorized", "auto")
 #: Normalization level: the strict mask carries ``log2(avg) + 2`` low
 #: bits, the loose mask ``log2(avg) - 2`` (FastCDC's "NC 2" setting).
 NORMALIZATION_BITS = 2
-
-#: Zero entries inserted between records in the batched sweep, so one
-#: record's gear terms cannot bleed into the next record's first
-#: ``WINDOW - 1`` hash positions (a zero term contributes nothing at any
-#: shift).
-_BATCH_GAP = WINDOW - 1
 
 #: Records at or above this size skip the batched padded sweep and take
 #: the per-record path inside :meth:`ContentDefinedChunker.
@@ -129,6 +125,13 @@ class ContentDefinedChunker:
             )
         self.impl = impl
         self.strict_mask, self.loose_mask = normalized_masks(avg_size)
+        # The cut test reads no hash bit above the strict mask's, so the
+        # sweep runs in the narrowest dtype that holds it.
+        self._table = gear_table_np(self.strict_mask.bit_length())
+        # 0-d arrays: a ufunc takes them as they are, where a numpy
+        # scalar operand is converted on every call.
+        self._strict = np.array(self.strict_mask, dtype=self._table.dtype)
+        self._loose = np.array(self.loose_mask, dtype=self._table.dtype)
         self.bytes_scanned: dict[str, int] = {"scalar": 0, "vectorized": 0}
         self.bytes_skipped = 0
 
@@ -152,8 +155,9 @@ class ContentDefinedChunker:
         :data:`_BATCH_RECORD_CUTOFF` bytes, when there are at least two
         of them, share a *single* numpy sweep over their concatenation,
         amortizing the fixed dispatch cost that dominates small records;
-        they are separated by :data:`WINDOW` − 1 zero gear terms so no
-        record's hashes see its neighbour's bytes. Every other record
+        they are separated by one zero gear term short of the sweep's
+        bit width, so no record's hashes see its neighbour's bytes (a
+        zero term contributes nothing at any shift). Every other record
         gains nothing from amortization and is swept on its own. The
         scalar lane chunks record by record (it has no per-call setup
         worth amortizing).
@@ -168,17 +172,19 @@ class ContentDefinedChunker:
             for pos, data in enumerate(datas)
             if 0 < len(data) < _BATCH_RECORD_CUTOFF
         ]
+        table = self._table
         if len(small) > 1:
+            gap = 8 * table.itemsize - 1
             total = sum(len(datas[pos]) for pos in small)
-            padded = np.zeros(total + _BATCH_GAP * len(small), dtype=np.uint64)
+            padded = np.zeros(total + gap * len(small), dtype=table.dtype)
             offset = 0
             offsets = []
             for pos in small:
                 data = datas[pos]
                 offsets.append(offset)
                 buf = np.frombuffer(data, dtype=np.uint8)
-                padded[offset : offset + len(data)] = GEAR_NP[buf]
-                offset += len(data) + _BATCH_GAP
+                padded[offset : offset + len(data)] = table.take(buf)
+                offset += len(data) + gap
             gear_sweep(padded)
             for pos, offset in zip(small, offsets):
                 n = len(datas[pos])
@@ -188,7 +194,7 @@ class ContentDefinedChunker:
         for pos, data in enumerate(datas):
             if results[pos] is None:
                 results[pos] = self._cuts_from_hashes(
-                    gear_hashes(data), len(data)
+                    gear_hashes(data, table), len(data)
                 )
         self.bytes_scanned["vectorized"] += sum(map(len, datas))
         return results
@@ -206,39 +212,54 @@ class ContentDefinedChunker:
     def _cuts_from_hashes(self, hashes: np.ndarray, n: int) -> list[int]:
         """Normalized cut scan over a record's precomputed hash array.
 
-        Mask matches are extracted once with numpy; the per-chunk walk
-        then touches only those sparse candidates via :func:`bisect_left`.
-        Cut semantics mirror the scalar oracle exactly: hash index ``i``
-        ends a chunk at offset ``i + 1``; candidates live in
-        ``[start + min_size, hi]`` with ``hi = min(start + max_size, n)``;
-        the strict mask applies through ``start + avg_size``, the loose
-        mask after; no match forces the cut at ``hi`` (coinciding match
-        and forced cut emit one boundary).
+        The two mask tests run once over the whole array with numpy and
+        are handed to the walk as ``bytes`` of 0/1 flags; each chunk then
+        asks ``bytes.find`` (a ``memchr``) for the first strict match in
+        its strict window and, failing that, the first loose match past
+        it — no candidate is extracted, boxed or searched for that the
+        walk does not reach. Cut semantics mirror the scalar oracle
+        exactly: hash index ``i`` ends a chunk at offset ``i + 1``;
+        candidates live in ``[start + min_size, hi]`` with
+        ``hi = min(start + max_size, n)``; the strict mask applies
+        through ``start + avg_size``, the loose mask after; no match
+        forces the cut at ``hi`` (coinciding match and forced cut emit
+        one boundary).
+
+        The walk is split where ``hi`` changes meaning. While a whole
+        ``max_size`` window fits in the record, ``hi`` is
+        ``start + max_size`` and lies past ``start + avg_size``; in the
+        record's tail ``hi`` is ``n``, the end of the flags, which is
+        where ``find`` stops by itself. "No match" is ``find``'s ``-1``
+        in both, so neither loop needs a ``min()``, a length or a bound
+        check.
         """
-        loose_idx = np.nonzero((hashes & np.uint64(self.loose_mask)) == 0)[0]
-        # The strict mask's bits are a superset of the loose mask's, so
-        # strict matches are a subset of the loose candidates.
-        strict_idx = loose_idx[
-            (hashes[loose_idx] & np.uint64(self.strict_mask)) == 0
-        ]
-        loose_pos = (loose_idx + 1).tolist()
-        strict_pos = (strict_idx + 1).tolist()
+        strict_find = ((hashes & self._strict) == 0).tobytes().find
+        loose_find = ((hashes & self._loose) == 0).tobytes().find
+        min_size, avg_size, max_size = self.min_size, self.avg_size, self.max_size
+        # Offset ``p`` is hash index ``p - 1``: the first admissible cut,
+        # ``start + min_size``, is index ``start + skip``.
+        skip = min_size - 1
         cuts: list[int] = []
         start = 0
-        while n - start > self.min_size:
-            hi = min(start + self.max_size, n)
-            normal = start + self.avg_size
-            first = start + self.min_size
-            cut = hi
-            i = bisect_left(strict_pos, first)
-            if i < len(strict_pos) and strict_pos[i] <= min(normal, hi):
-                cut = strict_pos[i]
-            elif hi > normal:
-                j = bisect_left(loose_pos, normal + 1)
-                if j < len(loose_pos) and loose_pos[j] <= hi:
-                    cut = loose_pos[j]
-            cuts.append(cut)
-            start = cut
+        last_whole = n - max_size
+        while start <= last_whole:
+            normal = start + avg_size
+            index = strict_find(1, start + skip, normal)
+            if index < 0:
+                index = loose_find(1, normal, start + max_size)
+                if index < 0:
+                    index = start + max_size - 1
+            start = index + 1
+            cuts.append(start)
+        while n - start > min_size:
+            normal = start + avg_size
+            index = strict_find(1, start + skip, normal)
+            if index < 0:
+                index = loose_find(1, normal)
+                if index < 0:
+                    index = n - 1
+            start = index + 1
+            cuts.append(start)
         if start < n:
             cuts.append(n)
         return cuts

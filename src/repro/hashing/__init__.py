@@ -5,7 +5,7 @@ different speed/strength trade-off (§3.1.1, §4.2):
 
 * Gear hash — table-driven rolling hash for content-defined chunk
   boundaries (the hot path; one lookup + shift-add per byte, and a
-  six-pass numpy sweep in bulk).
+  log2(width)-pass numpy sweep in bulk, in the width the caller reads).
 * MurmurHash3 — cheap, non-cryptographic chunk identity for the similarity
   sketch (collisions are tolerable because delta compression verifies
   bytes); a frozen scalar oracle plus a block-parallel numpy lane that

@@ -13,7 +13,10 @@ two numpy lanes below, which must stay bit-identical to it:
 * :func:`murmur3_32_chunks` hashes every chunk of a record (or of a
   whole batch laid end to end) in one pass — the similarity sketch's hot
   path, where calling the scalar function once per 64 B chunk used to be
-  two thirds of ingest wall time;
+  two thirds of ingest wall time. It gathers and pre-mixes only the
+  4-byte blocks it folds (never the whole buffer at every byte offset),
+  walks them a column of chunks at a time, and leaves the last columns,
+  too narrow to be worth an array op, to a scalar block loop;
 * :func:`murmur3_32_u64_batch` is the bulk lane for the fixed
   8-byte-integer keys the feature index hashes by the million —
   byte-identical to calling :func:`murmur3_32` on
@@ -21,6 +24,8 @@ two numpy lanes below, which must stay bit-identical to it:
 """
 
 from __future__ import annotations
+
+from struct import unpack_from
 
 import numpy as np
 
@@ -70,18 +75,40 @@ def murmur3_32(data: bytes, seed: int = 0) -> int:
     return h
 
 
+def _u32(value: int) -> np.ndarray:
+    """A uint32 constant as a 0-d array.
+
+    A ufunc takes a 0-d array operand as it is; a ``np.uint32`` scalar
+    is converted on every call, which at ~100 elements an operand is
+    40 % of the call (0.27 vs 0.45 us measured).
+    """
+    return np.array(value, dtype=np.uint32)
+
+
+_U5, _U13, _U15, _U16, _U17, _U19 = map(_u32, (5, 13, 15, 16, 17, 19))
+_UC1, _UC2, _UN = _u32(_C1), _u32(_C2), _u32(0xE6546B64)
+_UF1, _UF2 = _u32(0x85EBCA6B), _u32(0xC2B2AE35)
+
 #: Keeps the low ``length & 3`` bytes of a chunk's final little-endian
 #: word — the murmur tail, for every remainder class at once.
 _TAIL_MASK = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF], dtype=np.uint32)
 
+#: A column of the walk below narrower than this many chunks is hashed
+#: by the scalar block loop instead: a column costs six ufunc dispatches
+#: however few chunks ride along, the loop ~0.75 us per block. It is the
+#: same crossover, and the same number, by which
+#: :mod:`repro.sketch.features` sends a whole narrow record to the scalar
+#: lane — see the measurements on its ``_VECTOR_MIN_WIDTH``.
+_COLUMN_MIN_WIDTH = 6
+
 
 def _premix(k):
     """The murmur block pre-mix ``rotl(k * c1, 15) * c2`` on a fresh array."""
-    k = k * np.uint32(_C1)
-    low = k >> np.uint32(17)
-    k <<= np.uint32(15)
+    k = k * _UC1
+    low = k >> _U17
+    k <<= _U15
     k |= low
-    k *= np.uint32(_C2)
+    k *= _UC2
     return k
 
 
@@ -96,14 +123,19 @@ def murmur3_32_chunks(buf, cuts, seed: int = 0):
     ``murmur3_32(buf[cuts[i - 1]:cuts[i]], seed)``.
 
     Murmur's body is a serial chain *within* a chunk but independent
-    *across* chunks, so the walk goes column by column: the
-    little-endian word at every byte offset is built and pre-mixed once
-    for the whole buffer (chunks start at arbitrary alignments, and no
-    padded chunk matrix is ever materialized), chunks are ordered
-    longest first so the ones still running are always a prefix, and
-    column *j* folds block *j* of every chunk that has one into its
-    running ``h`` — ``longest_chunk // 4`` iterations of a few array ops
-    over a shrinking prefix. Tails and the finalizer then run once over
+    *across* chunks, so the walk goes column by column. Chunks are
+    ordered longest first, so the ones still running are always a
+    prefix. The blocks are gathered once — each chunk's leading bytes
+    as one contiguous run, whatever its alignment, out of the
+    zero-padded buffer — into a ``(columns, chunks)`` word matrix whose
+    row *j* is block *j* of every chunk, and only those words are
+    pre-mixed, not every byte offset. Column *j* then folds the
+    contiguous prefix of row *j* into the running ``h`` of the chunks
+    that have a block *j*: six in-place array ops over a shrinking
+    prefix. The last columns, where fewer than
+    :data:`_COLUMN_MIN_WIDTH` chunks (the longest few) are still
+    running, never enter the matrix: their remaining blocks go through
+    the scalar block loop. Tails and the finalizer then run once over
     all chunks.
 
     Raises:
@@ -120,45 +152,68 @@ def murmur3_32_chunks(buf, cuts, seed: int = 0):
     if lengths.min() < 0 or ends[-1] > raw.size:
         raise ValueError("cuts must be ascending offsets within buf")
 
-    # words[i] is the little-endian uint32 at byte offset i, for every i
-    # in 0..len(buf): four strided copies of the zero-padded buffer, one
-    # per alignment class. The padding makes the word *at* a chunk's end
-    # offset readable, which is where an empty tail looks.
-    quads = raw.size // 4 + 1
-    padded = np.zeros(4 * quads + 4, dtype=np.uint8)
-    padded[: raw.size] = raw
-    words = np.empty(4 * quads, dtype=np.uint32)
-    for shift in range(4):
-        words[shift::4] = padded[shift : shift + 4 * quads].view("<u4")
-    mixed = _premix(words)
-
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
     offsets = starts[order]
     blocks = lengths >> 2
-    h = np.full(ends.size, seed & _MASK32, dtype=np.uint32)
-    # running[j]: how many chunks have more than j blocks.
-    running = ends.size - np.cumsum(np.bincount(blocks))
-    for width in running[:-1].tolist():
-        head = h[:width]
-        at = offsets[:width]
-        head ^= mixed[at]
-        at += 4
-        low = head >> np.uint32(19)
-        head <<= np.uint32(13)
-        head |= low
-        head *= np.uint32(5)
-        head += np.uint32(0xE6546B64)
+    # running[j]: how many chunks have more than j blocks (non-increasing).
+    running = (ends.size - np.cumsum(np.bincount(blocks)))[:-1].tolist()
+    columns = len(running)
+    while columns and running[columns - 1] < _COLUMN_MIN_WIDTH:
+        columns -= 1
 
-    # Every chunk's offset now points just past its last whole block. A
-    # zero tail pre-mixes to zero, so remainder class 0 needs no branch.
-    h ^= _premix(words[offsets] & _TAIL_MASK[lengths & 3])
+    # The padding makes the leading run of a chunk that ends sooner
+    # readable (entries past its last block are never folded in), and
+    # the word *at* a chunk's end offset, where an empty tail looks.
+    padded = np.zeros(raw.size + 4 * columns + 4, dtype=np.uint8)
+    padded[: raw.size] = raw
+
+    h = np.full(ends.size, seed & _MASK32, dtype=np.uint32)
+    if columns:
+        # runs[i] is the 4 * columns bytes from offset i: an overlapping
+        # view, so one fancy index copies every chunk's leading run.
+        runs = np.ndarray(
+            (raw.size + 1, 4 * columns), dtype=np.uint8, buffer=padded, strides=(1, 1)
+        )
+        mixed = _premix(np.ascontiguousarray(runs[offsets].view("<u4").T))
+        scratch = np.empty_like(h)
+        for j, width in enumerate(running[:columns]):
+            head = h[:width]
+            low = scratch[:width]
+            head ^= mixed[j, :width]
+            np.right_shift(head, _U19, out=low)
+            head <<= _U13
+            head |= low
+            head *= _U5
+            head += _UN
+    if columns < len(running):
+        narrow = running[columns]
+        states = h[:narrow].tolist()
+        for i, (at, count) in enumerate(
+            zip(offsets[:narrow].tolist(), blocks[:narrow].tolist())
+        ):
+            state = states[i]
+            for k in unpack_from(f"<{count - columns}I", padded, at + 4 * columns):
+                k = (k * _C1) & _MASK32
+                k = (((k << 15) | (k >> 17)) * _C2) & _MASK32
+                state ^= k
+                state = ((state << 13) | (state >> 19)) & _MASK32
+                state = (state * 5 + 0xE6546B64) & _MASK32
+            states[i] = state
+        h[:narrow] = states
+
+    # words[i] is the little-endian uint32 at byte offset i, unaligned.
+    # A zero tail pre-mixes to zero, so remainder class 0 needs no branch.
+    words = np.ndarray(raw.size + 1, dtype="<u4", buffer=padded, strides=(1,))
+    tails = words[offsets + (blocks << 2)]
+    tails &= _TAIL_MASK.take(lengths & 3)
+    h ^= _premix(tails)
     h ^= lengths.astype(np.uint32)
-    h ^= h >> np.uint32(16)
-    h *= np.uint32(0x85EBCA6B)
-    h ^= h >> np.uint32(13)
-    h *= np.uint32(0xC2B2AE35)
-    h ^= h >> np.uint32(16)
+    h ^= h >> _U16
+    h *= _UF1
+    h ^= h >> _U13
+    h *= _UF2
+    h ^= h >> _U16
     hashes = np.empty_like(h)
     hashes[order] = h
     return hashes

@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from repro.chunking.cdc import ContentDefinedChunker
-from repro.hashing.murmur import murmur3_32, murmur3_32_chunks
+from repro.hashing.murmur import _COLUMN_MIN_WIDTH, murmur3_32, murmur3_32_chunks
 
 #: Paper default: "We find K = 8 strikes a reasonable trade-off between
 #: compression ratio and memory usage."
@@ -35,16 +35,21 @@ DEFAULT_TOP_K = 8
 #: Lane threshold: chunks are hashed in one numpy pass when the bytes to
 #: hash are at least this many times the chunker's ``max_size``, i.e.
 #: when the column walk of ``murmur3_32_chunks`` is on average at least
-#: this many chunks wide. The walk pays a fixed ~50 µs of numpy dispatch
-#: plus ~5 µs per 4-byte column of the longest chunk however few chunks
-#: ride along, against ~0.8 µs per block for the scalar loop, so a narrow
-#: walk loses to it. Measured by ``benchmarks/regen_sketch_baseline.py``
-#: at 64 B chunks (``benchmarks/baselines/sketch_microbench.json``): 3.5x
-#: slower at width 1 (a 220 B OLTP row), 2x slower at 2, break-even
-#: to 1.25x faster at 4 (1 KB, ~15 chunks), 1.2-1.4x at 6, 1.8x at 8,
-#: 7x at ~40 (an 11 KB article). 6 is the first measured width that
-#: wins on every run.
-_VECTOR_MIN_WIDTH = 6
+#: this many chunks wide. It is the walk's own constant — the width
+#: below which a column of it falls back to the scalar block loop —
+#: applied to a whole record. Set from
+#: ``benchmarks/regen_sketch_baseline.py`` at 64 B chunks when a column
+#: cost ~5 µs against ~0.8 µs per scalar block: 3.5x slower at width 1
+#: (a 220 B OLTP row), break-even to 1.25x faster at 4, 6 the first
+#: width that won on every run. Since the walk gathers only the blocks
+#: it folds and runs its narrow columns scalar, a column costs ~2.4 µs
+#: and the record-level crossover has moved down to about 2
+#: (``benchmarks/baselines/sketch_microbench.json``: 0.8x at width 1,
+#: 1.15x at 2, 2.1x at 4, 2.9x at 6, 12x at ~40, an 11 KB article). The
+#: number stays 6 all the same: which lane hashed a chunk is exported
+#: (``sketch_chunks_hashed_total{lane}``), so moving it changes results
+#: and is a PR of its own (ROADMAP, smaller cuts).
+_VECTOR_MIN_WIDTH = _COLUMN_MIN_WIDTH
 
 #: Bytes hashed per numpy pass in :meth:`SketchExtractor.sketch_many`.
 #: The pass allocates ~9 bytes of temporaries per input byte; a slab
@@ -148,16 +153,22 @@ class SketchExtractor:
         counts = [len(record_cuts) for record_cuts in cuts]
         total = sum(counts)
         self.chunks_hashed["vectorized"] += total
-        ends = np.fromiter(chain.from_iterable(cuts), np.int64, count=total)
-        ends += np.repeat(np.cumsum([0] + sizes[:-1]), counts)
-        hashes = murmur3_32_chunks(b"".join(datas), ends, self.seed)
+        if len(datas) == 1:
+            # A slab of one is its own buffer and its own cut list.
+            hashes = murmur3_32_chunks(datas[0], cuts[0], self.seed)
+        else:
+            ends = np.fromiter(chain.from_iterable(cuts), np.int64, count=total)
+            ends += np.repeat(np.cumsum([0] + sizes[:-1]), counts)
+            hashes = murmur3_32_chunks(b"".join(datas), ends, self.seed)
+        hashes = hashes.tolist()
         sketches = []
         stop = 0
         for count in counts:
             start, stop = stop, stop + count
-            # np.unique sorts ascending and collapses duplicates.
-            top = np.unique(hashes[start:stop])[: -self.top_k - 1 : -1]
-            sketches.append(FeatureSketch(tuple(top.tolist()), count))
+            # A set collapses duplicates; ~150 values sort faster as
+            # Python ints than through np.unique.
+            top = sorted(set(hashes[start:stop]), reverse=True)[: self.top_k]
+            sketches.append(FeatureSketch(tuple(top), count))
         return sketches
 
     def _scalar_sketch(self, data: bytes, cuts: list[int]) -> FeatureSketch:

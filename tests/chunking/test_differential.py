@@ -27,22 +27,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
+from repro.chunking import cdc
 from repro.chunking.cdc import ContentDefinedChunker
 from repro.chunking.scalar import scalar_boundaries
-from repro.hashing.gear import WINDOW
+from repro.hashing.gear import GEAR, WINDOW
 from repro.sketch.features import SketchExtractor
 from repro.workloads.text import TextGenerator
 
 ARTIFACT_DIR = os.environ.get("CHUNKING_ARTIFACT_DIR", "chunking-artifacts")
 
 #: Size geometries the differential sweep exercises; (avg, min, max) with
-#: None meaning the chunker's defaults (avg // 4, avg * 4).
+#: None meaning the chunker's defaults (avg // 4, avg * 4). The vectorized
+#: lane sweeps in the narrowest dtype that holds the strict mask
+#: (``log2(avg) + 2`` bits), so the list sits on both sides of every
+#: dtype edge: 8 | 9 bits (64 | 128), 16 | 17 (16384 | 32768) and a
+#: 33-bit mask that needs uint64. The wide ones get a small ``min_size``
+#: so a test-sized record can be cut at all.
 GEOMETRIES = (
     (64, None, None),
     (8, None, None),
     (256, 200, 300),
     (64, 1, 64),
+    (128, None, None),
+    (16384, 16, None),
+    (32768, 16, None),
+    (2**31, 16, None),
 )
+
+#: Sweep dtype each geometry must land in (same order as GEOMETRIES).
+SWEEP_DTYPES = ("uint8", "uint8", "uint16", "uint8",
+                "uint16", "uint16", "uint32", "uint64")
+
+#: Longest record the near-boundary family draws: the scalar oracle runs
+#: at ~3 MB/s, and ``max_size`` of the widest geometry is 8 GB.
+NEAR_SIZE_CAP = 1 << 17
 
 
 def _dump_artifact(family: str, data: bytes, geometry) -> Path:
@@ -124,7 +142,7 @@ class TestDifferentialFamilies:
             "max": scalar.max_size,
             "2max": 2 * scalar.max_size,
         }[anchor]
-        length = max(0, base + jitter)
+        length = min(max(0, base + jitter), NEAR_SIZE_CAP)
         data = random.Random(seed).randbytes(length)
         assert_lanes_agree("nearsize", data, geometry)
 
@@ -152,12 +170,87 @@ class TestDifferentialFamilies:
         assert_sketches_agree(data, geometry)
 
 
-class TestBatchDifferential:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=12),
+def test_every_sweep_dtype_is_driven():
+    got = tuple(
+        make_chunkers(geometry)[1]._table.dtype.name for geometry in GEOMETRIES
     )
-    def test_boundaries_many_matches_both_lanes(self, seeds):
+    assert got == SWEEP_DTYPES
+    assert set(got) == {"uint8", "uint16", "uint32", "uint64"}
+
+
+class TestCutWalkEdges:
+    """The split walk: whole ``max_size`` windows, then the record's tail."""
+
+    #: (avg, min, max) with a ``max_size`` small enough to build records of.
+    SMALL = tuple(g for g in GEOMETRIES if make_chunkers(g)[0].max_size <= 1024)
+
+    @staticmethod
+    def inert_byte(scalar) -> int:
+        """A byte whose runs match neither mask: every cut is forced."""
+        three = [scalar.max_size * k for k in (1, 2, 3)]
+        for byte in range(256):
+            if scalar.boundaries(bytes([byte]) * three[-1]) == three:
+                return byte
+        raise AssertionError("no inert byte for this geometry")
+
+    @pytest.mark.parametrize("geometry", SMALL)
+    @pytest.mark.parametrize("windows", [0, 1, 2, 3])
+    def test_tail_lengths_around_min_size(self, geometry, windows):
+        scalar, _ = make_chunkers(geometry)
+        byte = bytes([self.inert_byte(scalar)])
+        forced = [scalar.max_size * k for k in range(1, windows + 1)]
+        for tail in sorted({0, 1, scalar.min_size - 1, scalar.min_size,
+                            scalar.min_size + 1, scalar.max_size - 1}):
+            n = windows * scalar.max_size + tail
+            cuts = assert_lanes_agree("tail", byte * n, geometry)
+            # With the record's length alone deciding which loop emits
+            # what: a tail shorter than a whole window is one last
+            # chunk, however short; no tail, no chunk.
+            assert cuts == forced + ([n] if tail else [])
+
+    @pytest.mark.parametrize("geometry", SMALL)
+    def test_record_of_exactly_max_size_is_one_chunk(self, geometry):
+        scalar, _ = make_chunkers(geometry)
+        for seed in range(20):
+            data = random.Random(seed).randbytes(scalar.max_size)
+            cuts = assert_lanes_agree("exactmax", data, geometry)
+            assert cuts[-1] == scalar.max_size
+            assert len(set(cuts)) == len(cuts)
+
+    # From tests/chunking/test_cdc.py: after 255 zero bytes, byte 29
+    # makes the hash match the loose mask at offset 256 == max_size.
+    COINCIDENT_BLOCK = b"\x00" * 255 + bytes([29])
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            # ... in the last whole window of the record,
+            (COINCIDENT_BLOCK, [256]),
+            # ... in a whole window with more of the record behind it,
+            (COINCIDENT_BLOCK + b"\x00" * 10, [256, 266]),
+            (COINCIDENT_BLOCK * 2, [256, 512]),
+            # ... and in the tail, where the match is the record's last
+            # byte and the "forced" cut is the end of the record.
+            (COINCIDENT_BLOCK[-101:], [101]),
+            (COINCIDENT_BLOCK + COINCIDENT_BLOCK[-101:], [256, 357]),
+        ],
+    )
+    def test_forced_cut_on_a_match_is_one_boundary(self, data, expected):
+        assert assert_lanes_agree("coincident", data) == expected
+
+    @pytest.mark.parametrize("avg_size", [16384, 32768])
+    def test_wide_masks_cut_long_records(self, avg_size):
+        # Long enough for the 16- and 17-bit strict masks to match.
+        data = random.Random(avg_size).randbytes(600_000)
+        cuts = assert_lanes_agree("wide", data, (avg_size, 64, None))
+        assert len(cuts) > 600_000 // (4 * avg_size)
+        sizes = [b - a for a, b in zip([0] + cuts, cuts)]
+        assert max(sizes) < 4 * avg_size  # cut by a mask, not by the clamp
+
+
+class TestBatchDifferential:
+    @staticmethod
+    def check_batch(geometry, seeds):
         rng = random.Random(99)
         datas = []
         for seed in seeds:
@@ -170,11 +263,65 @@ class TestBatchDifferential:
                 datas.append(sub.randbytes(n))
             else:
                 datas.append(rng.randbytes(sub.randrange(0, 40)))
-        scalar, vector = make_chunkers((64, None, None))
+        scalar, vector = make_chunkers(geometry)
         batch_scalar = scalar.boundaries_many(datas)
         batch_vector = vector.boundaries_many(datas)
         sequential = [vector.boundaries(d) for d in datas]
         assert batch_scalar == batch_vector == sequential
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=12),
+    )
+    def test_boundaries_many_matches_both_lanes(self, seeds):
+        self.check_batch(GEOMETRIES[0], seeds)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES[1:])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=12),
+    )
+    def test_boundaries_many_matches_both_lanes_at_every_geometry(
+        self, geometry, seeds
+    ):
+        self.check_batch(geometry, seeds)
+
+    def test_padded_gap_is_as_wide_as_the_sweep_reads(self):
+        # min_size=1 makes hash index 0 a candidate, and the 8-bit strict
+        # mask reads the top bit of the uint8 sweep: the one position and
+        # bit that a gap one term too short would let a neighbour reach.
+        # GEAR[27] has a zero low byte (a strict match on a record's
+        # first byte), GEAR[160] has 0x80 there (one odd term from the
+        # previous record, shifted seven times, would make it match).
+        geometry = (64, 1, 64)
+        assert GEAR[27] & 0xFF == 0 and GEAR[160] & 0xFF == 0x80 and GEAR[2] & 1
+        rng = random.Random(5)
+        datas = [
+            rng.randbytes(90) + b"\x02",
+            b"\xa0" + rng.randbytes(70) + b"\x02",
+            b"\x1b" + rng.randbytes(50) + b"\x02",
+            b"\xa0",
+        ]
+        scalar, vector = make_chunkers(geometry)
+        batched = vector.boundaries_many(datas)
+        assert batched == scalar.boundaries_many(datas)
+        assert batched[1][0] > 1 and batched[2][0] == 1 and batched[3] == [1]
+
+    @pytest.mark.parametrize("avg_size", [64, 128, 16384, 32768])
+    def test_padded_sweep_at_every_dtype(self, avg_size, monkeypatch):
+        # Raise the routing cutoff so records long enough to be cut at
+        # the wide masks share the padded sweep; the gap between them is
+        # one term short of the dtype's width, so a neighbour's bytes
+        # must not reach the first hashes of the next record.
+        monkeypatch.setattr(cdc, "_BATCH_RECORD_CUTOFF", 1 << 20)
+        rng = random.Random(avg_size)
+        datas = [rng.randbytes(rng.randrange(1, 60_000)) for _ in range(6)]
+        datas += [b"", b"\xff" * 40, rng.randbytes(1)]
+        scalar, vector = make_chunkers((avg_size, 16, None))
+        batched = vector.boundaries_many(datas)
+        assert batched == scalar.boundaries_many(datas)
+        assert batched == [vector.boundaries(d) for d in datas]
+        assert max(map(len, batched)) > 1  # some record was cut by a mask
 
     def test_sketch_many_lane_equivalence(self, wiki_corpus):
         datas = [

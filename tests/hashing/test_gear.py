@@ -13,7 +13,9 @@ from repro.hashing.gear import (
     WINDOW,
     GearHasher,
     gear_hashes,
+    gear_sweep,
     gear_table,
+    gear_table_np,
 )
 
 
@@ -103,3 +105,55 @@ class TestVectorizedGear:
         for byte in data[position - WINDOW + 1 : position + 1]:
             value = hasher.update(byte)
         assert value == int(full[position])
+
+
+class TestNarrowSweep:
+    """The sweep in a dtype just wide enough for the bits a caller reads."""
+
+    @pytest.mark.parametrize(
+        "bits, dtype",
+        [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
+         (17, np.uint32), (32, np.uint32), (33, np.uint64), (64, np.uint64)],
+    )
+    def test_narrowest_table_that_holds_the_bits(self, bits, dtype):
+        table = gear_table_np(bits)
+        assert table.dtype == dtype
+        assert table.tolist() == [v % (1 << 8 * table.itemsize) for v in GEAR]
+
+    def test_full_width_is_the_default_table(self):
+        assert gear_table_np() is GEAR_NP
+        assert gear_hashes(b"xyz").dtype == np.uint64
+
+    @pytest.mark.parametrize("bits", [0, -1, 65])
+    def test_rejects_widths_the_hash_does_not_have(self, bits):
+        with pytest.raises(ValueError):
+            gear_table_np(bits)
+
+    @given(data=st.binary(min_size=0, max_size=400), bits=st.integers(1, 64))
+    def test_property_narrow_sweep_is_the_low_bits(self, data, bits):
+        narrow = gear_hashes(data, gear_table_np(bits))
+        assert narrow.dtype == gear_table_np(bits).dtype
+        mask = (1 << bits) - 1
+        full = gear_hashes(data)
+        assert [v & mask for v in narrow.tolist()] == [
+            v & mask for v in full.tolist()
+        ]
+        # Every bit the dtype holds is right, not only the ones asked for.
+        assert narrow.tolist() == [
+            v % (1 << 8 * narrow.itemsize) for v in full.tolist()
+        ]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_zero_terms_keep_records_apart(self, dtype):
+        # One zero term short of the dtype's width between two records
+        # in one array: the second record's hashes are those of its own
+        # sweep (the padded batch path of the chunker relies on it).
+        width = 8 * np.dtype(dtype).itemsize
+        table = gear_table_np(width)
+        first, second = random_bytes(300, seed=5), random_bytes(200, seed=6)
+        shared = np.zeros(300 + (width - 1) + 200, dtype=dtype)
+        shared[:300] = table.take(np.frombuffer(first, dtype=np.uint8))
+        shared[-200:] = table.take(np.frombuffer(second, dtype=np.uint8))
+        gear_sweep(shared)
+        assert shared[:300].tolist() == gear_hashes(first, table).tolist()
+        assert shared[-200:].tolist() == gear_hashes(second, table).tolist()

@@ -10,7 +10,13 @@ families below aim at the places a column walk can go wrong:
 2. chunks at exactly the chunker's ``max_size`` (the longest column run),
 3. constant and high-bit bytes (sign extension, uint32 wrap-around),
 4. a batch mixing empty, one-chunk and slab-straddling records,
-5. hypothesis-drawn ``(data, cuts, seed)`` including seeds >= 2**31.
+5. hypothesis-drawn ``(data, cuts, seed)`` including seeds >= 2**31,
+6. length profiles on both sides of the scalar tail: the walk's last
+   columns, where fewer chunks are still running than a vector column
+   is worth, finish in a Python block loop — one long chunk among many
+   short ones (all tail past the short ones' blocks), equal lengths (no
+   tail), fewer chunks than the tail width (no vector column at all),
+   chunks of 0-3 bytes (no block at all).
 
 On a mismatch the offending input is written to
 ``$CHUNKING_ARTIFACT_DIR`` (default ``chunking-artifacts/``), the
@@ -28,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chunking.cdc import ContentDefinedChunker
+from repro.hashing import murmur
 from repro.hashing.murmur import murmur3_32, murmur3_32_chunks
 from repro.sketch import features
 from repro.sketch.features import FeatureSketch, SketchExtractor
@@ -139,6 +146,59 @@ class TestChunkLaneFamilies:
         cuts = sorted(int(f * len(data)) for f in fractions)
         assert_lanes_agree("arbitrary", data, cuts, seed)
 
+    @pytest.mark.parametrize("position", [0, 50, 100])
+    def test_one_long_chunk_among_a_hundred_short_ones(self, position):
+        # Columns 0..2 are 101 chunks wide; from column 3 on, the 256 B
+        # chunk runs alone: 61 blocks of scalar tail behind 3 of vector.
+        lengths = [12 + i % 4 for i in range(100)]
+        lengths.insert(position, 256)
+        cuts = [sum(lengths[: i + 1]) for i in range(len(lengths))]
+        data = random.Random(position).randbytes(cuts[-1])
+        assert_lanes_agree("onelong", data, cuts, 0x5EED)
+
+    @pytest.mark.parametrize("length", [4, 7, 64, 255, 256])
+    @pytest.mark.parametrize("count", [1, 5, 6, 40])
+    def test_equal_lengths_have_no_tail_or_nothing_else(self, length, count):
+        # Every column is ``count`` wide: all vector at 6 and above, all
+        # scalar tail below (no vector column at all).
+        data = random.Random(length * count).randbytes(length * count + 5)
+        cuts = [length * (i + 1) for i in range(count)]
+        assert_lanes_agree("equal", data, cuts, 0xFFFFFFFF)
+
+    @settings(max_examples=100)
+    @given(
+        lengths=st.lists(st.integers(0, 300), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_few_chunks_around_the_tail_width(self, lengths, seed):
+        # 1..12 chunks: the first column is narrower than, exactly, or
+        # wider than the tail width, and the walk hands over anywhere.
+        assert murmur._COLUMN_MIN_WIDTH == 6
+        cuts = [sum(lengths[: i + 1]) for i in range(len(lengths))]
+        data = random.Random(seed).randbytes(cuts[-1])
+        assert_lanes_agree("few", data, cuts, seed)
+
+    @settings(max_examples=60)
+    @given(
+        lengths=st.lists(st.integers(0, 3), min_size=1, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunks_too_short_for_a_block(self, lengths, seed):
+        cuts = [sum(lengths[: i + 1]) for i in range(len(lengths))]
+        data = random.Random(seed).randbytes(cuts[-1] + 2)
+        assert_lanes_agree("noblock", data, cuts, seed)
+
+    @pytest.mark.parametrize("make", [bytes, bytearray, memoryview])
+    def test_buffer_kinds_on_both_sides_of_the_tail(self, make):
+        data = random.Random(3).randbytes(2000)
+        for cuts in (
+            [300],                                   # scalar tail only
+            list(range(64, 1921, 64)),               # vector columns only
+            list(range(20, 1001, 20)) + [1300, 2000],  # both
+        ):
+            want = oracle(data, cuts, 9)
+            assert murmur3_32_chunks(make(data), cuts, 9).tolist() == want
+
     def test_no_chunks(self):
         assert murmur3_32_chunks(b"abc", [], 7).tolist() == []
         assert murmur3_32_chunks(b"", [], 7).dtype == np.uint32
@@ -154,6 +214,18 @@ class TestChunkLaneFamilies:
     def test_rejects_cuts_outside_the_buffer(self, cuts):
         with pytest.raises(ValueError):
             murmur3_32_chunks(b"abcd", cuts)
+
+    @pytest.mark.parametrize(
+        "cuts",
+        [
+            list(range(10, 101, 10)) + [95],     # not ascending, vector-wide
+            list(range(10, 101, 10)) + [2001],   # past the end, vector-wide
+            [1999, 2001],                        # past the end, tail only
+        ],
+    )
+    def test_rejects_bad_cuts_at_any_width(self, cuts):
+        with pytest.raises(ValueError):
+            murmur3_32_chunks(bytes(2000), cuts)
 
 
 @pytest.fixture(scope="module")

@@ -67,3 +67,27 @@ def test_trace_summary_is_the_median_per_side():
         "storage.self_s": {"parent": 2.2, "change": 0.8},
         "storage.calls": {"parent": 32018, "change": 32018},
     }
+
+
+def test_spread_over_seeds_is_judged_against_the_bound():
+    specs = [
+        {"name": "workload_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    ]
+    # PR 21 as the driver saw it: 141 MB at most seeds, 124 MB at seeds
+    # 3, 6 and 9 — steady to 0.1 MB in ten pairs at any one seed.
+    rss = [141.2, 141.1, 124.3, 141.2, 141.3, 124.2, 141.2, 141.1, 124.4, 141.2]
+    runs = [
+        {"seed": seed, "metrics": {"workload_s": 2.0 + seed / 100, "peak_rss_mb": mb}}
+        for seed, mb in enumerate(rss, start=1)
+    ]
+    summary = ab_wall.summarize_spread(runs, specs)
+    assert summary["workload_s"]["steady"]
+    row = summary["peak_rss_mb"]
+    assert not row["steady"]
+    assert row["iqr"] == pytest.approx(row["q3"] - row["q1"])
+    assert row["iqr"] > row["bound"] * row["median"]
+    # The same metric once the high-water mark no longer depends on the seed.
+    for run in runs:
+        run["metrics"]["peak_rss_mb"] = 124.0 + run["seed"] / 10
+    assert ab_wall.summarize_spread(runs, specs)["peak_rss_mb"]["steady"]

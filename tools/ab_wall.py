@@ -2,7 +2,7 @@
 """Paired A/B of the wall-clock benchmark between two revisions.
 
     python tools/ab_wall.py <parent-rev> <change-rev> --pairs 10 \\
-        [--workload W ...] [--seed S ...] [--trace N] \\
+        [--workload W ...] [--seed S ...] [--trace N] [--spread N] \\
         [--out benchmarks/trajectory/pr-N.json]
 
 Exports both revisions into a scratch directory (``git archive``: nothing
@@ -37,6 +37,16 @@ side: where the trace puts a saving, measured in the same session as
 the verdicts. Traced wall times carry the tracing overhead and feed no
 verdict.
 
+``--spread N`` adds, per workload, one single-round run of the change at
+each of the seeds 1..N. The pairs hold the seed fixed, so they cannot
+see a metric that is steady at one seed and jumps between seeds; the
+benchmark driver runs ten different seeds and refuses a metric whose
+quartiles over them are further apart than its bound. Each metric's
+median, quartiles and ``steady`` (inter-quartile distance within
+``bound`` x median) go under the document's ``spread`` key, and an
+unsteady one is printed as such. The exact counters depend on the seed
+and are judged like the rest.
+
 To measure uncommitted work, pass ``$(git stash create)`` as the change
 revision after ``git add -A``.
 """
@@ -59,6 +69,10 @@ SIDES = ("parent", "change")
 #: Counters every run of one workload x seed must reproduce bit for bit,
 #: on both sides (``benchmarks/wall/run.py::EXACT``).
 EXACT = ("storage_ratio", "network_ratio", "index_bytes_per_record")
+
+#: ``--seconds`` of a spread run: short enough that run.py stops after
+#: its first round.
+SPREAD_SECONDS = 1
 
 #: What a traced run keeps: each layer's self time, call count and share.
 LAYER_SUFFIXES = (".self_s", ".calls", ".share")
@@ -114,8 +128,8 @@ def run_once(
     }
 
 
-def _side_summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+def _side_summary(values: list[float], method: str = "inclusive") -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method=method)
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
@@ -170,6 +184,39 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
     return summary
 
 
+def summarize_spread(runs: list[dict], specs: list[dict]) -> dict:
+    """Per metric over runs at different seeds: quartiles against the bound."""
+    summary = {}
+    for spec in specs:
+        # The exclusive method puts the quartiles further apart than the
+        # inclusive one the pairs use; of the two it is the one that
+        # reproduces the refusal of PR 21 (three seeds of ten at 124 MB,
+        # seven at 141: 16.9 MB apart against 12.6), so the check errs
+        # on the driver's side.
+        row = _side_summary(
+            [run["metrics"][spec["name"]] for run in runs], method="exclusive"
+        )
+        row["iqr"] = row["q3"] - row["q1"]
+        row["bound"] = spec["bound"]
+        row["steady"] = row["iqr"] <= spec["bound"] * abs(row["median"])
+        summary[spec["name"]] = row
+    return summary
+
+
+def run_spread(checkout: Path, workload: str, seeds: range) -> list[dict]:
+    """One round of ``workload`` per seed, on one side."""
+    runs = []
+    for seed in seeds:
+        run = run_once(checkout, workload, seed, SPREAD_SECONDS)
+        runs.append({"seed": seed, **run})
+        print(
+            f"{workload} spread seed {seed} workload_s "
+            f"{run['metrics']['workload_s']:.3f} failed {run['failed']}",
+            file=sys.stderr, flush=True,
+        )
+    return runs
+
+
 def run_pairs(checkouts, workload, seed, seconds, pairs, trace=False) -> list[dict]:
     """``pairs`` parent/change pairs, alternating which side goes first."""
     runs = []
@@ -221,6 +268,9 @@ def parse(argv: list[str]) -> argparse.Namespace:
                         help="repeatable; default: 7")
     parser.add_argument("--trace", type=int, default=0, metavar="N",
                         help="also N traced pairs per workload and seed (default: 0)")
+    parser.add_argument("--spread", type=int, default=0, metavar="N",
+                        help="also one round of the change at each seed 1..N, "
+                             "per workload (default: 0)")
     parser.add_argument("--seconds", type=float,
                         help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--out", help="write the document here (default: stdout only)")
@@ -229,6 +279,8 @@ def parse(argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs a side)")
+    if args.spread == 1:
+        parser.error("--spread must be 0 or at least 2 (quartiles need two runs)")
     return args
 
 
@@ -276,6 +328,19 @@ def main(argv: list[str]) -> int:
                     problems.extend(failures(workload, seed, traced))
                     entry["trace"] = {"summary": summarize_trace(traced), "runs": traced}
                 doc["workloads"].setdefault(workload, {})[f"seed-{seed}"] = entry
+            if args.spread:
+                spread = run_spread(
+                    checkouts["change"], workload, range(1, args.spread + 1)
+                )
+                problems.extend(
+                    f"{workload} spread seed {run['seed']}: "
+                    f"failed {run['failed']}, correct {run['correct']}"
+                    for run in spread if run["failed"] or not run["correct"]
+                )
+                doc.setdefault("spread", {})[workload] = {
+                    "summary": summarize_spread(spread, contract["end_to_end"]),
+                    "runs": spread,
+                }
         doc["problems"] = problems
 
     for workload, seeds_doc in doc["workloads"].items():
@@ -297,6 +362,14 @@ def main(argv: list[str]) -> int:
                     f" -> {traced[layer + suffix]['change']:.4g}"
                     for suffix in LAYER_SUFFIXES
                 ))
+    for workload, spread in doc.get("spread", {}).items():
+        for metric, row in spread["summary"].items():
+            print(
+                f"{workload:18s} spread   {metric:24s} "
+                f"change {row['median']:10.4f} [{row['q1']:.4f} .. {row['q3']:.4f}]  "
+                f"iqr {row['iqr'] / abs(row['median']):6.1%} of median, bound "
+                f"{row['bound']:.0%}  {'steady' if row['steady'] else 'UNSTEADY'}"
+            )
     for problem in problems:
         print(f"ERROR {problem}")
     if args.out:
