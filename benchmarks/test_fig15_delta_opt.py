@@ -45,6 +45,6 @@ def test_fig15_throughput_kernel(benchmark):
     source, target = revision_pairs(count=1, body_bytes=10_000, seed=3)[0]
     compressor = DeltaCompressor(anchor_interval=64)
     delta = benchmark(compressor.compress, source, target)
-    from repro.delta.decode import apply_delta
+    from repro.delta.decode import apply_payload
 
-    assert apply_delta(source, delta) == target
+    assert apply_payload(source, delta) == target

@@ -80,21 +80,21 @@ def test_delta_compress_32k(benchmark, corpus):
     base, target = corpus
     compressor = DeltaCompressor(anchor_interval=64)
     delta = benchmark(compressor.compress, base, target)
-    assert apply_delta(base, delta) == target
+    assert apply_payload(base, delta) == target
 
 
 def test_delta_reencode_32k(benchmark, corpus):
     base, target = corpus
     forward = DeltaCompressor(anchor_interval=64).compress(base, target)
     backward = benchmark(delta_reencode, base, forward)
-    assert apply_delta(target, backward) == base
+    assert apply_payload(target, backward) == base
 
 
 def test_delta_decode_32k(benchmark, corpus):
     base, target = corpus
-    from repro.delta.instructions import deserialize, serialize
+    from repro.delta.instructions import deserialize
 
-    payload = serialize(DeltaCompressor(anchor_interval=64).compress(base, target))
+    payload = DeltaCompressor(anchor_interval=64).compress(base, target)
     insts = deserialize(payload)
     result = benchmark(apply_delta, base, insts)
     assert result == target
@@ -276,16 +276,14 @@ def test_delta_encode_anchor_only_vs_oracle():
         PYTHONPATH=src python benchmarks/regen_delta_baseline.py
     """
     import regen_delta_baseline as bench
-    from repro.delta.reference import OracleDeltaCompressor
 
     baseline = json.loads(bench.BASELINE.read_text(encoding="utf-8"))
     pairs = bench.pairs()
-    oracle, encoder = OracleDeltaCompressor(64), DeltaCompressor(64)
+    oracle, encoder = bench.oracle_payload(64), DeltaCompressor(64).compress
     for source, target in pairs:
-        assert encoder.compress(source, target) == oracle.compress(source, target)
+        assert encoder(source, target) == oracle(source, target)
 
-    oracle_mb_s = bench.encode_mb_s(oracle, pairs, repeat=3)
-    encoder_mb_s = bench.encode_mb_s(encoder, pairs, repeat=3)
+    encoder_mb_s, oracle_mb_s = bench.encode_speedup(encoder, oracle, pairs, repeat=3)
     assert encoder_mb_s >= 2.0 * oracle_mb_s, (
         f"encoder {encoder_mb_s:.1f} MB/s < 2x oracle {oracle_mb_s:.1f} MB/s"
     )
@@ -293,6 +291,38 @@ def test_delta_encode_anchor_only_vs_oracle():
     assert encoder_mb_s >= 2.0 * committed, (
         f"encoder {encoder_mb_s:.1f} MB/s < 2x committed oracle "
         f"baseline {committed:.1f} MB/s"
+    )
+
+
+def test_delta_encode_quoted_replies_vs_oracle():
+    """On the pairs a seeded ``enron`` ingest encodes (>= 10 matches per
+    encode) the encoder must stay >= 2.5x
+    ``serialize(OracleDeltaCompressor.compress(...))``.
+
+    This is where per-match cost shows: every quoted line is its own
+    match. Measured on CPython 3.11 on a noisy 2-core x86-64 host, best
+    of 15 interleaved passes: the encoder before the galloping ``bytes``
+    extension and the direct payload writer (``serialize`` of its
+    instruction list) read 2.03-2.80x the oracle in 18 runs, median 2.3x
+    (3 of them at or above the floor); after it 2.71-4.15x in 31 runs,
+    median 3.5x. Both sides are pure functions of the same pairs in the
+    same process, so the ratio tracks the code more than the host's
+    speed, though a slow phase can still fall on one side's passes. The
+    floor is unverified on CPython 3.10 and 3.12, which CI runs; ROADMAP
+    keeps that check open.
+    """
+    import regen_delta_baseline as bench
+
+    mails = bench.enron_pairs()
+    assert bench.matches_per_encode(mails) >= 10
+    oracle, encoder = bench.oracle_payload(64), DeltaCompressor(64).compress
+    for source, target in mails:
+        assert encoder(source, target) == oracle(source, target)
+
+    encoder_mb_s, oracle_mb_s = bench.encode_speedup(encoder, oracle, mails)
+    assert encoder_mb_s >= 2.5 * oracle_mb_s, (
+        f"encoder {encoder_mb_s:.1f} MB/s < 2.5x oracle {oracle_mb_s:.1f} MB/s "
+        "on quoted replies"
     )
 
 

@@ -32,6 +32,7 @@ from repro.db import Cluster, Database, RunResult
 from repro.delta import (
     DeltaCompressor,
     apply_delta,
+    apply_payload,
     delta_reencode,
     xdelta_compress,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "RunResult",
     "DeltaCompressor",
     "apply_delta",
+    "apply_payload",
     "delta_reencode",
     "xdelta_compress",
     "Operation",

@@ -64,14 +64,15 @@ class DeltaSweepResult:
         )
 
 
-def _measure(compress, pairs) -> DeltaSweepRow:
+def _measure(compress, size, pairs) -> tuple[int, int, float]:
+    """Target bytes, delta bytes (``size`` of each result) and seconds."""
     raw = 0
     compressed = 0
     start = time.perf_counter()
     for src, tgt in pairs:
         delta = compress(src, tgt)
         raw += len(tgt)
-        compressed += encoded_size(delta)
+        compressed += size(delta)
     elapsed = time.perf_counter() - start
     return raw, compressed, elapsed
 
@@ -86,7 +87,7 @@ def fig15(
     pairs = revision_pairs(count=pair_count, body_bytes=body_bytes, seed=seed)
     rows: list[DeltaSweepRow] = []
 
-    raw, compressed, elapsed = _measure(xdelta_compress, pairs)
+    raw, compressed, elapsed = _measure(xdelta_compress, encoded_size, pairs)
     rows.append(
         DeltaSweepRow(
             label="xDelta",
@@ -96,7 +97,7 @@ def fig15(
     )
     for interval in anchor_intervals:
         compressor = DeltaCompressor(anchor_interval=interval)
-        raw, compressed, elapsed = _measure(compressor.compress, pairs)
+        raw, compressed, elapsed = _measure(compressor.compress, len, pairs)
         rows.append(
             DeltaSweepRow(
                 label=f"anchor-{interval}",

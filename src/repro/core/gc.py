@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from repro.db.errors import CorruptChain
 from repro.db.record import RecordForm, StoredRecord
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.instructions import serialize
 from repro.sim.costs import CostModel
 
 #: Batch outcomes (the ``outcome`` label of ``gc_batches_total``).
@@ -331,9 +330,7 @@ class GarbageCollector:
         if action.grandbase_id is not None:
             for dep_id in action.dependent_ids:
                 content = dep_contents[dep_id]
-                payload = serialize(
-                    self._compressor.compress(base_content, content)
-                )
+                payload = self._compressor.compress(base_content, content)
                 reencoded_bytes += len(content)
                 dependents.append(
                     _PreparedDependent(
@@ -366,9 +363,7 @@ class GarbageCollector:
                 if dep_id == promoted_id:
                     continue
                 content = dep_contents[dep_id]
-                payload = serialize(
-                    self._compressor.compress(promoted_content, content)
-                )
+                payload = self._compressor.compress(promoted_content, content)
                 reencoded_bytes += len(content)
                 dependents.append(
                     _PreparedDependent(

@@ -21,7 +21,6 @@ from repro.cache.writeback import WriteBackEntry
 from repro.core.engine import DedupEngine
 from repro.db.database import Database
 from repro.db.record import RecordForm
-from repro.delta.instructions import serialize
 
 
 @dataclass
@@ -120,8 +119,7 @@ class BackgroundCompactor:
             report.no_source += 1
             return None
 
-        backward = self.engine.planner.compressor.compress(source_content, content)
-        payload = serialize(backward)
+        payload = self.engine.planner.compressor.compress(source_content, content)
         saving = record.stored_size - len(payload)
         if saving <= 0 or len(payload) >= len(content) * self.engine.config.min_savings_ratio:
             report.weak_delta += 1

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 
 from repro.cache.writeback import WriteBackEntry
 from repro.core.planner import CpuMeter
-from repro.delta.instructions import Delta, serialize
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
     from repro.core.engine import DedupEngine, EncodeResult, RecordProvider
@@ -84,7 +83,7 @@ class EncodeContext:
         candidates: per-feature index candidates.
         selected: the winning source record.
         source_content: the source's raw bytes.
-        forward / forward_payload: forward delta and its serialized form.
+        forward_payload: the forward delta in its wire format.
         writebacks / overlapped: write-back plan (§3.2.2 / Fig. 5).
         drop_reason / drop_stage: why and where the record left the dedup
             path (None while it is still in flight).
@@ -103,7 +102,6 @@ class EncodeContext:
     candidates: list[list[str]] | None = None
     selected: "SelectedSource | None" = None
     source_content: bytes | None = None
-    forward: Delta | None = None
     forward_payload: bytes | None = None
     writebacks: tuple[WriteBackEntry, ...] = ()
     overlapped: bool = False
@@ -338,10 +336,9 @@ class ForwardDeltaStage(_StageBase):
     def run(self, ctx: EncodeContext) -> None:
         """Compute the forward delta; drop weak savings."""
         ctx.meter.charge_delta(len(ctx.source_content) + ctx.raw_size)
-        ctx.forward = self.engine.planner.compressor.compress(
+        ctx.forward_payload = self.engine.planner.compressor.compress(
             ctx.source_content, ctx.content
         )
-        ctx.forward_payload = serialize(ctx.forward)
         min_ratio = self.engine.config.min_savings_ratio
         if len(ctx.forward_payload) >= ctx.raw_size * min_ratio:
             ctx.drop(self.name, DROP_WEAK_DELTA)
@@ -359,7 +356,7 @@ class WritebackPlanStage(_StageBase):
             ctx.selected.record_id,
             ctx.content,
             ctx.source_content,
-            ctx.forward,
+            ctx.forward_payload,
             ctx.provider,
             ctx.meter,
         )

@@ -6,7 +6,10 @@ the same backward-encoded delta ... These steps ensure that the secondary
 stores the same data as the primary node"). Centralizing the logic here is
 what guarantees that: both sides run this planner with the same
 configuration over the same ordered stream, so their chain registries and
-encodings evolve in lock-step.
+encodings evolve in lock-step. The forward delta enters as the wire
+payload the oplog carries, and Algorithm 2 reads it as such
+(:func:`~repro.delta.reencode.delta_reencode`): primary and secondary run
+the same function on the same bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from repro.cache.source_cache import SourceRecordCache
 from repro.cache.writeback import WriteBackEntry
 from repro.core.config import DedupConfig
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.instructions import Delta, serialize
 from repro.delta.reencode import delta_reencode
 from repro.encoding.chain import ChainRegistry, ReencodeAction
 from repro.encoding.policies import EncodingPolicy, make_policy
@@ -92,13 +94,16 @@ class WritebackPlanner:
         source_id: str,
         content: bytes,
         source_content: bytes,
-        forward: Delta,
+        forward_payload: bytes,
         provider,
         meter: CpuMeter,
     ) -> tuple[list[WriteBackEntry], bool]:
         """Extend the source's chain with the new record; emit write-backs.
 
-        Returns ``(writebacks, overlapped)``. In ``'forward'`` encoding mode
+        ``forward_payload`` is the wire-format delta ``source_content`` →
+        ``content`` — the bytes the oplog carries, so the primary and the
+        secondary run this on identical input. Returns ``(writebacks,
+        overlapped)``. In ``'forward'`` encoding mode
         (network-only dedup) storage stays raw and no write-backs are
         produced, but the chain is still tracked for cache maintenance.
         """
@@ -123,16 +128,15 @@ class WritebackPlanner:
             if action.target_id == source_id:
                 # Adjacent pair: Algorithm 2, memory-speed transformation.
                 meter.charge_reencode(len(source_content))
-                backward = delta_reencode(source_content, forward)
+                payload = delta_reencode(source_content, forward_payload)
             else:
                 target_content = self.fetch(action.target_id, provider)
                 if target_content is None:
                     continue
                 meter.charge_delta(len(target_content) + len(content))
-                backward = self.compressor.compress(content, target_content)
+                payload = self.compressor.compress(content, target_content)
                 if hop is not None:
                     self._retire_hop_base(action.target_id, position, hop)
-            payload = serialize(backward)
             saving = provider.stored_size(action.target_id) - len(payload)
             if saving <= 0:
                 # A delta bigger than the stored form helps nobody.

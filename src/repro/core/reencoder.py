@@ -20,8 +20,7 @@ from repro.cache.writeback import WriteBackEntry
 from repro.core.config import DedupConfig
 from repro.core.engine import RecordProvider
 from repro.core.planner import CpuMeter, WritebackPlanner
-from repro.delta.decode import apply_delta
-from repro.delta.instructions import deserialize
+from repro.delta.decode import apply_payload
 from repro.sim.costs import CostModel
 
 
@@ -76,11 +75,10 @@ class SecondaryReencoder:
         if base_content is None:
             self.decode_failures += 1
             return None
-        forward = deserialize(forward_payload)
         meter.charge_decode(len(base_content))
-        content = apply_delta(base_content, forward)
+        content = apply_payload(base_content, forward_payload)
         writebacks, _ = self.planner.plan(
-            record_id, base_id, content, base_content, forward, provider, meter
+            record_id, base_id, content, base_content, forward_payload, provider, meter
         )
         return ReencodeOutcome(
             record_id=record_id,

@@ -27,7 +27,7 @@ from repro.db.pagestore import PageStore
 from repro.db.record import RecordForm, StoredRecord
 from repro.delta.dbdelta import DeltaCompressor
 from repro.delta.decode import apply_delta, apply_payload
-from repro.delta.instructions import deserialize, serialize
+from repro.delta.instructions import deserialize
 from repro.sim.clock import SimClock
 from repro.sim.disk import SimDisk
 from repro.sim.faults import TransientIOError
@@ -614,10 +614,9 @@ class Database:
                 # Base decoded from the record cache: skip the splice this
                 # time; a later uncached read will do it.
                 continue
-            insts = self._gc_compressor.compress(
+            dependent.payload = self._gc_compressor.compress(
                 contents[grandbase.record_id], contents[dependent.record_id]
             )
-            dependent.payload = serialize(insts)
             dependent.base_id = grandbase.record_id
             grandbase.ref_count += 1
             self.pages.update(dependent.record_id, self._disk_image(dependent))

@@ -10,17 +10,20 @@ algorithmic differences only:
 * :mod:`repro.delta.dbdelta` — dbDedup's variant: only *anchor* offsets
   (checksum low bits match a pattern) are indexed and probed, trading a
   little ratio for a large speedup (Fig. 15). Full checksums are computed
-  at anchors only and the source index is one sorted array.
-* :mod:`repro.delta.reencode` — Algorithm 2: transform a forward delta into
-  the backward delta at memory speed, without re-running compression.
+  at anchors only, the source index is one sorted array, matches are
+  extended on ``bytes`` and ``compress`` returns the wire payload.
+* :mod:`repro.delta.reencode` — Algorithm 2: transform a forward payload
+  into the backward payload at memory speed, without re-running
+  compression.
 * :mod:`repro.delta.decode` — apply a delta to its base: ``apply_payload``
   straight from the wire format, ``apply_delta`` from an instruction list.
 * :mod:`repro.delta.reference` — what the encoders are tested against,
   imported by tests and benchmarks only: ``OracleDeltaCompressor`` (the
-  every-offset implementation ``dbdelta`` must match byte for byte) and
+  every-offset implementation ``dbdelta`` must match byte for byte),
+  ``oracle_delta_reencode`` (Algorithm 2 on instruction lists) and
   ``reference_compress`` (difflib, the ratio yardstick).
-* :mod:`repro.delta._matching` — bidirectional match extension shared by
-  the encoders.
+* :mod:`repro.delta._matching` — numpy match extension for xDelta and the
+  oracle.
 """
 
 from repro.delta.decode import apply_delta, apply_payload

@@ -1,11 +1,18 @@
-"""Shared match-extension helpers for the delta encoders.
+"""numpy match extension for classic xDelta and the frozen oracle.
 
-Once a candidate match offset pair is found via checksums, both encoders
-extend it with "bidirectional byte-wise comparison to determine the longest
-common sequence" (§4.2). The extension is vectorized: slices are compared
-in blocks and the first mismatch located with ``argmax`` on the inequality
-mask, so long matches cost O(match/block) numpy calls instead of a Python
-loop per byte.
+Once a candidate match offset pair is found via checksums, an encoder
+extends it with "bidirectional byte-wise comparison to determine the longest
+common sequence" (§4.2). Here the extension is vectorized: slices are
+compared in blocks and the first mismatch located with ``argmax`` on the
+inequality mask, so long matches cost O(match/block) numpy calls instead of
+a Python loop per byte.
+
+Only :mod:`repro.delta.xdelta` and
+:class:`repro.delta.reference.OracleDeltaCompressor` use it. The
+production encoder extends on ``bytes`` instead
+(:func:`repro.delta.dbdelta.extend_forward` /
+:func:`~repro.delta.dbdelta.extend_backward`), which the differential
+tests hold to these two functions' results.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Delta decompression (§4.2): replay COPY/INSERT instructions over a base.
 
 Two entry points with one meaning: :func:`apply_payload` decodes a
-wire-format delta straight into bytes, for callers that only want the
-content (it lives beside the format in :mod:`repro.delta.instructions` and
-is re-exported here); :func:`apply_delta` replays an instruction list, for
-callers that need the instructions as objects anyway (the re-encoder, the
-encoders' tests). ``apply_payload(base, p) == apply_delta(base,
+wire-format delta straight into bytes (it lives beside the format in
+:mod:`repro.delta.instructions` and is re-exported here) — the
+secondary's re-encoder, oplog replay and GC validation use it;
+:func:`apply_delta` replays an instruction list, for callers that hold
+instructions anyway (classic xDelta's and the oracles' tests, and
+``Database._materialize``, which still decodes each hop through
+``deserialize``). ``apply_payload(base, p) == apply_delta(base,
 deserialize(p))`` for every payload, and both raise ``ValueError`` on the
 same malformed ones.
 """

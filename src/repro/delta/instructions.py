@@ -13,6 +13,15 @@ Wire format (what gets stored in pages and shipped in oplog batches)::
 
 The format is self-delimiting; a delta is just the concatenation of its
 instructions.
+
+The write path never builds instruction objects: the encoder hands its
+matches to :func:`emit_payload`, the re-encoder reads the forward COPYs
+with :func:`payload_copies`, and the secondary rebuilds records with
+:func:`apply_payload`; all three read or write varints of one and two
+bytes inline. ``InsertInst`` / ``CopyInst`` lists with :func:`serialize`,
+:func:`deserialize` and :func:`coalesce` remain for classic xDelta, the
+frozen oracles in :mod:`repro.delta.reference` and the read path's
+chain decode.
 """
 
 from __future__ import annotations
@@ -103,6 +112,8 @@ def apply_payload(base: bytes, payload: bytes) -> bytes:
     The same walk as :func:`deserialize`, but slices of ``base`` and of
     ``payload`` itself are joined directly, without instruction objects in
     between: ``apply_payload(base, p) == apply_delta(base, deserialize(p))``.
+    Varints of one and two bytes are decoded inline; a payload that ends
+    inside one raises like :func:`decode_uvarint` would.
 
     Raises:
         ValueError: on a truncated varint or INSERT, an unknown
@@ -114,28 +125,158 @@ def apply_payload(base: bytes, payload: bytes) -> bytes:
     limit = len(base)
     end = len(payload)
     pos = 0
-    while pos < end:
-        tag = payload[pos]
-        pos += 1
-        if tag == _TAG_COPY:
-            offset, pos = decode_uvarint(payload, pos)
-            length, pos = decode_uvarint(payload, pos)
-            stop = offset + length
-            if stop > limit:
-                raise ValueError(
-                    f"COPY [{offset}, {stop}) outside base of {limit} bytes"
-                )
-            parts.append(base[offset:stop])
-        elif tag == _TAG_INSERT:
-            length, pos = decode_uvarint(payload, pos)
-            stop = pos + length
-            if stop > end:
-                raise ValueError("truncated INSERT payload")
-            parts.append(payload[pos:stop])
-            pos = stop
-        else:
-            raise ValueError(f"unknown delta instruction tag 0x{tag:02x}")
+    try:
+        while pos < end:
+            tag = payload[pos]
+            if tag == _TAG_COPY:
+                offset = payload[pos + 1]
+                pos += 2
+                if offset >= 0x80:
+                    offset, pos = _uvarint_tail(payload, pos, offset)
+                length = payload[pos]
+                pos += 1
+                if length >= 0x80:
+                    length, pos = _uvarint_tail(payload, pos, length)
+                stop = offset + length
+                if stop > limit:
+                    raise ValueError(
+                        f"COPY [{offset}, {stop}) outside base of {limit} bytes"
+                    )
+                parts.append(base[offset:stop])
+            elif tag == _TAG_INSERT:
+                length = payload[pos + 1]
+                pos += 2
+                if length >= 0x80:
+                    length, pos = _uvarint_tail(payload, pos, length)
+                stop = pos + length
+                if stop > end:
+                    raise ValueError("truncated INSERT payload")
+                parts.append(payload[pos:stop])
+                pos = stop
+            else:
+                raise ValueError(f"unknown delta instruction tag 0x{tag:02x}")
+    except IndexError:
+        raise ValueError("truncated varint") from None
     return b"".join(parts)
+
+
+def payload_copies(payload: bytes) -> list[tuple[int, int, int]]:
+    """``(base offset, target offset, length)`` of every COPY in a payload.
+
+    Target offsets are where each COPY lands in the rebuilt stream; the
+    INSERTs in between are stepped over by their length. Raises
+    ``ValueError`` on exactly the payloads :func:`deserialize` rejects.
+    """
+    copies = []
+    end = len(payload)
+    pos = 0
+    t_pos = 0
+    try:
+        while pos < end:
+            tag = payload[pos]
+            if tag == _TAG_COPY:
+                offset = payload[pos + 1]
+                pos += 2
+                if offset >= 0x80:
+                    offset, pos = _uvarint_tail(payload, pos, offset)
+                length = payload[pos]
+                pos += 1
+                if length >= 0x80:
+                    length, pos = _uvarint_tail(payload, pos, length)
+                copies.append((offset, t_pos, length))
+            elif tag == _TAG_INSERT:
+                length = payload[pos + 1]
+                pos += 2
+                if length >= 0x80:
+                    length, pos = _uvarint_tail(payload, pos, length)
+                pos += length
+                if pos > end:
+                    raise ValueError("truncated INSERT payload")
+            else:
+                raise ValueError(f"unknown delta instruction tag 0x{tag:02x}")
+            t_pos += length
+    except IndexError:
+        raise ValueError("truncated varint") from None
+    return copies
+
+
+def emit_payload(
+    copies: list[tuple[int, int, int]],
+    target: bytes,
+    min_copy: int = MIN_PROFITABLE_COPY,
+) -> bytes:
+    """Wire-format delta rebuilding ``target`` from a list of COPYs.
+
+    ``copies`` holds ``(base offset, target offset, length)`` triples in
+    ascending, non-overlapping target order, each naming base bytes equal
+    to ``target[target offset:target offset + length]``. The bytes between
+    them become INSERTs taken from ``target``; a COPY continuing the
+    previous one in both streams merges with it, and one shorter than
+    ``min_copy`` is left to the INSERT around it. The result equals
+    ``serialize(coalesce(insts, base))`` for the equivalent instruction
+    list — with ``min_copy=1`` equal to ``coalesce(insts, base=None)``.
+    """
+    out = bytearray()
+    copy_off = copy_len = 0
+    gap = 0  # first target byte no instruction covers yet
+    for base_off, tgt_off, length in copies:
+        if length < min_copy:
+            continue
+        if tgt_off == gap and copy_len and copy_off + copy_len == base_off:
+            copy_len += length
+            gap += length
+            continue
+        if copy_len:
+            _put_copy(out, copy_off, copy_len)
+        if gap < tgt_off:
+            _put_insert(out, target, gap, tgt_off)
+        copy_off, copy_len = base_off, length
+        gap = tgt_off + length
+    if copy_len:
+        _put_copy(out, copy_off, copy_len)
+    if gap < len(target):
+        _put_insert(out, target, gap, len(target))
+    return bytes(out)
+
+
+def _put_copy(out: bytearray, offset: int, length: int) -> None:
+    out.append(_TAG_COPY)
+    if offset < 0x80:
+        out.append(offset)
+    elif offset < 0x4000:
+        out.append(offset & 0x7F | 0x80)
+        out.append(offset >> 7)
+    else:
+        out += encode_uvarint(offset)
+    if length < 0x80:
+        out.append(length)
+    elif length < 0x4000:
+        out.append(length & 0x7F | 0x80)
+        out.append(length >> 7)
+    else:
+        out += encode_uvarint(length)
+
+
+def _put_insert(out: bytearray, data: bytes, start: int, stop: int) -> None:
+    out.append(_TAG_INSERT)
+    length = stop - start
+    if length < 0x80:
+        out.append(length)
+    elif length < 0x4000:
+        out.append(length & 0x7F | 0x80)
+        out.append(length >> 7)
+    else:
+        out += encode_uvarint(length)
+    out += data[start:stop]
+
+
+def _uvarint_tail(payload: bytes, pos: int, first: int) -> tuple[int, int]:
+    """Finish a varint whose first byte ``first`` (continuation bit set)
+    sat just before ``pos``; the second byte is decoded inline."""
+    second = payload[pos]
+    if second < 0x80:
+        return first & 0x7F | second << 7, pos + 1
+    return decode_uvarint(payload, pos - 1)
 
 
 def encoded_size(insts: Delta) -> int:

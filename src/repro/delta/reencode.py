@@ -12,6 +12,15 @@ source span from the target. Sort the copy segments by source offset, fill
 the source gaps with literal INSERTs, and the backward delta is done — no
 checksums, no index, pure memory-speed bookkeeping.
 
+Both sides are wire payloads: the COPY triples are read straight from the
+forward payload (:func:`~repro.delta.instructions.payload_copies`) and
+the backward one is written by the encoder's own emitter
+(:func:`~repro.delta.instructions.emit_payload`), with no instruction
+objects in between. Primary and secondary run this function on the same
+bytes, which is what keeps their stored encodings identical (§4.1).
+:func:`repro.delta.reference.oracle_delta_reencode` is the instruction-list
+version it must match byte for byte.
+
 Subtlety the paper notes: forward COPYs may *overlap* in source space
 (two target regions copied from overlapping source spans). Overlaps are
 trimmed front-wise here, which can shorten copies slightly — the "slightly
@@ -20,30 +29,27 @@ sub-optimal compression rate" §4.2 accepts in exchange for speed.
 
 from __future__ import annotations
 
-from repro.delta.instructions import CopyInst, Delta, InsertInst, coalesce
+from repro.delta.instructions import emit_payload, payload_copies
 
 
-def delta_reencode(src: bytes, forward: Delta) -> Delta:
-    """Backward delta (base = target) reconstructing ``src``.
+def delta_reencode(src: bytes, forward: bytes) -> bytes:
+    """Backward wire-format delta (base = target) reconstructing ``src``.
 
     Args:
         src: the forward delta's source record (the older record).
-        forward: delta produced against ``src`` for some target record.
+        forward: wire-format delta produced against ``src`` for some
+            target record.
 
     Returns:
-        Instructions such that ``apply_delta(tgt, result) == src`` whenever
-        ``apply_delta(src, forward) == tgt``.
-    """
-    # Collect (source offset, target offset, length) for every forward COPY.
-    segments: list[tuple[int, int, int]] = []
-    t_pos = 0
-    for inst in forward:
-        if isinstance(inst, CopyInst):
-            segments.append((inst.offset, t_pos, inst.length))
-        t_pos += len(inst)
-    segments.sort()
+        A payload such that ``apply_payload(tgt, result) == src`` whenever
+        ``apply_payload(src, forward) == tgt``.
 
-    insts: Delta = []
+    Raises:
+        ValueError: on a malformed ``forward`` payload.
+    """
+    segments = payload_copies(forward)
+    segments.sort()
+    copies: list[tuple[int, int, int]] = []
     s_pos = 0
     for s_off, t_off, length in segments:
         if s_off < s_pos:
@@ -54,10 +60,7 @@ def delta_reencode(src: bytes, forward: Delta) -> Delta:
             s_off += trim
             t_off += trim
             length -= trim
-        if s_pos < s_off:
-            insts.append(InsertInst(src[s_pos:s_off]))
-        insts.append(CopyInst(t_off, length))
+        copies.append((t_off, s_off, length))
         s_pos = s_off + length
-    if s_pos < len(src):
-        insts.append(InsertInst(src[s_pos:]))
-    return coalesce(insts, base=None)
+    # No demotion: every forward COPY was already worth its header.
+    return emit_payload(copies, src, min_copy=1)

@@ -9,6 +9,11 @@ Nothing under ``src/`` imports this module.
   anchor walked in Python). The production encoder must emit the same
   instruction stream byte for byte; ``tools/check_api_boundary.py`` pins
   this class's source text.
+* :func:`oracle_delta_reencode` — Algorithm 2 as it stood on instruction
+  lists, frozen verbatim: :func:`repro.delta.reencode.delta_reencode`
+  reads and writes wire payloads and must emit
+  ``serialize(oracle_delta_reencode(src, deserialize(forward)))`` byte
+  for byte.
 * :func:`reference_compress` — the *quality* yardstick.
   ``difflib.SequenceMatcher`` finds (near-)maximal matching blocks with no
   windowing or sampling tricks, so its COPY coverage approximates the best
@@ -165,3 +170,43 @@ class OracleDeltaCompressor:
             if best is None or total > best[2]:
                 best = (s - back, j - back, total)
         return best
+
+
+def oracle_delta_reencode(src: bytes, forward: Delta) -> Delta:
+    """Backward delta (base = target) reconstructing ``src``.
+
+    Args:
+        src: the forward delta's source record (the older record).
+        forward: delta produced against ``src`` for some target record.
+
+    Returns:
+        Instructions such that ``apply_delta(tgt, result) == src`` whenever
+        ``apply_delta(src, forward) == tgt``.
+    """
+    # Collect (source offset, target offset, length) for every forward COPY.
+    segments: list[tuple[int, int, int]] = []
+    t_pos = 0
+    for inst in forward:
+        if isinstance(inst, CopyInst):
+            segments.append((inst.offset, t_pos, inst.length))
+        t_pos += len(inst)
+    segments.sort()
+
+    insts: Delta = []
+    s_pos = 0
+    for s_off, t_off, length in segments:
+        if s_off < s_pos:
+            # Overlaps the previous segment in source space: trim the front.
+            trim = s_pos - s_off
+            if trim >= length:
+                continue
+            s_off += trim
+            t_off += trim
+            length -= trim
+        if s_pos < s_off:
+            insts.append(InsertInst(src[s_pos:s_off]))
+        insts.append(CopyInst(t_off, length))
+        s_pos = s_off + length
+    if s_pos < len(src):
+        insts.append(InsertInst(src[s_pos:]))
+    return coalesce(insts, base=None)

@@ -29,7 +29,7 @@ correctness.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from repro.hashing.murmur import murmur3_32_u64_batch
@@ -80,11 +80,6 @@ class _Entry:
     bucket: int = -1
 
 
-@dataclass
-class _Bucket:
-    slots: list[_Entry] = field(default_factory=list)
-
-
 class CuckooFeatureIndex:
     """Fixed-capacity feature → record index with LRU displacement.
 
@@ -110,7 +105,8 @@ class CuckooFeatureIndex:
         while size < num_buckets:
             size <<= 1
         self._mask = size - 1
-        self._buckets: list[_Bucket] = [_Bucket() for _ in range(size)]
+        # One plain list of entries per bucket, in slot order.
+        self._buckets: list[list[_Entry]] = [[] for _ in range(size)]
         self.slots_per_bucket = slots_per_bucket
         self.max_candidates = max_candidates
         self._clock = 0
@@ -200,7 +196,7 @@ class CuckooFeatureIndex:
         self.lookups += 1
         matches: list[_Entry] = []
         for index in (first, second):
-            for entry in self._buckets[index].slots:
+            for entry in self._buckets[index]:
                 if entry.checksum == checksum:
                     matches.append(entry)
         if len(matches) >= self.max_candidates:
@@ -257,9 +253,9 @@ class CuckooFeatureIndex:
         candidates = (first, second)
         for index in candidates:
             bucket = self._buckets[index]
-            if len(bucket.slots) < self.slots_per_bucket:
+            if len(bucket) < self.slots_per_bucket:
                 entry.bucket = index
-                bucket.slots.append(entry)
+                bucket.append(entry)
                 self._entry_count += 1
                 return
         # All candidate slots taken: displace the LRU entry among them.
@@ -267,15 +263,14 @@ class CuckooFeatureIndex:
         victim_pos = -1
         victim_used = None
         for index in candidates:
-            bucket = self._buckets[index]
-            for pos, existing in enumerate(bucket.slots):
+            for pos, existing in enumerate(self._buckets[index]):
                 if victim_used is None or existing.last_used < victim_used:
                     victim_index = index
                     victim_pos = pos
                     victim_used = existing.last_used
         if victim_index >= 0:
             entry.bucket = victim_index
-            self._buckets[victim_index].slots[victim_pos] = entry
+            self._buckets[victim_index][victim_pos] = entry
             self.displacements += 1
 
     def _evict_lru(self, matches: list[_Entry]) -> None:
@@ -292,7 +287,7 @@ class CuckooFeatureIndex:
 
     def _remove_entry(self, victim: _Entry) -> None:
         """Unlink one entry from its bucket (identity match, not equality)."""
-        slots = self._buckets[victim.bucket].slots
+        slots = self._buckets[victim.bucket]
         for position, entry in enumerate(slots):
             if entry is victim:
                 del slots[position]
@@ -312,11 +307,7 @@ class CuckooFeatureIndex:
             return []
         victims = heapq.nsmallest(
             count,
-            (
-                entry
-                for bucket in self._buckets
-                for entry in bucket.slots
-            ),
+            (entry for bucket in self._buckets for entry in bucket),
             key=lambda entry: entry.last_used,
         )
         for victim in victims:
@@ -330,24 +321,20 @@ class CuckooFeatureIndex:
         entries may only point at live records. O(buckets) — scrub-path
         only, never on the insert path.
         """
-        return {
-            entry.record
-            for bucket in self._buckets
-            for entry in bucket.slots
-        }
+        return {entry.record for bucket in self._buckets for entry in bucket}
 
     def remove_record(self, record: Hashable) -> int:
         """Remove every entry pointing at ``record``; returns entries removed."""
         removed = 0
         for bucket in self._buckets:
-            kept = [entry for entry in bucket.slots if entry.record != record]
-            removed += len(bucket.slots) - len(kept)
-            bucket.slots = kept
+            kept = [entry for entry in bucket if entry.record != record]
+            removed += len(bucket) - len(kept)
+            bucket[:] = kept
         self._entry_count -= removed
         return removed
 
     def clear(self) -> None:
         """Drop all entries (used when the governor disables a database)."""
         for bucket in self._buckets:
-            bucket.slots.clear()
+            bucket.clear()
         self._entry_count = 0

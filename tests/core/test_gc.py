@@ -22,7 +22,6 @@ from repro.db.database import Database
 from repro.db.invariants import check_database
 from repro.db.record import RecordForm
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.instructions import serialize
 
 
 def _content(seed: int, size: int = 4000) -> bytes:
@@ -36,7 +35,7 @@ def _make_delta(db: Database, record_id: str, base_id: str) -> None:
     record = db.records[record_id]
     base_content = db.decode_stored_content(base_id)
     content = db.decode_stored_content(record_id)
-    record.payload = serialize(compressor.compress(base_content, content))
+    record.payload = compressor.compress(base_content, content)
     record.form = RecordForm.DELTA
     record.base_id = base_id
     db.records[base_id].ref_count += 1

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.config import DedupConfig
 from repro.core.planner import CpuMeter, WritebackPlanner
-from repro.delta.decode import apply_delta
-from repro.delta.instructions import deserialize
+from repro.delta.decode import apply_payload
 from repro.sim.costs import CostModel
 
 
@@ -50,7 +49,7 @@ class TestBackwardPlanning:
         for entry in writebacks:
             base = provider.data[entry.base_id]
             target_index = int(entry.record_id[1:])
-            decoded = apply_delta(base, deserialize(entry.payload))
+            decoded = apply_payload(base, entry.payload)
             assert decoded == revision_chain[target_index]
 
     def test_forward_mode_plans_nothing(self, revision_chain):

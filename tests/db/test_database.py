@@ -10,7 +10,6 @@ from repro.db.database import Database
 from repro.db.errors import RecordExists, RecordNotFound
 from repro.db.record import RecordForm
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.instructions import serialize
 
 
 @pytest.fixture()
@@ -21,8 +20,7 @@ def db() -> Database:
 def backward_entry(base_content: bytes, target_content: bytes,
                    record_id: str, base_id: str, stored: int) -> WriteBackEntry:
     """Build a write-back entry re-encoding `record_id` against `base_id`."""
-    delta = DeltaCompressor().compress(base_content, target_content)
-    payload = serialize(delta)
+    payload = DeltaCompressor().compress(base_content, target_content)
     return WriteBackEntry(
         record_id=record_id, base_id=base_id, payload=payload,
         space_saving=stored - len(payload),

@@ -5,7 +5,6 @@ import pytest
 from repro.cache.source_cache import SourceRecordCache
 from repro.db.database import Database
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.instructions import serialize
 from repro.cache.writeback import WriteBackEntry
 
 
@@ -24,7 +23,7 @@ def chained_db(revision_chain):
                 WriteBackEntry(
                     record_id=f"v{index}",
                     base_id=f"v{index + 1}",
-                    payload=serialize(delta),
+                    payload=delta,
                     space_saving=len(contents[index]),
                 )
             ]

@@ -140,7 +140,6 @@ class TestHopBoundGating:
     def test_pending_writebacks_disarm_the_bound(self):
         from repro.cache.writeback import WriteBackEntry
         from repro.delta.dbdelta import DeltaCompressor
-        from repro.delta.instructions import serialize
 
         cluster = Cluster(
             ClusterSpec(
@@ -159,7 +158,7 @@ class TestHopBoundGating:
                 WriteBackEntry(
                     record_id="r0",
                     base_id="r1",
-                    payload=serialize(delta),
+                    payload=delta,
                     space_saving=100,
                 )
             ]

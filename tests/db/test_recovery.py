@@ -116,7 +116,6 @@ class TestReplayReportPaths:
         """A snapshot-seeded replay finds forward-delta bases in ``into``."""
         from repro.db.database import Database
         from repro.delta.dbdelta import DeltaCompressor
-        from repro.delta.instructions import serialize
 
         base_content = b"the quick brown fox jumps over the lazy dog" * 8
         child_content = base_content.replace(b"lazy", b"sleepy")
@@ -125,7 +124,7 @@ class TestReplayReportPaths:
         forward = DeltaCompressor().compress(base_content, child_content)
         entries = [
             OplogEntry(0, 0.0, "insert", "db", "child",
-                       payload=serialize(forward), base_id="base",
+                       payload=forward, base_id="base",
                        encoded=True),
         ]
         recovered, report = replay_oplog(entries, into=seeded)

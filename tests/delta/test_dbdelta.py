@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.decode import apply_delta
+from repro.delta.decode import apply_payload
 from repro.delta.instructions import encoded_size
 from repro.delta.xdelta import xdelta_compress
 
@@ -26,22 +26,22 @@ class TestCorrectness:
         source, target = revision_pair
         compressor = DeltaCompressor(anchor_interval=interval)
         delta = compressor.compress(source, target)
-        assert apply_delta(source, delta) == target
+        assert apply_payload(source, delta) == target
 
     def test_empty_target(self):
-        assert DeltaCompressor().compress(b"src", b"") == []
+        assert DeltaCompressor().compress(b"src", b"") == b""
 
     def test_tiny_inputs_fall_back_to_insert(self):
         compressor = DeltaCompressor()
         delta = compressor.compress(b"ab", b"xyz")
-        assert apply_delta(b"ab", delta) == b"xyz"
+        assert apply_payload(b"ab", delta) == b"xyz"
 
     def test_unrelated_inputs(self, text_gen):
         source = text_gen.document(3000).encode()
         target = text_gen.document(3000).encode()
         compressor = DeltaCompressor()
         delta = compressor.compress(source, target)
-        assert apply_delta(source, delta) == target
+        assert apply_payload(source, delta) == target
 
     def test_deterministic(self, revision_pair):
         source, target = revision_pair
@@ -55,30 +55,24 @@ class TestCorrectness:
     def test_property_roundtrip_arbitrary(self, source, target):
         compressor = DeltaCompressor(anchor_interval=16)
         delta = compressor.compress(source, target)
-        assert apply_delta(source, delta) == target
+        assert apply_payload(source, delta) == target
 
 
 class TestAnchorTradeoff:
     def test_ratio_close_to_xdelta_at_small_interval(self, revision_pair):
         source, target = revision_pair
         xdelta_size = encoded_size(xdelta_compress(source, target))
-        anchor_size = encoded_size(
-            DeltaCompressor(anchor_interval=16).compress(source, target)
-        )
+        anchor_size = len(DeltaCompressor(anchor_interval=16).compress(source, target))
         assert anchor_size <= xdelta_size * 1.5
 
     def test_larger_interval_never_better_ratio(self, revision_pair):
         # Fewer anchors can only lose matches, not gain them.
         source, target = revision_pair
-        fine = encoded_size(
-            DeltaCompressor(anchor_interval=16).compress(source, target)
-        )
-        coarse = encoded_size(
-            DeltaCompressor(anchor_interval=256).compress(source, target)
-        )
+        fine = len(DeltaCompressor(anchor_interval=16).compress(source, target))
+        coarse = len(DeltaCompressor(anchor_interval=256).compress(source, target))
         assert coarse >= fine * 0.9  # allow small noise from match choices
 
     def test_still_compresses_at_default_interval(self, revision_pair):
         source, target = revision_pair
         delta = DeltaCompressor(anchor_interval=64).compress(source, target)
-        assert encoded_size(delta) < len(target) * 0.5
+        assert len(delta) < len(target) * 0.5

@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.delta.instructions import (
+    MIN_PROFITABLE_COPY,
     CopyInst,
     InsertInst,
     coalesce,
     deserialize,
+    emit_payload,
     encoded_size,
     serialize,
     target_length,
@@ -108,3 +110,47 @@ class TestCoalesce:
         original = apply_delta(base, delta)
         normalized = coalesce(delta, base=base)
         assert apply_delta(base, normalized) == original
+
+
+#: ``(gap before, length, source shift in periods)`` per COPY; lengths
+#: straddle MIN_PROFITABLE_COPY and the one- and two-byte varint limits.
+COPY_SPECS = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.sampled_from([0, 1, 5, 7, 8, 9, 40, 127, 128, 200]),
+        st.integers(-2, 2),
+    ),
+    max_size=12,
+)
+
+
+class TestEmitPayload:
+    @given(st.integers(1, 9), COPY_SPECS, st.integers(0, 20_000))
+    def test_equals_serialize_of_coalesce(self, period, specs, pad):
+        """``emit_payload`` is ``serialize(coalesce(...))`` on the same
+        COPYs, with demotion (the encoder) and without (the re-encoder)."""
+        unit = bytes(range(97, 97 + period))
+        target = unit * 400
+        base = b"#" * pad + target  # shifts every source offset by ``pad``
+        copies, insts, cursor = [], [], 0
+        for gap, length, shift in specs:
+            t_off = cursor + gap
+            if t_off + length > len(target):
+                break
+            s_off = t_off + shift * period
+            if not 0 <= s_off <= len(target) - length:
+                s_off = t_off
+            if gap:
+                insts.append(InsertInst(target[cursor:t_off]))
+            insts.append(CopyInst(pad + s_off, length))
+            copies.append((pad + s_off, t_off, length))
+            cursor = t_off + length
+        insts.append(InsertInst(target[cursor:]))
+        for min_copy, coalesce_base in ((MIN_PROFITABLE_COPY, base), (1, None)):
+            payload = emit_payload(copies, target, min_copy)
+            assert payload == serialize(coalesce(insts, base=coalesce_base))
+
+    def test_no_copies_is_one_insert(self):
+        assert emit_payload([], b"") == b""
+        assert emit_payload([], b"abc") == serialize([InsertInst(b"abc")])
+        assert emit_payload([], b"x" * 300) == serialize([InsertInst(b"x" * 300)])

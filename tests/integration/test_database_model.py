@@ -18,7 +18,6 @@ from repro.db.database import Database
 from repro.db.errors import RecordExists, RecordNotFound
 from repro.db.record import RecordForm
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.instructions import serialize
 
 _COMPRESSOR = DeltaCompressor(anchor_interval=16)
 
@@ -108,7 +107,7 @@ def test_database_matches_dict_model(ops):
                 WriteBackEntry(
                     record_id=record_id,
                     base_id=base_id,
-                    payload=serialize(delta),
+                    payload=delta,
                     space_saving=1,
                 )
             )

@@ -27,7 +27,6 @@ from repro.db.database import Database
 from repro.db.errors import RecordExists, RecordNotFound
 from repro.db.invariants import check_cluster
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.instructions import serialize
 from repro.sim.faults import CorruptPageReads, FaultPlan, TransientIOErrors
 from repro.storage.heapfile import HeapFile
 from repro.workloads.base import Operation
@@ -98,7 +97,7 @@ class DatabaseMachine(RuleBasedStateMachine):
                 WriteBackEntry(
                     record_id=record_id,
                     base_id=base_id,
-                    payload=serialize(delta),
+                    payload=delta,
                     space_saving=max(1, len(target) - 10),
                 )
             ]

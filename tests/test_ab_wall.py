@@ -91,3 +91,30 @@ def test_spread_over_seeds_is_judged_against_the_bound():
     for run in runs:
         run["metrics"]["peak_rss_mb"] = 124.0 + run["seed"] / 10
     assert ab_wall.summarize_spread(runs, specs)["peak_rss_mb"]["steady"]
+
+
+def test_steal_is_read_from_proc_stat_and_flagged(tmp_path):
+    stat = tmp_path / "stat"
+    stat.write_text("cpu  1000 0 200 5000 10 0 5 40 0 0\ncpu0 500 0 100 2500 5 0 2 20 0 0\n")
+    before = ab_wall.cpu_times(stat)
+    assert before == (40, 1000 + 200 + 5000 + 10 + 5 + 40)
+    stat.write_text("cpu  1400 0 250 5300 10 0 5 140 0 0\n")
+    after = ab_wall.cpu_times(stat)
+    # 100 of the 850 jiffies that passed were stolen.
+    assert ab_wall.steal_share(before, after) == pytest.approx(100 / 850)
+    assert ab_wall.cpu_times(tmp_path / "missing") is None
+    assert ab_wall.steal_share(None, after) is None
+
+    runs = [
+        {"pair": 0, "side": "parent", "steal_share": 0.001},
+        {"pair": 0, "side": "change", "steal_share": 100 / 850},
+        {"pair": 1, "side": "change", "steal_share": None},
+    ]
+    (flag,) = ab_wall.steal_flags("enron-batch seed 7", runs)
+    assert flag.startswith("enron-batch seed 7: 1 of 3 runs lost more than 2% to steal")
+    assert "change 0: 11.8%" in flag
+    runs[1]["steal_share"] = ab_wall.STEAL_FLAG_SHARE
+    assert ab_wall.steal_flags("enron-batch seed 7", runs) == []
+    # Spread runs name their seed.
+    spread = [{"seed": 3, "steal_share": 0.3}]
+    assert "change 3: 30.0%" in ab_wall.steal_flags("wiki-insert spread", spread)[0]

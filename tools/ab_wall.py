@@ -47,6 +47,15 @@ median, quartiles and ``steady`` (inter-quartile distance within
 unsteady one is printed as such. The exact counters depend on the seed
 and are judged like the rest.
 
+Every run also carries ``steal_share``: the share of all CPU time the
+hypervisor stole during it (the ``steal`` column of ``/proc/stat``, read
+before and after the subprocess; ``None`` where the file does not
+exist). A steal burst slows both sides at random and can turn a clean
+change ``unresolved``, so a workload x seed any of whose runs lost more
+than :data:`STEAL_FLAG_SHARE` to steal is listed under the document's
+``steal_flags`` and printed as ``STEAL``: re-run it rather than read its
+verdict. Flags are about the machine and do not change the exit code.
+
 To measure uncommitted work, pass ``$(git stash create)`` as the change
 revision after ``git add -A``.
 """
@@ -77,6 +86,13 @@ SPREAD_SECONDS = 1
 #: What a traced run keeps: each layer's self time, call count and share.
 LAYER_SUFFIXES = (".self_s", ".calls", ".share")
 
+#: Where Linux keeps the per-CPU-state jiffy counters.
+PROC_STAT = Path("/proc/stat")
+
+#: A run that lost more than this share of CPU time to steal flags its
+#: workload x seed: one such burst has moved ``workload_s`` by 20x.
+STEAL_FLAG_SHARE = 0.02
+
 
 def _git(*args: str) -> str:
     return subprocess.run(
@@ -97,6 +113,45 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
+def cpu_times(path: Path = PROC_STAT) -> tuple[int, int] | None:
+    """``(steal, total)`` jiffies of the aggregate ``cpu`` line, or None.
+
+    Total is user + nice + system + idle + iowait + irq + softirq + steal
+    (guest time is already inside user).
+    """
+    try:
+        with open(path, encoding="ascii") as stat:
+            fields = stat.readline().split()
+    except OSError:
+        return None
+    if not fields or fields[0] != "cpu":
+        return None
+    values = [int(value) for value in fields[1:9]]
+    steal = values[7] if len(values) > 7 else 0
+    return steal, sum(values)
+
+
+def steal_share(before: tuple[int, int] | None, after: tuple[int, int] | None):
+    """Share of CPU time stolen between two :func:`cpu_times` readings."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
+def steal_flags(label: str, runs: list[dict], limit: float = STEAL_FLAG_SHARE) -> list[str]:
+    """One line naming ``label``'s runs that lost more than ``limit`` to steal."""
+    stolen = [
+        f"{run.get('side', 'change')} {run.get('pair', run.get('seed'))}: "
+        f"{run['steal_share']:.1%}"
+        for run in runs
+        if run.get("steal_share") is not None and run["steal_share"] > limit
+    ]
+    if not stolen:
+        return []
+    return [f"{label}: {len(stolen)} of {len(runs)} runs lost more than "
+            f"{limit:.0%} to steal ({', '.join(stolen)})"]
+
+
 def run_once(
     checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False
 ) -> dict:
@@ -109,7 +164,9 @@ def run_once(
     # so each side can only import its own src/.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONHASHSEED"] = "0"
+    before = cpu_times()
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
+    stolen = steal_share(before, cpu_times())
     try:
         result = json.loads(done.stdout.strip().splitlines()[-1])
     except (IndexError, ValueError):
@@ -121,6 +178,7 @@ def run_once(
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
+        "steal_share": stolen,
         "metrics": {
             name: m["value"] for name, m in result["metrics"].items()
             if not trace or name.endswith(LAYER_SUFFIXES)
@@ -304,6 +362,7 @@ def main(argv: list[str]) -> int:
             "workloads": {},
         }
         problems: list[str] = []
+        flags: list[str] = []
         for workload in workloads:
             for seed in seeds:
                 runs = run_pairs(checkouts, workload, seed, seconds, args.pairs)
@@ -321,12 +380,14 @@ def main(argv: list[str]) -> int:
                     "summary": summarize(runs, contract["end_to_end"]),
                     "runs": runs,
                 }
+                flags.extend(steal_flags(f"{workload} seed {seed}", runs))
                 if args.trace:
                     traced = run_pairs(
                         checkouts, workload, seed, seconds, args.trace, trace=True
                     )
                     problems.extend(failures(workload, seed, traced))
                     entry["trace"] = {"summary": summarize_trace(traced), "runs": traced}
+                    flags.extend(steal_flags(f"{workload} seed {seed} traced", traced))
                 doc["workloads"].setdefault(workload, {})[f"seed-{seed}"] = entry
             if args.spread:
                 spread = run_spread(
@@ -337,10 +398,12 @@ def main(argv: list[str]) -> int:
                     f"failed {run['failed']}, correct {run['correct']}"
                     for run in spread if run["failed"] or not run["correct"]
                 )
+                flags.extend(steal_flags(f"{workload} spread", spread))
                 doc.setdefault("spread", {})[workload] = {
                     "summary": summarize_spread(spread, contract["end_to_end"]),
                     "runs": spread,
                 }
+        doc["steal_flags"] = flags
         doc["problems"] = problems
 
     for workload, seeds_doc in doc["workloads"].items():
@@ -370,6 +433,8 @@ def main(argv: list[str]) -> int:
                 f"iqr {row['iqr'] / abs(row['median']):6.1%} of median, bound "
                 f"{row['bound']:.0%}  {'steady' if row['steady'] else 'UNSTEADY'}"
             )
+    for flag in flags:
+        print(f"STEAL {flag}")
     for problem in problems:
         print(f"ERROR {problem}")
     if args.out:

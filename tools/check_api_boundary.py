@@ -153,8 +153,10 @@ FROZEN_SURFACES = {
 #: the cuckoo and Bloom indexes and the tenant harness, so an edit here
 #: moves every golden value at once. ``OracleDeltaCompressor`` is the
 #: every-offset encoder the anchor-only ``DeltaCompressor`` must match
-#: byte for byte; "optimising" it would make the differential suite
-#: compare the new code with itself. A deliberate change updates the
+#: byte for byte, and ``oracle_delta_reencode`` the instruction-list
+#: Algorithm 2 the payload ``delta_reencode`` must match; "optimising"
+#: either would make the differential suite compare the new code with
+#: itself. A deliberate change updates the
 #: digest in the same commit.
 FROZEN_SOURCES = {
     ("src/repro/hashing/murmur.py", "murmur3_32"): (
@@ -162,6 +164,9 @@ FROZEN_SOURCES = {
     ),
     ("src/repro/delta/reference.py", "OracleDeltaCompressor"): (
         "8d7552aee8ef0857fbefe09c582d1c4b5ecbad37debfd5a38850f0c3eb27d74f"
+    ),
+    ("src/repro/delta/reference.py", "oracle_delta_reencode"): (
+        "86aca5e7942a1099e26bcbbec44d2456a09d561bab95b15c90d644ae2f58fe29"
     ),
 }
 
