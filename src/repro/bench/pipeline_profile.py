@@ -1,8 +1,8 @@
 """Encode-pipeline profile: per-stage instrumentation and the batch path.
 
-Not a paper figure — an operability experiment over the staged encode
-pipeline (:mod:`repro.core.pipeline`). It answers two production
-questions the monolithic encoder could not:
+Not a paper figure — an operability experiment over the encode body's
+per-stage instrumentation (:mod:`repro.core.pipeline`). It answers two
+production questions:
 
 * where does the simulated encode CPU go, stage by stage, and which
   drop reasons dominate (the HPDedup-style runtime signals)?
@@ -86,7 +86,7 @@ def pipeline_profile(
     batch_size: int = 64,
     seed: int = 7,
 ) -> PipelineProfileResult:
-    """Profile the staged pipeline on one workload, batched vs per-record.
+    """Profile the encode stages on one workload, batched vs per-record.
 
     Runs the same insert trace twice — once record-at-a-time, once through
     the batch path — and reports the batched run's per-stage counters
@@ -118,7 +118,7 @@ def pipeline_profile(
             drops=stats.drops_at_stage(name),
             cpu_seconds=stats.stage_cpu_seconds.get(name, 0.0),
         )
-        for name in engine.pipeline.stage_names()
+        for name in engine.pipeline.stages
     ]
     return PipelineProfileResult(
         workload=workload_name,

@@ -1,13 +1,14 @@
 """dbDedup core: the four-step dedup workflow and its control machinery.
 
 :class:`~repro.core.engine.DedupEngine` implements §3.1's workflow —
-feature extraction, index lookup, source selection, delta compression —
-plus the §3.2 encoding plans and the :mod:`~repro.core.admission`
-subsystem (the §3.4.1 governor survives as its ``"governor"`` mode). The
-engine is storage-
-agnostic: it talks to the database through the small
-:class:`~repro.core.engine.RecordProvider` protocol, which is how it plugs
-into both the primary node and unit tests.
+feature extraction, index lookup, source selection, delta compression,
+written out in order as one body,
+:meth:`~repro.core.pipeline.DedupPipeline.run` — plus the §3.2 encoding
+plans and the :mod:`~repro.core.admission` subsystem (the §3.4.1
+governor survives as its ``"governor"`` mode). The engine is
+storage-agnostic: it talks to the database through the small
+:class:`~repro.core.engine.RecordProvider` protocol, which is how it
+plugs into both the primary node and unit tests.
 """
 
 from repro.core.admission import (

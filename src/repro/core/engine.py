@@ -12,18 +12,18 @@ through the lossy write-back cache. The engine only touches storage
 through the narrow :class:`RecordProvider` protocol, so it is equally
 testable against a dict as against the full simulated DBMS.
 
-The workflow itself lives in :mod:`repro.core.pipeline` as an explicit
-stage list; :meth:`DedupEngine.encode_batch` drives a batch of records
-through it — amortizing the vectorized sketch extraction across them —
-and :meth:`DedupEngine.encode` is its batch of one.
+The workflow itself is :meth:`DedupPipeline.run
+<repro.core.pipeline.DedupPipeline.run>`, one straight-line body per
+record; :meth:`DedupEngine.encode_batch` runs a batch of records through
+it — sketching the batch in one vectorized pass first — and
+:meth:`DedupEngine.encode` is its batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Protocol, Sequence
 
-from repro.cache.writeback import WriteBackEntry
 from repro.chunking.cdc import ContentDefinedChunker
 from repro.core.admission import (
     DECISION_DEFER,
@@ -32,10 +32,10 @@ from repro.core.admission import (
 from repro.core.audit import AuditTrail
 from repro.core.config import DedupConfig
 from repro.core.pipeline import (
+    DedupPipeline,
     EncodeContext,
+    EncodeResult,
     PipelineObserver,
-    StageStatsObserver,
-    build_default_pipeline,
 )
 from repro.core.planner import CpuMeter, WritebackPlanner
 from repro.core.selector import SourceSelector
@@ -61,51 +61,6 @@ class RecordProvider(Protocol):
     def stored_size(self, record_id: str) -> int:
         """Bytes the record currently occupies on disk (0 if unknown)."""
         ...
-
-
-@dataclass(frozen=True)
-class EncodeResult:
-    """Everything the database needs to finish one insert.
-
-    Attributes:
-        record_id / database / raw_size: identity of the new record.
-        deduped: True if a source was selected and the delta paid off.
-        source_id: the selected source record (None when unique).
-        forward_payload: serialized forward delta for the oplog; None for
-            unique records (the oplog then carries the raw content).
-        oplog_size: bytes this record contributes to replication traffic.
-        writebacks: backward/hop re-encodings to schedule via the lossy
-            write-back cache.
-        ideal_stored_delta: net change in post-dedup storage bytes if every
-            write-back is applied (new raw record minus planned savings).
-        overlapped: the source was not its chain's tail (Fig. 5).
-        source_was_cached: source content came from the source record cache.
-        cpu_seconds: simulated CPU time the encode consumed.
-        deferred: the record was parked for an out-of-line dedup pass
-            instead of running the pipeline — store raw, oplog raw; its
-            statistics are counted once, when it is later drained.
-        drained: results of deferred records the engine pushed through
-            the pipeline as part of producing *this* result (same-stream
-            order preservation, or queue-bound backpressure). The caller
-            must process their write-backs and CPU like any other encode;
-            they produce no oplog entries (their raw payload already
-            shipped at insert time).
-    """
-
-    record_id: str
-    database: str
-    raw_size: int
-    deduped: bool
-    source_id: str | None = None
-    forward_payload: bytes | None = None
-    oplog_size: int = 0
-    writebacks: tuple[WriteBackEntry, ...] = ()
-    ideal_stored_delta: int = 0
-    overlapped: bool = False
-    source_was_cached: bool = False
-    cpu_seconds: float = 0.0
-    deferred: bool = False
-    drained: tuple["EncodeResult", ...] = ()
 
 
 class DedupEngine:
@@ -184,10 +139,8 @@ class DedupEngine:
         #: database → ids registered while its partition lived, so a
         #: partition teardown can prune ``_insert_seq`` without a scan.
         self._partition_records: dict[str, set[str]] = {}
-        #: The staged encode workflow (see :mod:`repro.core.pipeline`).
-        self.pipeline = build_default_pipeline(
-            self, observers=[StageStatsObserver(self.stats), *observers]
-        )
+        #: The encode body (see :mod:`repro.core.pipeline`).
+        self.pipeline = DedupPipeline(self, observers)
         self._install_collectors()
 
     # -- convenience views -----------------------------------------------------
@@ -488,7 +441,7 @@ class DedupEngine:
         from repro.bench.report import render_table
 
         rows = []
-        for name in self.pipeline.stage_names():
+        for name in self.pipeline.stages:
             rows.append(
                 (
                     name,
@@ -626,27 +579,30 @@ class DedupEngine:
         order (which makes a hybrid run byte-identical to an all-inline
         run after the queue drains).
 
-        Before that loop, a batch lets every stage precompute over all of
-        it (``prepare_batch`` — the vectorized sketch pass); this changes
-        where sketching is done, never a result. A single record skips
-        it: there is nothing to amortize, and sketching ahead of the
-        gates would chunk and hash a record they may drop. So does a
-        batch whose records can defer (hybrid mode, or a non-empty
-        queue): which of them reach the sketch stage is then decided
-        record by record.
+        A batch of more than one record is sketched up front in one
+        vectorized pass (``sketch_many``); each record's sketch is handed
+        to :meth:`DedupPipeline.run
+        <repro.core.pipeline.DedupPipeline.run>`, which attaches it only
+        if the record passes the gates. This changes where sketching is
+        done, never a result. A single record skips it: there is nothing
+        to amortize, and sketching ahead of the gates would chunk and hash
+        a record they may drop. So does a batch whose records can defer
+        (hybrid mode, or a non-empty queue): which of them reach the
+        sketch step is then decided record by record.
         """
         admission = self.admission
-        contexts = [self._context(*item, provider) for item in items]
+        sketches = [None] * len(items)
         if (
-            len(contexts) > 1
+            len(items) > 1
             and not admission.supports_defer
             and not admission.pending_total
         ):
-            for stage in self.pipeline.stages:
-                stage.prepare_batch(contexts)
+            sketches = self.extractor.sketch_many(
+                [content for _, _, content in items]
+            )
         results: list[EncodeResult] = []
-        for item, ctx in zip(items, contexts):
-            database = ctx.database
+        for item, sketch in zip(items, sketches):
+            database = item[0]
             decision = admission.decide(database)
             admission.note_decision(database, decision)
             if decision == DECISION_DEFER:
@@ -654,8 +610,7 @@ class DedupEngine:
                 results.append(self._defer_record(*item, provider))
                 continue
             drained = self._drain_stream(database, provider)
-            self.pipeline.run(ctx)
-            result = ctx.result
+            result = self.pipeline.run(self._context(*item, provider), sketch)
             self.inline_cpu_seconds += result.cpu_seconds
             if drained:
                 result = replace(result, drained=tuple(drained))
@@ -684,9 +639,9 @@ class DedupEngine:
         content: bytes,
         provider: RecordProvider,
     ) -> EncodeResult:
-        ctx = self._context(database, record_id, content, provider)
-        self.pipeline.run(ctx)
-        result = ctx.result
+        result = self.pipeline.run(
+            self._context(database, record_id, content, provider)
+        )
         self.outofline_cpu_seconds += result.cpu_seconds
         self.admission.note_outofline(database, result.raw_size)
         return result
@@ -780,7 +735,7 @@ class DedupEngine:
         """Drop a queued record superseded by a client update/delete."""
         return self.admission.invalidate(record_id)
 
-    # -- pipeline support (called by the stages) ---------------------------------
+    # -- pipeline support (called by the encode body) ---------------------------
 
     def register_insert(self, database: str, record_id: str) -> None:
         """Record a new insert in the recency sequence and its partition."""

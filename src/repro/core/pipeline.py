@@ -1,44 +1,41 @@
-"""Staged encode pipeline: the §3.1/§4.1 workflow as explicit stages.
+"""The encode body: the §3.1/§4.1 workflow as one straight-line function.
 
 The paper describes deduplication as a four-step pipeline — sketch →
-index lookup → source selection → delta compression — and this module is
-that pipeline made literal. One :class:`EncodeContext` carries a record
-through an ordered list of :class:`Stage` objects composed by
-:class:`DedupPipeline`; each stage either advances the context or *drops*
-it with a machine-readable reason, after which only the terminal
-accounting stage still runs. The stage boundaries are the seams the
-monolithic ``DedupEngine.encode()`` never had:
+index lookup → source selection → delta compression — and
+:meth:`DedupPipeline.run` is that pipeline written out in order: the
+admission and size-filter gates, the four steps, the write-back plan,
+then the accounting block every record reaches. A step either lets the
+record continue or *drops* it with a machine-readable reason, which is
+an early return into accounting.
 
-* **batching** — :meth:`Stage.prepare_batch` lets a stage precompute
-  over a whole batch at once, which is how sketch extraction amortizes
-  its vectorized numpy inner loops. :meth:`DedupEngine.encode_batch
-  <repro.core.engine.DedupEngine.encode_batch>` calls it for batches of
-  more than one record, before running the records one by one;
-* **observability** — :class:`PipelineObserver` hooks see every stage
-  entry/exit and every drop, feeding the per-stage counters in
-  :class:`~repro.core.stats.DedupStats`.
+Each step is bracketed by :meth:`DedupPipeline._enter` /
+:meth:`DedupPipeline._leave`, which feed the per-stage counters of
+:class:`~repro.core.stats.DedupStats` (records in/out, drops, simulated
+CPU) and then the attached :class:`PipelineObserver` hooks. The steps
+keep their stage names (:attr:`DedupPipeline.stages`) as the label set
+of those counters and of the ``stage:<name>`` trace spans.
 
-Ordering contract: the stages from the index lookup onward mutate shared
+Ordering contract: the steps from the index lookup onward mutate shared
 state (feature index, insertion sequence, source cache, chain registry,
 admission estimator) whose evolution must match the sequential insert
-order exactly —
-replica convergence depends on both ends of the replication link deriving
-identical chains from the same ordered stream. The batch phase therefore
-hoists only *pure* work (sketching), and :meth:`DedupPipeline.run` drives
-the stateful stage list record-at-a-time, which is what makes
-``encode_batch() ≡ [encode(), …]`` hold byte-for-byte.
+order exactly — replica convergence depends on both ends of the
+replication link deriving identical chains from the same ordered
+stream. A batch therefore hoists only *pure* work (the vectorized
+sketch, passed to :meth:`DedupPipeline.run` per record), and the body
+runs record-at-a-time, which is what makes ``encode_batch() ≡
+[encode(), …]`` hold byte-for-byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.cache.writeback import WriteBackEntry
 from repro.core.planner import CpuMeter
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
-    from repro.core.engine import DedupEngine, EncodeResult, RecordProvider
+    from repro.core.engine import DedupEngine, RecordProvider
     from repro.core.selector import SelectedSource
     from repro.sketch.features import FeatureSketch
 
@@ -69,26 +66,62 @@ DROP_REASONS = (
 )
 
 
+@dataclass(frozen=True)
+class EncodeResult:
+    """Everything the database needs to finish one insert.
+
+    Attributes:
+        record_id / database / raw_size: identity of the new record.
+        deduped: True if a source was selected and the delta paid off.
+        source_id: the selected source record (None when unique).
+        forward_payload: serialized forward delta for the oplog; None for
+            unique records (the oplog then carries the raw content).
+        oplog_size: bytes this record contributes to replication traffic.
+        writebacks: backward/hop re-encodings to schedule via the lossy
+            write-back cache.
+        ideal_stored_delta: net change in post-dedup storage bytes if every
+            write-back is applied (new raw record minus planned savings).
+        overlapped: the source was not its chain's tail (Fig. 5).
+        source_was_cached: source content came from the source record cache.
+        cpu_seconds: simulated CPU time the encode consumed.
+        deferred: the record was parked for an out-of-line dedup pass
+            instead of running the pipeline — store raw, oplog raw; its
+            statistics are counted once, when it is later drained.
+        drained: results of deferred records the engine pushed through
+            the pipeline as part of producing *this* result (same-stream
+            order preservation, or queue-bound backpressure). The caller
+            must process their write-backs and CPU like any other encode;
+            they produce no oplog entries (their raw payload already
+            shipped at insert time).
+    """
+
+    record_id: str
+    database: str
+    raw_size: int
+    deduped: bool
+    source_id: str | None = None
+    forward_payload: bytes | None = None
+    oplog_size: int = 0
+    writebacks: tuple[WriteBackEntry, ...] = ()
+    ideal_stored_delta: int = 0
+    overlapped: bool = False
+    source_was_cached: bool = False
+    cpu_seconds: float = 0.0
+    deferred: bool = False
+    drained: tuple["EncodeResult", ...] = ()
+
+
 @dataclass
 class EncodeContext:
-    """Everything one record accumulates on its way through the pipeline.
+    """What observers and the drop accounting see of one record.
 
     Attributes:
         database / record_id / content / raw_size: identity of the insert.
         provider: storage access for source fetches.
         meter: simulated-CPU accumulator for this record.
-        sketch: similarity sketch (set by :class:`SketchStage`).
-        prepared_sketch: batch-precomputed sketch, consumed (and cleared)
-            by :class:`SketchStage` instead of re-extracting.
-        candidates: per-feature index candidates.
-        selected: the winning source record.
-        source_content: the source's raw bytes.
-        forward_payload: the forward delta in its wire format.
-        writebacks / overlapped: write-back plan (§3.2.2 / Fig. 5).
+        sketch: similarity sketch, set once the record passes the gates.
         drop_reason / drop_stage: why and where the record left the dedup
-            path (None while it is still in flight).
-        result: the finished :class:`~repro.core.engine.EncodeResult`,
-            produced by the terminal accounting stage.
+            path (None while it is still on it).
     """
 
     database: str
@@ -98,41 +131,12 @@ class EncodeContext:
     meter: CpuMeter
     raw_size: int = 0
     sketch: "FeatureSketch | None" = None
-    prepared_sketch: "FeatureSketch | None" = None
-    candidates: list[list[str]] | None = None
-    selected: "SelectedSource | None" = None
-    source_content: bytes | None = None
-    forward_payload: bytes | None = None
-    writebacks: tuple[WriteBackEntry, ...] = ()
-    overlapped: bool = False
     drop_reason: str | None = None
     drop_stage: str | None = None
-    result: "EncodeResult | None" = None
 
     def __post_init__(self) -> None:
         if not self.raw_size:
             self.raw_size = len(self.content)
-
-    @property
-    def dropped(self) -> bool:
-        """True once some stage removed the record from the dedup path."""
-        return self.drop_reason is not None
-
-    def drop(self, stage: str, reason: str) -> None:
-        """Mark the record as leaving the dedup path at ``stage``."""
-        self.drop_reason = reason
-        self.drop_stage = stage
-
-    @property
-    def passed_gates(self) -> bool:
-        """True if the record made it past the governor and size gates.
-
-        Gated records store unique *without* entering the source cache or
-        the governor's ratio window; records dropped deeper in the
-        pipeline become cache candidates and count toward the governor
-        (§3.3.1: an unencoded record may be tomorrow's source).
-        """
-        return self.drop_reason not in (DROP_GOVERNOR, DROP_SIZE_FILTER)
 
 
 class PipelineObserver:
@@ -155,374 +159,227 @@ class PipelineObserver:
         """Called when ``stage`` dropped ``ctx`` with ``reason``."""
 
 
-class StageStatsObserver(PipelineObserver):
-    """Feeds pipeline activity into :class:`~repro.core.stats.DedupStats`.
-
-    Counting convention: a stage's ``in`` is every context that entered
-    it, its ``out`` is every context that left it still on the dedup path,
-    so ``in == out + drops-at-stage`` holds per stage and the terminal
-    accounting stage sees every record exactly once.
-    """
-
-    def __init__(self, stats) -> None:
-        self.stats = stats
-
-    def on_stage_start(self, stage: str, ctx: EncodeContext) -> None:
-        self.stats.note_stage_entry(stage)
-
-    def on_stage_end(
-        self, stage: str, ctx: EncodeContext, cpu_seconds: float
-    ) -> None:
-        self.stats.note_stage_exit(
-            stage, cpu_seconds, survived=ctx.drop_stage != stage
-        )
-
-    def on_drop(self, stage: str, ctx: EncodeContext, reason: str) -> None:
-        self.stats.note_drop(reason, stage, ctx.database)
-
-
-class Stage(Protocol):
-    """One step of the encode workflow.
-
-    Attributes:
-        name: stable identifier used in stats tables and observer hooks.
-        always_runs: True for stages that must see *every* record, even
-            ones already dropped (the terminal accounting stage).
-    """
-
-    name: str
-    always_runs: bool
-
-    def run(self, ctx: EncodeContext) -> None:
-        """Advance one context; call ``ctx.drop(...)`` to end its path."""
-        ...
-
-    def prepare_batch(self, contexts: Sequence[EncodeContext]) -> None:
-        """Optional vectorized precomputation over a whole batch.
-
-        Runs once per batch *before* any per-record execution, so it must
-        be pure: no shared-state mutation, no meter charges — only
-        derived values parked on the contexts.
-        """
-        ...
-
-
-class _StageBase:
-    """Default stage behaviour: per-record only, engine-bound."""
-
-    name = "stage"
-    always_runs = False
-
-    def __init__(self, engine: "DedupEngine") -> None:
-        self.engine = engine
-
-    def prepare_batch(self, contexts: Sequence[EncodeContext]) -> None:
-        """No batch precomputation by default."""
-
-
-class AdmissionGate(_StageBase):
-    """Admission control: bypass streams whose dedup is disabled.
-
-    Covers §3.4.1 (governor mode) and the hybrid mode's permanent-bypass
-    transitions. Deferral never reaches this stage — the engine parks
-    deferred records *before* building a pipeline context, so every
-    record the pipeline sees is counted exactly once in its stats.
-    """
-
-    name = "admission_gate"
-
-    def run(self, ctx: EncodeContext) -> None:
-        """Drop the record when its stream's dedup is disabled."""
-        if not self.engine.admission.is_enabled(ctx.database):
-            self.engine.stats.note_bypass()
-            self.engine.stats_for(ctx.database).note_bypass()
-            ctx.drop(self.name, DROP_GOVERNOR)
-
-
-class SizeFilterGate(_StageBase):
-    """§3.4.2: skip records below the learned size cut-off."""
-
-    name = "size_filter_gate"
-
-    def run(self, ctx: EncodeContext) -> None:
-        """Observe the record's size; drop it below the cut-off."""
-        if not self.engine.size_filter.should_dedup(ctx.database, ctx.raw_size):
-            self.engine.stats.note_filtered()
-            self.engine.stats_for(ctx.database).note_filtered()
-            ctx.drop(self.name, DROP_SIZE_FILTER)
-
-
-class SketchStage(_StageBase):
-    """§3.1.1: content-defined chunking + top-K consistent sampling.
-
-    The only stage with a real batch phase: :meth:`prepare_batch` sketches
-    the whole batch in one vectorized pass (one padded gear-hash sweep
-    over the concatenated contents when the vectorized chunker lane is
-    active — see :mod:`repro.chunking.cdc`), and :meth:`run` then just
-    consumes the parked sketch. CPU is still charged per record at
-    :meth:`run` time so gated records never pay for a sketch they did
-    not use.
-    """
-
-    name = "sketch"
-
-    def prepare_batch(self, contexts: Sequence[EncodeContext]) -> None:
-        live = [ctx for ctx in contexts if not ctx.dropped]
-        if not live:
-            return
-        sketches = self.engine.extractor.sketch_many(
-            [ctx.content for ctx in live]
-        )
-        for ctx, sketch in zip(live, sketches):
-            ctx.prepared_sketch = sketch
-
-    def run(self, ctx: EncodeContext) -> None:
-        """Charge chunking CPU and attach the similarity sketch."""
-        ctx.meter.charge_chunking(ctx.raw_size)
-        if ctx.prepared_sketch is not None:
-            ctx.sketch = ctx.prepared_sketch
-            ctx.prepared_sketch = None
-        else:
-            ctx.sketch = self.engine.extractor.sketch(ctx.content)
-
-
-class IndexLookupStage(_StageBase):
-    """§3.1.2: per-feature candidate lookup, registering the new record."""
-
-    name = "index_lookup"
-
-    def run(self, ctx: EncodeContext) -> None:
-        """Collect per-feature candidates; register the record."""
-        index = self.engine.index_for(ctx.database)
-        ctx.candidates = [
-            index.lookup_and_insert(feature, ctx.record_id)
-            for feature in ctx.sketch.features
-        ]
-        self.engine.register_insert(ctx.database, ctx.record_id)
-        # Tiered demotions/promotions triggered by this record's lookups
-        # and inserts are charged to this encode's CPU meter, so the sim
-        # sees tier churn as background work on the node.
-        self.engine.charge_index_maintenance(index, ctx.meter)
-
-
-class SourceSelectStage(_StageBase):
-    """§3.1.3: cache-aware scoring, then source content resolution."""
-
-    name = "source_select"
-
-    def run(self, ctx: EncodeContext) -> None:
-        """Pick the source record and resolve its content."""
-        engine = self.engine
-        selected = engine.selector.select(
-            ctx.candidates,
-            recency_of=lambda rid: engine._insert_seq.get(rid, -1),
-        )
-        if selected is None or selected.record_id == ctx.record_id:
-            ctx.drop(self.name, DROP_NO_CANDIDATE)
-            return
-        ctx.selected = selected
-        ctx.source_content = engine.planner.fetch(
-            selected.record_id, ctx.provider
-        )
-        if ctx.source_content is None:
-            ctx.drop(self.name, DROP_MISSING_SOURCE)
-
-
-class ForwardDeltaStage(_StageBase):
-    """§3.2.1: forward delta against the source; reject weak savings."""
-
-    name = "forward_delta"
-
-    def run(self, ctx: EncodeContext) -> None:
-        """Compute the forward delta; drop weak savings."""
-        ctx.meter.charge_delta(len(ctx.source_content) + ctx.raw_size)
-        ctx.forward_payload = self.engine.planner.compressor.compress(
-            ctx.source_content, ctx.content
-        )
-        min_ratio = self.engine.config.min_savings_ratio
-        if len(ctx.forward_payload) >= ctx.raw_size * min_ratio:
-            ctx.drop(self.name, DROP_WEAK_DELTA)
-
-
-class WritebackPlanStage(_StageBase):
-    """§3.2.2/§3.3: extend the chain, plan backward/hop write-backs."""
-
-    name = "writeback_plan"
-
-    def run(self, ctx: EncodeContext) -> None:
-        """Plan the chain extension and its write-backs."""
-        writebacks, overlapped = self.engine.planner.plan(
-            ctx.record_id,
-            ctx.selected.record_id,
-            ctx.content,
-            ctx.source_content,
-            ctx.forward_payload,
-            ctx.provider,
-            ctx.meter,
-        )
-        ctx.writebacks = tuple(writebacks)
-        ctx.overlapped = overlapped
-
-
-class AccountingStage(_StageBase):
-    """Terminal stage: statistics, governor feedback, the EncodeResult.
-
-    Runs for every record — deduped or dropped — so the per-stage
-    counters it feeds always reconcile to ``records_seen``.
-    """
-
-    name = "accounting"
-    always_runs = True
-
-    def run(self, ctx: EncodeContext) -> None:
-        """Finalize statistics and build the EncodeResult."""
-        from repro.core.engine import EncodeResult
-
-        engine = self.engine
-        if not ctx.dropped:
-            if ctx.overlapped:
-                engine.stats.note_overlap()
-            engine.stats.note_writebacks_planned(len(ctx.writebacks))
-            oplog_size = len(ctx.forward_payload)
-            planned_savings = sum(
-                entry.space_saving for entry in ctx.writebacks
-            )
-            ideal_delta = (
-                ctx.raw_size
-                if engine.config.encoding == "forward"
-                else ctx.raw_size - planned_savings
-            )
-            engine.stats.record_insert(
-                ctx.raw_size, oplog_size, ideal_delta, deduped=True
-            )
-            engine.stats_for(ctx.database).record_insert(
-                ctx.raw_size, oplog_size, ideal_delta, deduped=True
-            )
-            # The audit trail is fed in lockstep with the engine-scope
-            # record_insert above — its reconciliation identity depends
-            # on exactly this 1:1 pairing.
-            engine.audit.record(
-                record_id=ctx.record_id,
-                database=ctx.database,
-                reason="deduped",
-                raw_size=ctx.raw_size,
-                saved_bytes=ctx.raw_size - oplog_size,
-                source_id=ctx.selected.record_id,
-                similarity=ctx.selected.score,
-            )
-            if ctx.sketch is not None:
-                engine.stats.note_chunks(ctx.sketch.chunk_count)
-            # Source-cache hit/miss accounting lives in the cache itself
-            # since the unification; stats delegate to it.
-            engine.observe_admission(
-                ctx.database,
-                ctx.raw_size,
-                oplog_size,
-                features=ctx.sketch.features if ctx.sketch else None,
-            )
-            ctx.result = EncodeResult(
-                record_id=ctx.record_id,
-                database=ctx.database,
-                raw_size=ctx.raw_size,
-                deduped=True,
-                source_id=ctx.selected.record_id,
-                forward_payload=ctx.forward_payload,
-                oplog_size=oplog_size,
-                writebacks=ctx.writebacks,
-                ideal_stored_delta=ideal_delta,
-                overlapped=ctx.overlapped,
-                source_was_cached=ctx.selected.was_cached,
-                cpu_seconds=ctx.meter.seconds,
-            )
-            return
-
-        if ctx.passed_gates:
-            # §3.3.1: an unencoded record still enters the source cache
-            # (it may become tomorrow's source) and the admission window.
-            engine.source_cache.admit(ctx.record_id, ctx.content)
-            engine.observe_admission(
-                ctx.database,
-                ctx.raw_size,
-                ctx.raw_size,
-                features=ctx.sketch.features if ctx.sketch else None,
-            )
-        engine.stats.record_insert(
-            ctx.raw_size, ctx.raw_size, ctx.raw_size, deduped=False
-        )
-        engine.stats_for(ctx.database).record_insert(
-            ctx.raw_size, ctx.raw_size, ctx.raw_size, deduped=False
-        )
-        engine.audit.record(
-            record_id=ctx.record_id,
-            database=ctx.database,
-            reason=ctx.drop_reason or "unique",
-            raw_size=ctx.raw_size,
-            saved_bytes=0,
-        )
-        if ctx.sketch is not None:
-            engine.stats.note_chunks(ctx.sketch.chunk_count)
-        ctx.result = EncodeResult(
-            record_id=ctx.record_id,
-            database=ctx.database,
-            raw_size=ctx.raw_size,
-            deduped=False,
-            oplog_size=ctx.raw_size,
-            ideal_stored_delta=ctx.raw_size,
-            cpu_seconds=ctx.meter.seconds,
-        )
-
-
 class DedupPipeline:
-    """Composes the stage list and drives contexts through it."""
+    """One engine's encode body, its stage names and attached observers.
+
+    Counting convention: a stage's ``in`` is every record that entered
+    it, its ``out`` is every record that left it still on the dedup
+    path, so ``in == out + drops-at-stage`` holds per stage and the
+    terminal accounting stage sees every record exactly once.
+    """
+
+    #: The stage names, in execution order.
+    stages = (
+        "admission_gate",
+        "size_filter_gate",
+        "sketch",
+        "index_lookup",
+        "source_select",
+        "forward_delta",
+        "writeback_plan",
+        "accounting",
+    )
 
     def __init__(
         self,
-        stages: Sequence[Stage],
+        engine: "DedupEngine",
         observers: Sequence[PipelineObserver] = (),
     ) -> None:
-        self.stages = list(stages)
+        self.engine = engine
         self.observers = list(observers)
 
     def add_observer(self, observer: PipelineObserver) -> None:
         """Attach an instrumentation hook (sees all subsequent records)."""
         self.observers.append(observer)
 
-    def stage_names(self) -> list[str]:
-        """The stage identifiers, in execution order."""
-        return [stage.name for stage in self.stages]
+    def _enter(self, stage: str, ctx: EncodeContext) -> float:
+        """Count ``ctx`` into ``stage``; returns the meter reading."""
+        self.engine.stats.note_stage_entry(stage)
+        for observer in self.observers:
+            observer.on_stage_start(stage, ctx)
+        return ctx.meter.seconds
 
-    def run(self, ctx: EncodeContext) -> EncodeContext:
-        """Drive one context through every applicable stage."""
-        for stage in self.stages:
-            if ctx.dropped and not stage.always_runs:
-                continue
+    def _leave(
+        self,
+        stage: str,
+        ctx: EncodeContext,
+        cpu_before: float,
+        reason: str | None = None,
+    ) -> None:
+        """Count ``ctx`` out of ``stage``, dropped with ``reason`` if given."""
+        cpu_seconds = ctx.meter.seconds - cpu_before
+        stats = self.engine.stats
+        if reason is not None:
+            ctx.drop_reason = reason
+            ctx.drop_stage = stage
+            stats.note_drop(reason, stage, ctx.database)
             for observer in self.observers:
-                observer.on_stage_start(stage.name, ctx)
-            cpu_before = ctx.meter.seconds
-            stage.run(ctx)
-            cpu_spent = ctx.meter.seconds - cpu_before
-            if ctx.drop_stage == stage.name:
-                for observer in self.observers:
-                    observer.on_drop(stage.name, ctx, ctx.drop_reason)
-            for observer in self.observers:
-                observer.on_stage_end(stage.name, ctx, cpu_spent)
-        return ctx
+                observer.on_drop(stage, ctx, reason)
+        stats.note_stage_exit(stage, cpu_seconds, survived=reason is None)
+        for observer in self.observers:
+            observer.on_stage_end(stage, ctx, cpu_seconds)
 
+    def run(
+        self, ctx: EncodeContext, sketch: "FeatureSketch | None" = None
+    ) -> EncodeResult:
+        """Encode one record: the gates, the four steps, the write-back plan.
 
-def build_default_pipeline(
-    engine: "DedupEngine", observers: Sequence[PipelineObserver] = ()
-) -> DedupPipeline:
-    """The standard dbDedup stage list wired to one engine."""
-    return DedupPipeline(
-        stages=[
-            AdmissionGate(engine),
-            SizeFilterGate(engine),
-            SketchStage(engine),
-            IndexLookupStage(engine),
-            SourceSelectStage(engine),
-            ForwardDeltaStage(engine),
-            WritebackPlanStage(engine),
-            AccountingStage(engine),
-        ],
-        observers=observers,
-    )
+        ``sketch`` is the record's batch-precomputed sketch. It is attached
+        only once the record passes the gates, so a gated record stays
+        unsketched to accounting even in a pre-sketched batch.
+        """
+        engine = self.engine
+        database = ctx.database
+
+        # §3.4.1: admission control bypasses streams whose dedup is off.
+        # Deferral never reaches this point — the engine parks deferred
+        # records before building a context, so each record is counted
+        # exactly once.
+        before = self._enter("admission_gate", ctx)
+        if not engine.admission.is_enabled(database):
+            engine.stats.note_bypass()
+            engine.stats_for(database).note_bypass()
+            self._leave("admission_gate", ctx, before, DROP_GOVERNOR)
+            return self._account(ctx)
+        self._leave("admission_gate", ctx, before)
+
+        # §3.4.2: skip records below the learned size cut-off.
+        before = self._enter("size_filter_gate", ctx)
+        if not engine.size_filter.should_dedup(database, ctx.raw_size):
+            engine.stats.note_filtered()
+            engine.stats_for(database).note_filtered()
+            self._leave("size_filter_gate", ctx, before, DROP_SIZE_FILTER)
+            return self._account(ctx)
+        self._leave("size_filter_gate", ctx, before)
+
+        # §3.1.1: content-defined chunking + top-K consistent sampling.
+        before = self._enter("sketch", ctx)
+        ctx.meter.charge_chunking(ctx.raw_size)
+        ctx.sketch = (
+            sketch if sketch is not None else engine.extractor.sketch(ctx.content)
+        )
+        self._leave("sketch", ctx, before)
+
+        # §3.1.2: per-feature candidate lookup, registering the new record.
+        before = self._enter("index_lookup", ctx)
+        index = engine.index_for(database)
+        candidates = [
+            index.lookup_and_insert(feature, ctx.record_id)
+            for feature in ctx.sketch.features
+        ]
+        engine.register_insert(database, ctx.record_id)
+        # Tiered demotions/promotions triggered by this record's lookups
+        # and inserts are charged to this encode's CPU meter, so the sim
+        # sees tier churn as background work on the node.
+        engine.charge_index_maintenance(index, ctx.meter)
+        self._leave("index_lookup", ctx, before)
+
+        # §3.1.3: cache-aware scoring, then source content resolution.
+        before = self._enter("source_select", ctx)
+        selected = engine.selector.select(
+            candidates,
+            recency_of=lambda rid: engine._insert_seq.get(rid, -1),
+        )
+        if selected is None or selected.record_id == ctx.record_id:
+            self._leave("source_select", ctx, before, DROP_NO_CANDIDATE)
+            return self._account(ctx)
+        source = engine.planner.fetch(selected.record_id, ctx.provider)
+        if source is None:
+            self._leave("source_select", ctx, before, DROP_MISSING_SOURCE)
+            return self._account(ctx)
+        self._leave("source_select", ctx, before)
+
+        # §3.2.1: forward delta against the source; reject weak savings.
+        before = self._enter("forward_delta", ctx)
+        ctx.meter.charge_delta(len(source) + ctx.raw_size)
+        payload = engine.planner.compressor.compress(source, ctx.content)
+        if len(payload) >= ctx.raw_size * engine.config.min_savings_ratio:
+            self._leave("forward_delta", ctx, before, DROP_WEAK_DELTA)
+            return self._account(ctx)
+        self._leave("forward_delta", ctx, before)
+
+        # §3.2.2/§3.3: extend the chain, plan backward/hop write-backs.
+        before = self._enter("writeback_plan", ctx)
+        writebacks, overlapped = engine.planner.plan(
+            ctx.record_id,
+            selected.record_id,
+            ctx.content,
+            source,
+            payload,
+            ctx.provider,
+            ctx.meter,
+        )
+        self._leave("writeback_plan", ctx, before)
+        return self._account(ctx, selected, payload, tuple(writebacks), overlapped)
+
+    def _account(
+        self,
+        ctx: EncodeContext,
+        selected: "SelectedSource | None" = None,
+        payload: bytes | None = None,
+        writebacks: tuple[WriteBackEntry, ...] = (),
+        overlapped: bool = False,
+    ) -> EncodeResult:
+        """The accounting stage: statistics, audit, admission feedback and
+        the :class:`EncodeResult`, for every record, deduped or dropped."""
+        before = self._enter("accounting", ctx)
+        engine = self.engine
+        raw_size = ctx.raw_size
+        deduped = selected is not None
+        source_id = selected.record_id if deduped else None
+        if deduped:
+            if overlapped:
+                engine.stats.note_overlap()
+            engine.stats.note_writebacks_planned(len(writebacks))
+            oplog_size = len(payload)
+            ideal_delta = raw_size
+            if engine.config.encoding != "forward":
+                ideal_delta -= sum(entry.space_saving for entry in writebacks)
+        else:
+            oplog_size = ideal_delta = raw_size
+            if ctx.sketch is not None:
+                # Past the gates. §3.3.1: an unencoded record still enters
+                # the source cache (it may become tomorrow's source) and
+                # the admission window; gated records do neither.
+                engine.source_cache.admit(ctx.record_id, ctx.content)
+                engine.observe_admission(
+                    ctx.database, raw_size, raw_size, features=ctx.sketch.features
+                )
+        engine.stats.record_insert(raw_size, oplog_size, ideal_delta, deduped)
+        engine.stats_for(ctx.database).record_insert(
+            raw_size, oplog_size, ideal_delta, deduped
+        )
+        # The audit trail is fed in lockstep with the engine-scope
+        # record_insert above — its reconciliation identity depends on
+        # exactly this 1:1 pairing.
+        engine.audit.record(
+            record_id=ctx.record_id,
+            database=ctx.database,
+            reason="deduped" if deduped else ctx.drop_reason,
+            raw_size=raw_size,
+            saved_bytes=raw_size - oplog_size,
+            source_id=source_id,
+            similarity=selected.score if deduped else None,
+        )
+        if ctx.sketch is not None:
+            engine.stats.note_chunks(ctx.sketch.chunk_count)
+        if deduped:
+            engine.observe_admission(
+                ctx.database, raw_size, oplog_size, features=ctx.sketch.features
+            )
+        result = EncodeResult(
+            record_id=ctx.record_id,
+            database=ctx.database,
+            raw_size=raw_size,
+            deduped=deduped,
+            source_id=source_id,
+            forward_payload=payload,
+            oplog_size=oplog_size,
+            writebacks=writebacks,
+            ideal_stored_delta=ideal_delta,
+            overlapped=overlapped,
+            source_was_cached=deduped and selected.was_cached,
+            cpu_seconds=ctx.meter.seconds,
+        )
+        self._leave("accounting", ctx, before)
+        return result

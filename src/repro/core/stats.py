@@ -54,9 +54,9 @@ class DedupStats:
     Compression ratios are reported the paper's way: original size divided
     by reduced size, so 1.0 means "no compression".
 
-    Besides the headline counters, the staged pipeline feeds per-stage
-    instrumentation (see :class:`repro.core.pipeline.StageStatsObserver`):
-    ``stage_records_in``/``stage_records_out`` count contexts entering and
+    Besides the headline counters, the encode body feeds per-stage
+    instrumentation directly (see :class:`repro.core.pipeline.DedupPipeline`):
+    ``stage_records_in``/``stage_records_out`` count records entering and
     surviving each stage, ``stage_cpu_seconds`` accumulates the simulated
     CPU charged inside each stage, and ``drop_reasons`` tallies why
     records left the dedup path. They reconcile: for every stage,
@@ -237,7 +237,7 @@ class DedupStats:
         if slot < self.saving_sample_cap:
             self.saving_samples[slot] = sample
 
-    # -- pipeline instrumentation (fed by StageStatsObserver) --
+    # -- pipeline instrumentation (fed by DedupPipeline._enter / _leave) --
 
     def note_stage_entry(self, stage: str) -> None:
         """Count one context entering ``stage``."""

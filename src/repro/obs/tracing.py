@@ -231,9 +231,9 @@ class TracingObserver:
 
     Duck-types :class:`repro.core.pipeline.PipelineObserver` (same hook
     names) without importing it, keeping ``repro.obs`` import-free of
-    ``repro.core``. The per-stage simulated CPU reported by the pipeline
-    is attached to the stage's span as ``cpu_s``; drops are annotated
-    with their reason.
+    ``repro.core``. The encode body calls the hooks around each of its
+    steps; the per-stage simulated CPU it reports is attached to the
+    stage's span as ``cpu_s``; drops are annotated with their reason.
     """
 
     def __init__(self, tracer: Tracer) -> None:

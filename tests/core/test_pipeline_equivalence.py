@@ -1,6 +1,6 @@
 """Property test: ``encode_batch()`` ≡ sequential ``encode()``.
 
-The staged pipeline promises byte-identical behaviour between per-record
+The encode path promises byte-identical behaviour between per-record
 and batched execution — same :class:`EncodeResult` sequence, same global
 and per-database statistics — across every workload generator, any batch
 partitioning, and configurations that exercise the governor and size

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.config import DedupConfig
 from repro.core.engine import DedupEngine
+from repro.core.pipeline import PipelineObserver
 from repro.core.stats import DedupStats
 from repro.workloads import make_workload
 from repro.workloads.text import TextGenerator
@@ -112,6 +113,106 @@ def test_weak_delta_increments_one_reason(revision_pair):
     assert engine.stats.drops_at_stage("forward_delta") == 1
 
 
+STAGES = [
+    "admission_gate",
+    "size_filter_gate",
+    "sketch",
+    "index_lookup",
+    "source_select",
+    "forward_delta",
+    "writeback_plan",
+    "accounting",
+]
+
+
+class RecordingObserver(PipelineObserver):
+    """Logs ``(hook, stage, reason or cpu_seconds)`` for one record."""
+
+    def __init__(self, record_id: str) -> None:
+        self.record_id = record_id
+        self.log: list[tuple] = []
+
+    def on_stage_start(self, stage, ctx) -> None:
+        if ctx.record_id == self.record_id:
+            self.log.append(("start", stage, None))
+
+    def on_stage_end(self, stage, ctx, cpu_seconds) -> None:
+        if ctx.record_id == self.record_id:
+            self.log.append(("end", stage, cpu_seconds))
+
+    def on_drop(self, stage, ctx, reason) -> None:
+        if ctx.record_id == self.record_id:
+            assert ctx.database == "db"
+            assert (ctx.drop_stage, ctx.drop_reason) == (stage, reason)
+            self.log.append(("drop", stage, reason))
+
+
+def _force_outcome(outcome, document, revision_pair):
+    """Engine + provider whose next insert of ``"rec"`` ends in ``outcome``;
+    returns ``(engine, provider, content, source)``."""
+    base, revised = revision_pair
+    overrides = {"min_savings_ratio": 1e-9} if outcome == "weak_delta" else {}
+    engine = make_engine(**overrides)
+    provider = DictProvider()
+    if outcome == "governor_bypass":
+        engine.admission.disabled_databases.add("db")
+    elif outcome == "size_filtered":
+        engine.size_filter._thresholds["db"] = 1 << 30
+    if outcome in ("no_candidate", "governor_bypass", "size_filtered"):
+        return engine, provider, document, None
+    insert(engine, provider, "base", base)
+    if outcome == "missing_source":
+        engine.source_cache.invalidate("base")
+        del provider.data["base"]
+    return engine, provider, revised, base
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    ["deduped", "governor_bypass", "size_filtered", "no_candidate",
+     "missing_source", "weak_delta"],
+)
+def test_observer_contract(outcome, document, revision_pair):
+    """Attached observers see start, work, ``on_drop`` if the stage dropped
+    the record, then end — for each stage the record reaches, with the
+    simulated CPU each stage charged; accounting always runs."""
+    engine, provider, content, source = _force_outcome(
+        outcome, document, revision_pair
+    )
+    observer = RecordingObserver("rec")
+    engine.pipeline.add_observer(observer)
+    result = engine.encode("db", "rec", content, provider)
+    assert result.deduped == (outcome == "deduped")
+
+    costs = engine.costs
+    source_size = len(source or b"")
+    cpu = {
+        "sketch": len(content) * costs.cpu_chunk_byte_s,
+        "forward_delta": (source_size + len(content)) * costs.cpu_delta_byte_s,
+        "writeback_plan": source_size * costs.cpu_reencode_byte_s,
+    }
+    drop_stage = {
+        "governor_bypass": "admission_gate",
+        "size_filtered": "size_filter_gate",
+        "no_candidate": "source_select",
+        "missing_source": "source_select",
+        "weak_delta": "forward_delta",
+    }.get(outcome)
+    reached = STAGES[: STAGES.index(drop_stage) + 1] if drop_stage else STAGES[:-1]
+    expected = []
+    for stage in [*reached, "accounting"]:
+        expected.append(("start", stage, None))
+        if stage == drop_stage:
+            expected.append(("drop", stage, outcome))
+        expected.append(("end", stage, pytest.approx(cpu.get(stage, 0.0))))
+    assert observer.log == expected
+
+
+def test_pipeline_stages_are_the_stage_names():
+    """``pipeline.stages`` is the eight stage names in execution order."""
+    assert list(make_engine().pipeline.stages) == STAGES
+
+
 def test_stage_counts_reconcile_on_workload():
     workload = make_workload("messageboards", seed=11, target_bytes=80_000)
     engine = make_engine(
@@ -124,7 +225,7 @@ def test_stage_counts_reconcile_on_workload():
         insert(engine, provider, op.record_id, op.content, database=op.database)
 
     stats = engine.stats
-    stage_names = engine.pipeline.stage_names()
+    stage_names = list(engine.pipeline.stages)
     assert stats.records_seen > 0
 
     for name in stage_names:

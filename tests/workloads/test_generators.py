@@ -1,8 +1,10 @@
 """The four dataset generators: structure, determinism, trace ratios."""
 
+import hashlib
+
 import pytest
 
-from repro.workloads import ALL_WORKLOADS, make_workload
+from repro.workloads import ALL_WORKLOADS, EXTRA_WORKLOADS, make_workload
 from repro.workloads.enron import EnronWorkload
 from repro.workloads.messageboards import MessageBoardsWorkload
 from repro.workloads.stackexchange import StackExchangeWorkload
@@ -47,6 +49,20 @@ class TestCommonContract:
     def test_target_too_small_rejected(self, workload_cls):
         with pytest.raises(ValueError):
             workload_cls(seed=5, target_bytes=100)
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+@pytest.mark.parametrize("workload_cls", ALL_WORKLOADS + EXTRA_WORKLOADS)
+def test_no_exact_duplicate_insert(workload_cls, seed):
+    """No insert repeats an earlier insert byte for byte, so an exact-match
+    short-circuit ahead of chunking would never fire on these corpora."""
+    seen: set[bytes] = set()
+    for op in workload_cls(seed=seed, target_bytes=TARGET).insert_trace():
+        if op.kind != "insert":
+            continue
+        digest = hashlib.blake2b(op.content, digest_size=16).digest()
+        assert digest not in seen, op.record_id
+        seen.add(digest)
 
 
 class TestFactory:
