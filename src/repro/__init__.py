@@ -24,7 +24,6 @@ from repro.core import (
     AdmissionController,
     DedupConfig,
     DedupEngine,
-    DedupGovernor,
     DedupStats,
     SecondaryReencoder,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "AdmissionController",
     "DedupConfig",
     "DedupEngine",
-    "DedupGovernor",
     "DedupStats",
     "SecondaryReencoder",
     "TradDedupEngine",

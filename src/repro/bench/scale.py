@@ -160,7 +160,7 @@ def index_memory_sweep(
     """
     rows: list[IndexMemoryRow] = []
 
-    def drive(index_spec: IndexSpec | None, label: str,
+    def drive(index_spec: IndexSpec, label: str,
               budget: int | None) -> None:
         cluster = Cluster(ClusterSpec(
             dedup=DedupConfig(chunk_size=64, index=index_spec)
@@ -180,7 +180,7 @@ def index_memory_sweep(
             cold_hits=cold_hits,
         ))
 
-    drive(None, "cuckoo", None)
+    drive(IndexSpec(), "cuckoo", None)
     # The same entry population costs HOT_ENTRY_BYTES each under tiered
     # accounting — budgets are fractions of that honest footprint.
     full = (rows[0].hot_bytes // ENTRY_BYTES) * HOT_ENTRY_BYTES

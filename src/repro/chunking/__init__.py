@@ -1,4 +1,4 @@
-"""Record chunking: content-defined (normalized gear) and fixed-size.
+"""Record chunking: content-defined (normalized gear).
 
 The content-defined chunker has two lanes producing byte-identical
 boundaries: a numpy-vectorized bulk sweep (the hot path) and a scalar
@@ -12,12 +12,10 @@ from repro.chunking.cdc import (
     ContentDefinedChunker,
     normalized_masks,
 )
-from repro.chunking.fixed import FixedSizeChunker
 
 __all__ = [
     "CHUNKER_IMPLS",
     "Chunk",
     "ContentDefinedChunker",
-    "FixedSizeChunker",
     "normalized_masks",
 ]

@@ -25,7 +25,6 @@ Modes:
 
 * ``"governor"`` (default): the paper-faithful behaviour — inline until
   the windowed ratio drops below the threshold, then permanent bypass.
-  Byte-identical to the pre-refactor :class:`DedupGovernor`.
 * ``"inline"``: always inline, never defer, never bypass (the estimator
   still runs for reporting).
 * ``"hybrid"``: the three-way policy described above.

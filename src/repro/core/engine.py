@@ -125,8 +125,6 @@ class DedupEngine:
         #: Per-logical-database statistics (savings samples only kept
         #: globally, to bound memory).
         self.database_stats: dict[str, DedupStats] = {}
-        #: The effective index configuration (flat knobs already folded).
-        self.index_spec = self.config.resolved_index()
         self._indexes: dict[str, FeatureIndex] = {}
         #: Simulated CPU spent on tier maintenance (demotions/promotions),
         #: charged as background work via :meth:`charge_index_maintenance`.
@@ -480,7 +478,7 @@ class DedupEngine:
         """The database's feature-index partition (created on demand)."""
         index = self._indexes.get(database)
         if index is None:
-            index = build_index(self.index_spec)
+            index = build_index(self.config.index)
             self._indexes[database] = index
         return index
 

@@ -392,7 +392,12 @@ class Database:
                 raise CorruptChain(f"cycle at {record.record_id!r}")
             seen.add(record.record_id)
             steps += 1
-            record = self.records[record.base_id]
+            base = self.records.get(record.base_id)
+            if base is None:
+                raise CorruptChain(
+                    f"{record.record_id!r} has dangling base {record.base_id!r}"
+                )
+            record = base
         return steps
 
     # -- internals ---------------------------------------------------------------

@@ -96,8 +96,8 @@ class GearHasher:
     """Streaming gear hash; the byte-at-a-time reference implementation.
 
     Push bytes with :meth:`update`; :attr:`value` is the hash of (at most)
-    the last :data:`WINDOW` bytes seen. Unlike :class:`RabinHasher` there
-    is no buffer of pending bytes: expiry is implicit in the shift.
+    the last :data:`WINDOW` bytes seen. Unlike a Rabin hasher there is
+    no buffer of pending bytes: expiry is implicit in the shift.
     """
 
     def __init__(self, table: tuple[int, ...] = GEAR) -> None:

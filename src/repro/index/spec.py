@@ -1,11 +1,8 @@
 """The one index-configuration object the public API accepts.
 
-Before this redesign the feature-index knobs rode as three loose fields
-on :class:`~repro.core.config.DedupConfig` (``index_buckets`` /
-``index_slots`` / ``max_candidates``) and only ever described the
-unbounded cuckoo structure. :class:`IndexSpec` consolidates them and
-adds the memory-bounded tiered variant: a frozen, keyword-only record of
-*which* index to build and *how big it may get*, nested as
+:class:`IndexSpec` is a frozen, keyword-only record of *which* feature
+index to build — the paper's unbounded cuckoo structure or the
+memory-bounded tiered variant — and *how big it may get*, nested as
 ``DedupConfig.index`` and consumed by
 :func:`repro.index.tiered.build_index`.
 

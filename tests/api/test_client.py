@@ -111,7 +111,6 @@ class TestIntrospection:
         for primary in client._primaries():
             assert primary.engine.config is client.spec.dedup
             assert primary.engine.admission.mode == "hybrid"
-            assert primary.engine.index_spec is dedup.index
 
     def test_wrapping_existing_cluster(self):
         cluster = Cluster()

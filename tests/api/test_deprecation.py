@@ -1,37 +1,14 @@
-"""What is left of the legacy constructor paths: ``warn_once`` (behind
-the governor and flat-index shims), and a ``Cluster`` that takes the one
-spec and nothing it could disagree with."""
+"""What is left of the legacy constructor paths: a ``Cluster`` that takes
+the one spec and nothing it could disagree with."""
 
 import warnings
 
 import pytest
 
 from repro.api import ClusterSpec, open_cluster
-from repro.util.deprecation import (
-    reset_deprecation_warnings,
-    warn_once,
-)
 
 #: The internal constructor, reached through the public escape hatch.
 Cluster = type(open_cluster().cluster)
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    """Each test sees a process that has never warned."""
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
-
-
-class TestWarnOnce:
-    def test_fires_once_per_key(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert warn_once("k", "message")
-            assert not warn_once("k", "message")
-            assert warn_once("other", "message")
-        assert len(caught) == 2
 
 
 class TestClusterShim:

@@ -12,7 +12,6 @@ from repro.core.admission import (
     DECISION_INLINE,
     AdmissionController,
 )
-from repro.util.deprecation import reset_deprecation_warnings
 
 
 def make_hybrid(**overrides) -> AdmissionController:
@@ -132,6 +131,38 @@ class TestBypass:
 
 class TestGovernorMode:
     """The governor mode must reproduce the legacy semantics exactly."""
+
+    def test_enabled_by_default(self):
+        controller = AdmissionController(mode="governor")
+        assert controller.is_enabled("anything")
+        assert controller.window_ratio("anything") == 1.0
+
+    def test_keeps_compressing_database(self):
+        controller = AdmissionController(
+            mode="governor", threshold=1.1, window=10
+        )
+        for _ in range(25):
+            assert controller.observe("good", bytes_in=100, bytes_out=10)
+        assert controller.is_enabled("good")
+
+    def test_window_resets_after_healthy_evaluation(self):
+        controller = AdmissionController(
+            mode="governor", threshold=1.1, window=5
+        )
+        for _ in range(5):
+            controller.observe("db", 100, 10)
+        assert controller.window_ratio("db") == 1.0
+
+    def test_databases_isolated(self):
+        controller = AdmissionController(
+            mode="governor", threshold=1.1, window=5
+        )
+        for _ in range(5):
+            controller.observe("bad", 100, 100)
+            controller.observe("good", 100, 10)
+        assert not controller.is_enabled("bad")
+        assert controller.is_enabled("good")
+        assert controller.disabled_databases == {"bad"}
 
     def test_window_ratio_legacy_convention(self):
         controller = AdmissionController(mode="governor", window=100_000)
@@ -307,22 +338,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             AdmissionController(**kwargs)
 
-
-class TestDeprecationShim:
-    def test_direct_construction_warns_once(self):
-        from repro.core.governor import DedupGovernor
-
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="DedupGovernor"):
-            governor = DedupGovernor(threshold=1.2, window=10)
-        assert isinstance(governor, AdmissionController)
-        assert governor.mode == "governor"
-        assert governor.threshold == 1.2
-        assert governor.window == 10
-        # warn-once: the second construction is silent.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            DedupGovernor()
-        reset_deprecation_warnings()

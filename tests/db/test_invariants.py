@@ -16,6 +16,7 @@ from repro.db.invariants import (
 )
 from repro.db.record import RecordForm
 from repro.index.cuckoo import CuckooFeatureIndex
+from repro.workloads import WikipediaWorkload
 from repro.workloads.base import Operation
 
 
@@ -170,6 +171,27 @@ class TestHopBoundGating:
             planner=cluster.primary.engine.planner,
         )
         assert not report.hop_bound_checked
+
+    def test_dangling_base_is_reported_with_the_bound_armed(self):
+        # The hop-bound check walks every chain; a base pointer into
+        # nothing must surface as a structure violation, not a KeyError.
+        cluster = Cluster(
+            ClusterSpec(dedup=DedupConfig(chunk_size=64, encoding="hop"))
+        )
+        cluster.run(WikipediaWorkload(7, 60_000).insert_trace())
+        db = cluster.primary.db
+        victim = next(
+            record for record in db.records.values()
+            if record.form is RecordForm.DELTA
+        )
+        victim.base_id = "ghost"
+        report = check_database(db, planner=cluster.primary.engine.planner)
+        assert report.hop_bound_checked
+        assert any(
+            violation.check == "structure"
+            and "dangling base" in violation.detail
+            for violation in report.violations
+        )
 
 
 class TestClusterCheck:

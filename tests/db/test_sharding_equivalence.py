@@ -24,7 +24,7 @@ WORKLOADS = ("wikipedia", "enron")
 #: and a budget-squeezed tiered index whose demote/promote churn must
 #: stay deterministic across topologies.
 INDEX_SPECS = (
-    None,
+    IndexSpec(),
     IndexSpec(kind="tiered", hot_bytes_budget=1024, promotion_hits=2),
 )
 

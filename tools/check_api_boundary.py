@@ -37,37 +37,6 @@ BANNED = re.compile(
     r")"
 )
 
-#: Pre-redesign call sites, grandfathered as-is. Shrink only: migrating
-#: one of these to ``repro.api`` removes its line; adding a NEW file
-#: here (or a new import in a file not listed) is a boundary violation.
-#: The §3.4.1 governor is now ``AdmissionController(mode="governor")``;
-#: ``repro.core.governor.DedupGovernor`` survives only as a deprecated
-#: warn-once shim. Code outside ``src/repro`` must not bind it — only
-#: the legacy-semantics tests below may, and this set may never grow.
-GOVERNOR_BANNED = re.compile(
-    r"^\s*("
-    r"from\s+repro\.core\.governor\s+import\b"
-    r"|import\s+repro\.core\.governor\b"
-    r"|from\s+repro(\.core)?\s+import\s+[(\w ,]*\bDedupGovernor\b"
-    r")"
-)
-
-GOVERNOR_ALLOWED = frozenset({
-    "tests/core/test_governor.py",   # pins the legacy governor semantics
-    "tests/core/test_admission.py",  # asserts the deprecation shim warns
-})
-
-#: The flat index knobs on ``DedupConfig`` are deprecated in favour of
-#: ``IndexSpec`` (nested as ``DedupConfig.index``).
-#: Code outside ``src/repro`` must not set them; only the test that pins
-#: the warn-once deprecation shim may. ``max_candidates`` stays legal —
-#: it is a first-class ``IndexSpec`` kwarg, not only a flat knob.
-FLAT_INDEX_BANNED = re.compile(r"^\s*\w.*\b(index_buckets|index_slots)\s*=")
-
-FLAT_INDEX_ALLOWED = frozenset({
-    "tests/api/test_index_spec.py",  # asserts the flat-knob shim warns
-})
-
 #: ``IndexSpec`` and ``ClusterSpec`` must be imported from the public
 #: surface (``repro.api``, or the ``repro.index`` package root), not from
 #: the internal modules that define them — a spec module's location is
@@ -79,6 +48,9 @@ INDEX_SPEC_BANNED = re.compile(
 
 INDEX_SPEC_ALLOWED: frozenset[str] = frozenset()
 
+#: Pre-redesign call sites, grandfathered as-is. Shrink only: migrating
+#: one of these to ``repro.api`` removes its line; adding a NEW file
+#: here (or a new import in a file not listed) is a boundary violation.
 ALLOWED = frozenset({
     "benchmarks/test_batch_insert.py",
     "tests/analysis/test_chains.py",
@@ -113,18 +85,6 @@ ALLOWED = frozenset({
 #: ``(pattern, allowlist, what the offending line should do instead)``.
 RULES = (
     (BANNED, ALLOWED, "imports internal Cluster (use repro.api.open_cluster)"),
-    (
-        GOVERNOR_BANNED,
-        GOVERNOR_ALLOWED,
-        "imports the deprecated governor shim "
-        '(use AdmissionController / admission_mode="governor")',
-    ),
-    (
-        FLAT_INDEX_BANNED,
-        FLAT_INDEX_ALLOWED,
-        "sets a deprecated flat index knob "
-        "(pass index=IndexSpec(...) instead)",
-    ),
     (
         INDEX_SPEC_BANNED,
         INDEX_SPEC_ALLOWED,
@@ -303,7 +263,7 @@ def main() -> int:
         )
         return 1
     print(
-        "API boundary clean: no new internal Cluster or governor-shim "
+        "API boundary clean: no new internal Cluster or spec-module "
         "imports; frozen oracle surfaces and sources unchanged."
     )
     return 0
