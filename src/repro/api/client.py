@@ -6,8 +6,9 @@ the lifecycle hooks experiments need (``run``, ``checkpoint``,
 ``stats``, ``check_invariants``). Whether the deployment is a plain
 single-primary :class:`~repro.db.cluster.Cluster` or a hash-sharded
 :class:`~repro.db.sharding.ShardedCluster` is an implementation detail
-selected by ``spec.shards``; both expose the same operation surface, so
-the client never branches on topology.
+selected by ``spec.shards``. Both expose the same operation surface and
+a ``shards`` tuple (a plain cluster is its own one shard), so the client
+never branches on topology: every per-shard report is one loop.
 """
 
 from __future__ import annotations
@@ -65,9 +66,7 @@ class DedupClient:
     @property
     def shards(self) -> int:
         """Number of shards (1 for a plain cluster)."""
-        if isinstance(self._cluster, ShardedCluster):
-            return len(self._cluster.shards)
-        return 1
+        return len(self._cluster.shards)
 
     @property
     def clock(self):
@@ -182,9 +181,7 @@ class DedupClient:
     # -- admission ------------------------------------------------------------
 
     def _primaries(self):
-        if isinstance(self._cluster, ShardedCluster):
-            return [shard.primary for shard in self._cluster.shards]
-        return [self._cluster.primary]
+        return [shard.primary for shard in self._cluster.shards]
 
     def drain_deferred(self, max_records: int | None = None) -> int:
         """Force a synchronous out-of-line dedup pass on every primary.
@@ -350,10 +347,6 @@ class DedupClient:
     def check_invariants(self, *, drain: bool = True, strict: bool = True):
         """Run the full invariant sweep; returns the
         :class:`~repro.db.invariants.InvariantReport`."""
-        from repro.db.invariants import check_cluster, check_sharded_cluster
+        from repro.db.invariants import check_cluster
 
-        if isinstance(self._cluster, ShardedCluster):
-            return check_sharded_cluster(
-                self._cluster, drain=drain, strict=strict
-            )
         return check_cluster(self._cluster, drain=drain, strict=strict)

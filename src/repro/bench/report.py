@@ -33,20 +33,3 @@ def _fmt(value: object) -> str:
         return f"{value:.4f}"
     return str(value)
 
-
-def render_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Render the same result rows as CSV (for spreadsheets/plot scripts).
-
-    Values containing commas or quotes are quoted per RFC 4180.
-    """
-
-    def cell(value: object) -> str:
-        text = repr(value) if isinstance(value, float) else str(value)
-        if any(ch in text for ch in ',"\n'):
-            escaped = text.replace('"', '""')
-            return f'"{escaped}"'
-        return text
-
-    lines = [",".join(cell(h) for h in headers)]
-    lines.extend(",".join(cell(value) for value in row) for row in rows)
-    return "\n".join(lines)

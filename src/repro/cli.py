@@ -339,15 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_invariant_sweep(cluster) -> int:
-    """Run the matching invariant sweep, print it, return an exit code."""
-    from repro.db.invariants import check_cluster, check_sharded_cluster
-    from repro.db.sharding import ShardedCluster
-
-    if isinstance(cluster, ShardedCluster):
-        report = check_sharded_cluster(cluster, strict=False)
-    else:
-        report = check_cluster(cluster, strict=False)
+def _run_invariant_sweep(client: DedupClient) -> int:
+    """Run the invariant sweep, print it, return an exit code."""
+    report = client.check_invariants(strict=False)
     print(report.summary())
     return 0 if report.ok else 1
 
@@ -560,7 +554,7 @@ def command_run(args: argparse.Namespace) -> int:
               "seed": args.seed, "target_bytes": args.target_bytes},
     )
     if args.check_invariants:
-        return _run_invariant_sweep(cluster)
+        return _run_invariant_sweep(client)
     return 0
 
 
@@ -655,7 +649,7 @@ def command_trace_replay(args: argparse.Namespace) -> int:
         cluster, args, meta={"command": "trace-replay", "path": args.path},
     )
     if args.check_invariants:
-        return _run_invariant_sweep(cluster)
+        return _run_invariant_sweep(client)
     return 0
 
 
@@ -713,25 +707,16 @@ def command_cleanup(args: argparse.Namespace) -> int:
         # A batch only fails post-validation (and rolls back) when the
         # store already violates its invariants — the prepared payloads
         # are decode-checked during planning. Surface that prediction.
-        for index, primary in enumerate(_cluster_primaries(client.cluster)):
-            sweep = check_database(primary.db, node=f"shard{index}")
+        for index, shard in enumerate(client.cluster.shards):
+            sweep = check_database(shard.primary.db, node=f"shard{index}")
             if not sweep.ok:
                 for violation in sweep.violations:
                     print(f"WOULD FAIL POST-VALIDATION: {violation}")
                 exit_code = 1
     if args.check_invariants:
-        invariant_code = _run_invariant_sweep(client.cluster)
+        invariant_code = _run_invariant_sweep(client)
         exit_code = exit_code or invariant_code
     return exit_code
-
-
-def _cluster_primaries(cluster) -> list:
-    """Shard primaries of either topology (plain cluster = one shard)."""
-    from repro.db.sharding import ShardedCluster
-
-    if isinstance(cluster, ShardedCluster):
-        return [shard.primary for shard in cluster.shards]
-    return [cluster.primary]
 
 
 def command_audit(args: argparse.Namespace) -> int:

@@ -410,15 +410,6 @@ class DedupStats:
         return self.bytes_in / self.oplog_bytes_out if self.oplog_bytes_out else 1.0
 
     @property
-    def ideal_storage_compression_ratio(self) -> float:
-        """Raw bytes over dedup-target storage bytes (ignores WB losses)."""
-        return (
-            self.bytes_in / self.ideal_storage_bytes
-            if self.ideal_storage_bytes
-            else 1.0
-        )
-
-    @property
     def dedup_hit_ratio(self) -> float:
         """Fraction of seen records that found a usable source."""
         return self.records_deduped / self.records_seen if self.records_seen else 0.0

@@ -20,7 +20,6 @@ from repro.db.invariants import (
     InvariantViolation,
     check_cluster,
     check_database,
-    check_sharded_cluster,
 )
 from repro.db.node import PrimaryNode, SecondaryNode
 from repro.db.oplog import Oplog, OplogEntry
@@ -45,7 +44,6 @@ __all__ = [
     "ReplayReport",
     "check_cluster",
     "check_database",
-    "check_sharded_cluster",
     "ShardedCluster",
     "ShardRouter",
     "locality_key",

@@ -70,43 +70,24 @@ class RunResult:
         """Client latency percentile in seconds."""
         return percentile(self.latencies_s, pct)
 
-    def latency_cdf(self, points: int = 50) -> list[tuple[float, float]]:
-        """Downsampled latency CDF: ``(latency_s, fraction)`` pairs.
-
-        The Fig. 12b curve; ``points`` controls the resolution.
-        """
-        ordered = sorted(self.latencies_s)
-        if not ordered:
-            return []
-        count = len(ordered)
-        step = max(1, count // points)
-        cdf = [
-            (ordered[index], (index + 1) / count)
-            for index in range(step - 1, count, step)
-        ]
-        if cdf[-1][1] < 1.0:
-            cdf.append((ordered[-1], 1.0))
-        return cdf
-
 
 class Cluster:
     """One-primary / N-secondary deployment driven by a client trace.
 
     ``Cluster(spec)`` reads every deployment knob from the one
     :class:`~repro.db.spec.ClusterSpec` (kept as ``config``; its sharding
-    fields are ignored here — a one-shard topology *is* a plain cluster).
-    The keyword arguments only inject shared collaborators: a sharded
-    cluster hands its shards one clock and tracer and passes
-    ``capture=False``.
+    fields are ignored here — a one-shard topology *is* a plain cluster,
+    and :attr:`shards` says so). The keyword arguments only inject shared
+    collaborators: a sharded cluster hands its shards one clock and
+    tracer and passes ``capture=False``.
     """
 
     def __init__(
         self,
-        spec: ClusterSpec | None = None,
+        spec: ClusterSpec,
         *,
         clock: SimClock | None = None,
         tracer: Tracer | None = None,
-        registry: MetricsRegistry | None = None,
         capture: bool = True,
     ) -> None:
         # An ambient capture (opened by the CLI around experiment code
@@ -116,15 +97,13 @@ class Cluster:
         # ``capture=False`` to its shards.
         cap = obs_runtime.active_capture() if capture else None
         #: The spec this cluster runs — every layer below reads it.
-        self.config = captured_spec(
-            spec if spec is not None else ClusterSpec(), cap
-        )
+        self.config = captured_spec(spec, cap)
         self.costs = self.config.costs
         #: Simulated clock — private by default, injected (shared) when
         #: this cluster is one shard of a :class:`ShardedCluster`.
         self.clock = clock if clock is not None else SimClock()
         #: Shared metrics registry every layer of this cluster reports to.
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         #: Per-operation service latency by op kind and tenant (logical
         #: database) — the distribution every SLO percentile is read
         #: from. Fine 1-2-5 buckets so interpolated p99/p999 are usable.
@@ -317,6 +296,12 @@ class Cluster:
         })
 
     @property
+    def shards(self) -> tuple["Cluster"]:
+        """The topology's shards: a plain cluster is its own one shard,
+        so every per-shard loop runs the same on either topology."""
+        return (self,)
+
+    @property
     def secondary(self) -> SecondaryNode:
         """The first secondary (the evaluated topology has exactly one)."""
         return self.secondaries[0]
@@ -448,7 +433,7 @@ class Cluster:
         """Run one client operation; returns its latency and advances time."""
         kind, tenant = op.kind, op.database
         if kind == "idle":
-            return idle(self.clock, (self,), op.idle_seconds)
+            return idle(self, op.idle_seconds)
         if kind == "read":
             call, args = self.read, (tenant, op.record_id)
         elif kind in ("insert", "update"):
@@ -671,7 +656,7 @@ class Cluster:
     ) -> RunResult:
         """Execute a trace (closed loop) and collect measurements; see
         :func:`run_trace`."""
-        return run_trace(self, [self.sampler], operations, timeline_bucket_s)
+        return run_trace(self, operations, timeline_bucket_s)
 
     def checkpoint(self, path) -> int:
         """Snapshot the primary and truncate oplog history every replica
@@ -790,33 +775,30 @@ def captured_spec(spec: ClusterSpec, cap) -> ClusterSpec:
     )
 
 
-def idle(clock: SimClock, clusters, seconds: float) -> float:
-    """Advance quiet time in slices so background work can drain.
-
-    ``clusters`` is every cluster on ``clock``: the one cluster of a
-    plain deployment, every shard of a sharded one.
-    """
+def idle(topology, seconds: float) -> float:
+    """Advance quiet time in slices so background work on every shard of
+    ``topology`` (a :class:`Cluster` or a sharded cluster) can drain."""
+    clock = topology.clock
     remaining = seconds
     step = max(seconds / 20.0, 1e-6)
     while remaining > 0:
         clock.advance(min(step, remaining))
         remaining -= step
-        for cluster in clusters:
-            cluster.failover.tick()
-            cluster.primary.on_idle()
+        for shard in topology.shards:
+            shard.failover.tick()
+            shard.primary.on_idle()
     return 0.0
 
 
-def run_trace(topology, samplers, operations, timeline_bucket_s=None) -> RunResult:
+def run_trace(topology, operations, timeline_bucket_s=None) -> RunResult:
     """Execute a trace (closed loop) on a cluster or a sharded cluster.
 
     Args:
         topology: a :class:`Cluster` or a
             :class:`~repro.db.sharding.ShardedCluster` — anything with
             ``execute`` / ``execute_insert_batch`` / ``finalize`` /
-            ``summary_stats`` on one ``clock``.
-        samplers: the topology's time-series samplers (None entries are
-            skipped), closed off once the trace has run.
+            ``summary_stats`` on one ``clock``, and ``shards`` whose
+            time-series samplers are closed off once the trace has run.
         operations: iterable of :class:`Operation`.
         timeline_bucket_s: if set, also record an ops/sec timeline at
             this bucket width (used by Fig. 13b).
@@ -861,9 +843,9 @@ def run_trace(topology, samplers, operations, timeline_bucket_s=None) -> RunResu
             note_op(latency)
     flush_pending()
     topology.finalize()
-    for sampler in samplers:
-        if sampler is not None:
-            sampler.finalize()
+    for shard in topology.shards:
+        if shard.sampler is not None:
+            shard.sampler.finalize()
     duration = clock.now - start
     if timeline_bucket_s and buckets:
         timeline = [

@@ -441,15 +441,27 @@ def _check_hop_bound(
 def check_cluster(
     cluster, *, drain: bool = True, strict: bool = True
 ) -> InvariantReport:
-    """Verify every safety property across a whole cluster.
+    """Verify every safety property across a whole topology.
 
-    Suspends the installed fault plan (so verification reads are not
-    themselves faulted), optionally drains replication, write-backs and
-    the corruption quarantine, runs :func:`check_database` on every
-    node, then compares replica contents against the primary.
+    Sweeps every shard of ``cluster.shards`` (a plain cluster is its own
+    one shard): suspends that shard's installed fault plan (so
+    verification reads are not themselves faulted), optionally drains
+    replication, write-backs and the corruption quarantine, runs
+    :func:`check_database` on every node, then compares replica contents
+    against the primary. A sharded topology prefixes each shard's
+    violations with ``shard<N>/`` and adds the checks no single shard
+    can see:
+
+    * **placement** — every record lives on exactly the shard the
+      router's placement function assigns its id to (records never
+      migrate);
+    * **disjointness** — no record id is stored on two shards;
+    * **routing accounting** — the router's per-shard insert counts sum
+      to the inserts the shards actually accepted.
 
     Args:
-        cluster: a :class:`~repro.db.cluster.Cluster`.
+        cluster: a :class:`~repro.db.cluster.Cluster` or a
+            :class:`~repro.db.sharding.ShardedCluster`.
         drain: finalize replication and scrub quarantined corruption
             before checking (chaos tests want this; set False to inspect
             a cluster mid-flight, which skips the convergence check).
@@ -459,7 +471,33 @@ def check_cluster(
     Returns:
         The :class:`InvariantReport` (always, when ``strict`` is False).
     """
-    plan = getattr(cluster, "fault_plan", None)
+    report = InvariantReport()
+    for index, shard in enumerate(cluster.shards):
+        shard_report = _check_shard(shard, drain=drain)
+        prefix = "" if shard is cluster else f"shard{index}/"
+        report.nodes_checked += shard_report.nodes_checked
+        report.records_checked += shard_report.records_checked
+        report.hop_bound_checked |= shard_report.hop_bound_checked
+        report.oplog_checked |= shard_report.oplog_checked
+        report.convergence_checked |= shard_report.convergence_checked
+        for violation in shard_report.violations:
+            report.add(
+                prefix + violation.node,
+                violation.check,
+                violation.detail,
+                violation.record_id,
+            )
+    router = getattr(cluster, "router", None)
+    if router is not None:
+        _check_placement(cluster, router, report)
+    if strict and not report.ok:
+        raise ClusterInvariantError(report)
+    return report
+
+
+def _check_shard(cluster, *, drain: bool) -> InvariantReport:
+    """The per-shard sweep of :func:`check_cluster` on one cluster."""
+    plan = cluster.fault_plan
     was_active = plan.suspend() if plan is not None else False
     try:
         if drain:
@@ -490,62 +528,16 @@ def check_cluster(
             )
         if drain:
             _check_convergence(cluster, report)
-            if getattr(cluster, "failover", None) is not None:
-                _check_single_primary(cluster, report)
-                _check_rollback_completeness(cluster, report)
-        if strict and not report.ok:
-            raise ClusterInvariantError(report)
+            _check_single_primary(cluster, report)
+            _check_rollback_completeness(cluster, report)
         return report
     finally:
         if plan is not None and was_active:
             plan.resume()
 
 
-def check_sharded_cluster(
-    cluster, *, drain: bool = True, strict: bool = True
-) -> InvariantReport:
-    """Verify a sharded topology: every shard, plus the routing globals.
-
-    Runs :func:`check_cluster` on each shard (violations prefixed with
-    ``shard<N>/``) and then the topology-level checks no single shard
-    can see:
-
-    * **placement** — every record lives on exactly the shard the
-      router's placement function assigns its id to (records never
-      migrate);
-    * **disjointness** — no record id is stored on two shards;
-    * **routing accounting** — the router's per-shard insert counts sum
-      to the inserts the shards actually accepted.
-
-    Args:
-        cluster: a :class:`~repro.db.sharding.ShardedCluster`.
-        drain: finalize replication and scrub before checking.
-        strict: raise :class:`ClusterInvariantError` on any violation.
-    """
-    report = InvariantReport()
-    for index, shard in enumerate(cluster.shards):
-        shard_report = check_cluster(shard, drain=drain, strict=False)
-        report.nodes_checked += shard_report.nodes_checked
-        report.records_checked += shard_report.records_checked
-        report.hop_bound_checked |= shard_report.hop_bound_checked
-        report.oplog_checked |= shard_report.oplog_checked
-        report.convergence_checked |= shard_report.convergence_checked
-        for violation in shard_report.violations:
-            report.add(
-                f"shard{index}/{violation.node}",
-                violation.check,
-                violation.detail,
-                violation.record_id,
-            )
-    _check_placement(cluster, report)
-    if strict and not report.ok:
-        raise ClusterInvariantError(report)
-    return report
-
-
-def _check_placement(cluster, report: InvariantReport) -> None:
+def _check_placement(cluster, router, report: InvariantReport) -> None:
     """Records sit on their routed shard; no id exists on two shards."""
-    router = cluster.router
     owner: dict[str, int] = {}
     for index, shard in enumerate(cluster.shards):
         node = f"shard{index}/primary"

@@ -59,8 +59,3 @@ class StoredRecord:
     def is_raw(self) -> bool:
         """True when the record is stored unencoded."""
         return self.form is RecordForm.RAW
-
-    @property
-    def current_content_is_pending(self) -> bool:
-        """True when the latest client content lives in ``pending_updates``."""
-        return bool(self.pending_updates)

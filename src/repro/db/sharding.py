@@ -30,11 +30,17 @@ run concurrently in simulated time (the shared clock advances once, by
 the slowest shard's latency). With ``shards=1`` every path delegates to
 the underlying cluster unchanged, which is what the byte-equivalence
 property test in ``tests/db/test_sharding_equivalence.py`` pins down.
+
+Callers never need to tell the two topologies apart: both expose
+``shards`` (a plain :class:`~repro.db.cluster.Cluster` is its own one
+shard), so per-shard work — the run loop's samplers, idle slicing,
+:func:`~repro.db.invariants.check_cluster`, a fault plan installed with
+``plan.install(cluster.shards[i])`` — is one loop over that tuple.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.db.cluster import Cluster, RunResult, captured_spec, idle, run_trace
 from repro.db.spec import PLACEMENTS, ClusterSpec
@@ -145,13 +151,9 @@ class ShardedCluster:
     out of an ambient observability capture.
     """
 
-    def __init__(
-        self, spec: ClusterSpec | None = None, *, capture: bool = True
-    ) -> None:
+    def __init__(self, spec: ClusterSpec, *, capture: bool = True) -> None:
         cap = obs_runtime.active_capture() if capture else None
-        self.config = captured_spec(
-            spec if spec is not None else ClusterSpec(), cap
-        )
+        self.config = captured_spec(spec, cap)
         #: One simulated clock shared by every shard — client batches fan
         #: out concurrently and background work on all shards sees one
         #: consistent timeline.
@@ -162,7 +164,7 @@ class ShardedCluster:
         #: The shard clusters. Each keeps its *own* metrics registry so
         #: identical label sets (node="primary", ...) never collide; the
         #: merged view re-labels them with ``shard`` at export time.
-        self.shards = [
+        self.shards = tuple(
             Cluster(
                 self.config,
                 clock=self.clock,
@@ -170,7 +172,7 @@ class ShardedCluster:
                 capture=False,
             )
             for _ in range(self.config.shards)
-        ]
+        )
         #: Merged-snapshot registry view (valid exporter input).
         self.registry = _MergedRegistryView(self)
         #: Sharded runs have per-shard samplers; there is no single
@@ -210,7 +212,7 @@ class ShardedCluster:
     def execute(self, op: Operation) -> float:
         """Run one client operation on its owning shard."""
         if op.kind == "idle":
-            return idle(self.clock, self.shards, op.idle_seconds)
+            return idle(self, op.idle_seconds)
         return self.shards[self.router.route(op)].execute(op)
 
     def client_read(
@@ -264,8 +266,7 @@ class ShardedCluster:
         any other operation flushes first — and each batch is then split
         per shard by :meth:`execute_insert_batch`.
         """
-        samplers = [shard.sampler for shard in self.shards]
-        return run_trace(self, samplers, operations, timeline_bucket_s)
+        return run_trace(self, operations, timeline_bucket_s)
 
     # -- lifecycle / maintenance ---------------------------------------------
 
@@ -292,24 +293,6 @@ class ShardedCluster:
     def replicas_converged(self) -> bool:
         """True when every shard's replicas converged."""
         return all(shard.replicas_converged() for shard in self.shards)
-
-    def install_fault_plans(self, plans: Mapping[int, object]) -> None:
-        """Install per-shard fault plans: ``{shard_index: FaultPlan}``.
-
-        Each plan wires into one shard's network, disks and databases
-        exactly as it would on a standalone cluster.
-        """
-        for index, plan in plans.items():
-            plan.install(self.shards[index])
-
-    @property
-    def fault_plans(self) -> dict[int, object]:
-        """Installed fault plans by shard index (shards without one omitted)."""
-        return {
-            index: shard.fault_plan
-            for index, shard in enumerate(self.shards)
-            if shard.fault_plan is not None
-        }
 
     # -- observability --------------------------------------------------------
 

@@ -49,11 +49,6 @@ class ChainRegistry:
     def __contains__(self, record_id: str) -> bool:
         return record_id in self._membership
 
-    @property
-    def chain_count(self) -> int:
-        """Number of chains currently tracked."""
-        return len(self._chains)
-
     def start_chain(self, record_id: str) -> int:
         """Open a new single-record chain; returns its chain id."""
         chain_id = self._next_chain_id
@@ -77,10 +72,6 @@ class ChainRegistry:
             return False
         chain_id, _ = entry
         return self._chains[chain_id].tail == record_id
-
-    def tail_of_chain(self, chain_id: int) -> str:
-        """Newest record id of a chain."""
-        return self._chains[chain_id].tail
 
     def chain_length(self, chain_id: int) -> int:
         """Number of records currently in the chain."""

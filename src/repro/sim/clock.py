@@ -28,9 +28,3 @@ class SimClock:
             raise ValueError(f"cannot advance clock by {seconds}s")
         self._now += seconds
         return self._now
-
-    def advance_to(self, timestamp: float) -> float:
-        """Jump to an absolute time, never moving backwards."""
-        if timestamp > self._now:
-            self._now = timestamp
-        return self._now

@@ -52,7 +52,3 @@ class Workload(ABC):
     @abstractmethod
     def mixed_trace(self) -> Iterator[Operation]:
         """Inserts interleaved with reads per the dataset's R/W ratio."""
-
-    def database_name(self) -> str:
-        """Logical database all of this workload's records live in."""
-        return self.name

@@ -303,7 +303,7 @@ class OpenLoopDriver:
         self.cluster = cluster
         self.cpu_scale = float(cpu_scale)
         #: Per-shard machines: a plain cluster is its own single shard.
-        self._shards = list(getattr(cluster, "shards", [cluster]))
+        self._shards = list(cluster.shards)
         self._router = getattr(cluster, "router", None)
         self._cpu_levels = [
             shard.primary.background_cpu_seconds for shard in self._shards
@@ -338,7 +338,9 @@ class OpenLoopDriver:
     def _shard_of(self, op: Operation) -> int:
         if self._router is None:
             return 0
-        return self._router.route(op)
+        # The pure placement lookup: the cluster's own ``execute`` routes
+        # the op (and counts it) once more.
+        return self._router.shard_of(op.record_id)
 
     def _accrue_cpu(self) -> None:
         """Fold newly charged background CPU into each shard's backlog."""

@@ -113,7 +113,7 @@ class TestIntrospection:
             assert primary.engine.admission.mode == "hybrid"
 
     def test_wrapping_existing_cluster(self):
-        cluster = Cluster()
+        cluster = Cluster(ClusterSpec())
         client = DedupClient(cluster)
         assert client.cluster is cluster
         assert client.spec is cluster.config

@@ -27,26 +27,3 @@ class TestRenderTable:
         assert "None" in text
         assert "True" in text
 
-
-class TestRenderCsv:
-    def test_basic(self):
-        from repro.bench.report import render_csv
-
-        text = render_csv(["a", "b"], [("x", 1.5), ("y", 2)])
-        lines = text.splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "x,1.5"
-        assert lines[2] == "y,2"
-
-    def test_quoting(self):
-        from repro.bench.report import render_csv
-
-        text = render_csv(["v"], [('with,comma',), ('with"quote',)])
-        assert '"with,comma"' in text
-        assert '"with""quote"' in text
-
-    def test_float_full_precision(self):
-        from repro.bench.report import render_csv
-
-        text = render_csv(["r"], [(1.23456789012,)])
-        assert "1.23456789012" in text

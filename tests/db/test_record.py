@@ -26,12 +26,6 @@ class TestStoredRecord:
         assert make().is_raw
         assert not make(form=RecordForm.DELTA, base_id="b").is_raw
 
-    def test_current_content_pending_flag(self):
-        record = make()
-        assert not record.current_content_is_pending
-        record.pending_updates.append(b"new")
-        assert record.current_content_is_pending
-
     def test_defaults(self):
         record = make()
         assert record.ref_count == 0

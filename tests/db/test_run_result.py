@@ -31,25 +31,6 @@ class TestRunResult:
         result = make_result([0.5, 0.5])
         assert result.throughput_ops == pytest.approx(2.0)
 
-    def test_latency_cdf_monotone_and_complete(self):
-        latencies = [float(i) for i in range(1, 101)]
-        result = make_result(latencies)
-        cdf = result.latency_cdf(points=10)
-        values = [v for v, _ in cdf]
-        fractions = [f for _, f in cdf]
-        assert values == sorted(values)
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
-        assert len(cdf) <= 12
-
-    def test_latency_cdf_empty(self):
-        result = make_result([])
-        assert result.latency_cdf() == []
-
-    def test_latency_cdf_single_point(self):
-        result = make_result([0.005])
-        assert result.latency_cdf() == [(0.005, 1.0)]
-
     def test_zero_division_guards(self):
         result = RunResult(
             operations=0, inserts=0, reads=0, duration_s=0.0, latencies_s=[],

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import ClusterSpec, open_cluster
-from repro.db.invariants import ClusterInvariantError, check_sharded_cluster
+from repro.db.invariants import ClusterInvariantError, check_cluster
 from repro.db.sharding import ShardedCluster, ShardRouter, locality_key
 from repro.obs.export import metrics_document, validate_metrics_document
 from repro.sim.faults import CorruptPageReads, DropBatches, FaultPlan
@@ -201,7 +201,7 @@ class TestShardedInvariants:
         cluster = sharded()
         workload = WikipediaWorkload(seed=9, target_bytes=120_000)
         cluster.run(workload.insert_trace())
-        report = check_sharded_cluster(cluster)
+        report = check_cluster(cluster)
         assert report.ok
         assert report.nodes_checked == 8
         assert report.convergence_checked
@@ -217,7 +217,7 @@ class TestShardedInvariants:
         wrong = cluster.shards[(home + 1) % len(cluster.shards)]
         wrong.primary.insert("wiki", victim_id, b"smuggled")
         with pytest.raises(ClusterInvariantError) as err:
-            check_sharded_cluster(cluster)
+            check_cluster(cluster)
         assert any(
             v.check == "placement" for v in err.value.report.violations
         )
@@ -229,7 +229,7 @@ class TestShardedInvariants:
         target = cluster.shards[1]
         victim = next(iter(target.secondary.db.records))
         del target.secondary.db.records[victim]
-        report = check_sharded_cluster(cluster, strict=False)
+        report = check_cluster(cluster, strict=False)
         assert not report.ok
         assert all(
             violation.node.startswith("shard1/")
@@ -240,27 +240,26 @@ class TestShardedInvariants:
 class TestShardedFaults:
     def test_per_shard_fault_plans(self):
         cluster = sharded(shards=2)
-        plans = {
-            0: FaultPlan(
-                seed=3,
-                rules=[
-                    DropBatches(probability=0.5),
-                    CorruptPageReads(probability=0.2, sticky=True),
-                ],
-            )
-        }
-        cluster.install_fault_plans(plans)
-        assert set(cluster.fault_plans) == {0}
+        plan = FaultPlan(
+            seed=3,
+            rules=[
+                DropBatches(probability=0.5),
+                CorruptPageReads(probability=0.2, sticky=True),
+            ],
+        )
+        plan.install(cluster.shards[0])
+        assert cluster.shards[0].fault_plan is plan
+        assert cluster.shards[1].fault_plan is None
         workload = WikipediaWorkload(seed=9, target_bytes=60_000)
         cluster.run(workload.insert_trace())
-        assert cluster.fault_plans[0].injected > 0
+        assert plan.injected > 0
         # Recovery machinery + drain leaves the topology clean.
-        report = check_sharded_cluster(cluster)
+        report = check_cluster(cluster)
         assert report.ok
 
     def test_unfaulted_shards_stay_untouched(self):
         cluster = sharded(shards=2)
-        cluster.install_fault_plans({
-            0: FaultPlan(seed=3, rules=[DropBatches(probability=0.5)])
-        })
+        FaultPlan(seed=3, rules=[DropBatches(probability=0.5)]).install(
+            cluster.shards[0]
+        )
         assert cluster.shards[1].fault_plan is None

@@ -6,15 +6,21 @@ batch splitting, idle slicing, run accounting — degenerates to the plain
 drives both topologies with the same seeded workload and demands
 identical run results, identical summary stats, and identical metrics
 snapshots (modulo the ``shard`` label and the router's own families).
+
+Both topologies also expose one ``shards`` view — a plain cluster is its
+own one shard — so the invariant checker and the client's per-shard
+reports take one code path whichever class they are handed.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ClusterSpec, IndexSpec, open_cluster
+from repro.api import ClusterSpec, DedupClient, IndexSpec, open_cluster
 from repro.core.config import DedupConfig
+from repro.db.invariants import check_cluster
 from repro.db.sharding import ShardedCluster
 from repro.workloads import make_workload
 
@@ -98,3 +104,59 @@ def test_one_shard_topology_is_byte_identical(
 
     assert sharded.replicas_converged() == plain.replicas_converged()
     assert sharded.router.cross_shard_misses == 0
+
+
+def test_plain_cluster_is_its_own_one_shard():
+    cluster = open_cluster(ClusterSpec()).cluster
+    assert cluster.shards == (cluster,)
+    assert DedupClient(cluster).shards == 1
+
+
+def test_check_cluster_takes_a_sharded_topology():
+    cluster = open_cluster(ClusterSpec(shards=2)).cluster
+    cluster.run(make_workload("wikipedia", seed=9, target_bytes=40_000)
+                .insert_trace())
+    clean = check_cluster(cluster)
+    assert clean.ok and clean.nodes_checked == 4
+    # Teleport one record onto the shard the router does not own it on.
+    victim = next(iter(cluster.shards[0].primary.db.records))
+    wrong = 1 - cluster.router.shard_of(victim)
+    cluster.shards[wrong].primary.insert("wiki", victim, b"smuggled")
+    report = check_cluster(cluster, strict=False)
+    placement = [v for v in report.violations if v.check == "placement"]
+    assert placement
+    assert all(v.node.startswith(f"shard{wrong}/") for v in placement)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda client: client.drain_deferred(),
+        lambda client: client.audit_report(limit=20),
+        lambda client: client.admission_report(),
+        lambda client: client.index_report(),
+    ],
+    ids=["drain_deferred", "audit_report", "admission_report", "index_report"],
+)
+def test_per_shard_reports_match_for_one_shard(call):
+    # An unreachable inline bar defers every record past the first
+    # window, so the drain has a queue to work through.
+    spec = ClusterSpec(dedup=DedupConfig(
+        chunk_size=64,
+        governor_window=8,
+        admission_mode="hybrid",
+        admission_inline_threshold=100.0,
+        index=INDEX_SPECS[1],
+    ))
+    clients = (
+        open_cluster(spec),
+        DedupClient(ShardedCluster(dataclasses.replace(spec, shards=1))),
+    )
+    for client in clients:
+        for name in WORKLOADS:
+            workload = make_workload(name, seed=5, target_bytes=150_000)
+            for op in workload.insert_trace():
+                client.insert(op.database, op.record_id, op.content)
+    plain, sharded = (call(client) for client in clients)
+    assert plain
+    assert sharded == plain

@@ -37,7 +37,7 @@ class TestLinearGrowth:
         chain_id, _ = registry.position_of("a")
         assert registry.records_of_chain(chain_id) == ["a", "b", "c"]
         assert registry.chain_length(chain_id) == 3
-        assert registry.tail_of_chain(chain_id) == "c"
+        assert registry.is_tail("c")
 
 
 class TestOverlappedFork:
@@ -73,10 +73,10 @@ class TestForget:
         assert registry.position_of("c") == (chain_id, 1)
 
     def test_forget_last_record_drops_chain(self, registry):
-        registry.start_chain("solo")
-        count = registry.chain_count
+        chain_id = registry.start_chain("solo")
         registry.forget("solo")
-        assert registry.chain_count == count - 1
+        with pytest.raises(KeyError):
+            registry.chain_length(chain_id)
         assert "solo" not in registry
 
     def test_forget_unknown_is_noop(self, registry):

@@ -158,7 +158,7 @@ def test_sharded_cluster_fails_over_per_shard(seed, record_fault_plan):
             rules=[CrashNode(node="primary", after_appends=25, restart=False)],
         )
     )
-    client.cluster.install_fault_plans({0: plan})
+    plan.install(client.cluster.shards[0])
     client.run(insert_trace(seed))
     shards = client.cluster.shards
     dump_event_log("sharded-kill", seed, *shards)

@@ -17,11 +17,3 @@ class TestSimClock:
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             SimClock().advance(-0.1)
-
-    def test_advance_to_forward_only(self):
-        clock = SimClock()
-        clock.advance(10.0)
-        clock.advance_to(5.0)  # no-op, never backwards
-        assert clock.now == 10.0
-        clock.advance_to(12.0)
-        assert clock.now == 12.0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import ClusterSpec, open_cluster
 from repro.core.config import DedupConfig
+from repro.db.sharding import ShardRouter
 from repro.workloads.tenants import (
     ArrivalProcess,
     OpenLoopDriver,
@@ -159,3 +160,20 @@ class TestOpenLoopDriver:
         assert driver.quantile(
             "op_sojourn_seconds", "insert", "nobody", 0.5
         ) is None
+
+
+class TestOpenLoopShardRouting:
+    def test_each_op_is_routed_once(self):
+        schedule = compose_tenants(
+            parse_tenants("wikipedia,oltp", target_bytes=60_000), 7
+        )
+        client = open_cluster(ClusterSpec(shards=2))
+        OpenLoopDriver(client.cluster).run(schedule)
+        router = client.cluster.router
+        reference = ShardRouter(2, router.placement)
+        for item in schedule:
+            reference.route(item.op)
+        assert router.counts == reference.counts
+        assert router.cross_shard_misses == reference.cross_shard_misses
+        assert sum(router.counts) == client.stats()["inserts"]
+        assert client.check_invariants().ok
