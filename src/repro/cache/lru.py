@@ -58,18 +58,25 @@ class LRUByteCache:
 
     def put(self, key: str, value: bytes) -> bool:
         """Insert/replace ``key``; returns False if the value cannot fit."""
-        if len(value) > self.capacity_bytes:
+        size = len(value)
+        capacity = self.capacity_bytes
+        if size > capacity:
             self.pop(key)
             return False
-        old = self._entries.pop(key, None)
+        entries = self._entries
+        old = entries.pop(key, None)
+        used = self._used + size
         if old is not None:
-            self._used -= len(old)
-        self._entries[key] = value
-        self._used += len(value)
-        while self._used > self.capacity_bytes:
-            _, evicted = self._entries.popitem(last=False)
-            self._used -= len(evicted)
-            self.evictions += 1
+            used -= len(old)
+        entries[key] = value
+        if used > capacity:
+            evict = entries.popitem
+            evicted = 0
+            while used > capacity:
+                used -= len(evict(last=False)[1])
+                evicted += 1
+            self.evictions += evicted
+        self._used = used
         return True
 
     def pop(self, key: str) -> bytes | None:

@@ -26,8 +26,7 @@ from repro.db.errors import CorruptChain, CorruptPage, RecordExists, RecordNotFo
 from repro.db.pagestore import PageStore
 from repro.db.record import RecordForm, StoredRecord
 from repro.delta.dbdelta import DeltaCompressor
-from repro.delta.decode import apply_delta, apply_payload
-from repro.delta.instructions import deserialize
+from repro.delta.decode import apply_payload
 from repro.sim.clock import SimClock
 from repro.sim.disk import SimDisk
 from repro.sim.faults import TransientIOError
@@ -423,18 +422,29 @@ class Database:
         one disk read (the record cache short-circuits the walk). Deleted
         records encountered along the path are spliced out (§4.1 GC).
         """
-        if record.pending_updates:
-            latency = self._charge_read(len(record.pending_updates[-1]), charge_foreground)
-            return record.pending_updates[-1], latency
+        pending = record.pending_updates
+        if pending:
+            latency = self._charge_read(len(pending[-1]), charge_foreground)
+            return pending[-1], latency
 
         # Collect the chain from the queried record up to a raw base or a
         # cache hit.
-        chain: list[StoredRecord] = []
+        records = self.records
+        cache = self.record_cache
+        charge = self._charge_read
+        chain = [record]
+        seen = {record.record_id}
+        latency = charge(record.stored_size, charge_foreground)
+        base_content: bytes | None = None
         cursor = record
-        latency = 0.0
-        cached_content: bytes | None = None
-        seen: set[str] = set()
-        while True:
+        while cursor.form is RecordForm.DELTA:
+            base = records.get(cursor.base_id)
+            if base is None:
+                raise CorruptChain(
+                    f"{cursor.record_id!r} has dangling base {cursor.base_id!r}"
+                )
+            self.decode_base_fetches += 1
+            cursor = base
             if cursor.record_id in seen:
                 raise CorruptChain(f"cycle at {cursor.record_id!r}")
             seen.add(cursor.record_id)
@@ -443,52 +453,31 @@ class Database:
             # pending updates breaks that: the engine's fetch path admits
             # the *updated* content (what dedup wants), while dependents'
             # deltas decode against the retained old payload.
-            if (
-                self.record_cache is not None
-                and chain
-                and not cursor.pending_updates
-            ):
-                cached = self.record_cache.peek(cursor.record_id)
+            if cache is not None and not cursor.pending_updates:
+                cached = cache.peek(cursor.record_id)
                 if cached is not None:
-                    cached_content = cached
+                    base_content = cached
                     break
             chain.append(cursor)
-            latency += self._charge_read(cursor.stored_size, charge_foreground)
-            if cursor.form is RecordForm.RAW:
-                break
-            base = self.records.get(cursor.base_id)
-            if base is None:
-                raise CorruptChain(
-                    f"{cursor.record_id!r} has dangling base {cursor.base_id!r}"
-                )
-            self.decode_base_fetches += 1
-            cursor = base
+            latency += charge(cursor.stored_size, charge_foreground)
 
-        # Decode top-down: last element is raw (or decodes from cache).
+        # Decode top-down: the last element is raw (or decodes from cache).
         contents: dict[str, bytes] = {}
-        base_content = cached_content
+        read_payload = self._read_payload
         for rec in reversed(chain):
-            payload = self._read_payload(rec)
+            payload = read_payload(rec)
             if rec.form is RecordForm.RAW:
                 base_content = payload
             else:
-                insts = deserialize(payload)
-                base_content = apply_delta(base_content, insts)
+                base_content = apply_payload(base_content, payload)
             contents[rec.record_id] = base_content
             # §4.1: decoded bases go through the source record cache, so a
             # second read of any record on this path skips the chain walk.
-            if (
-                self.record_cache is not None
-                and not rec.deleted
-                and not rec.pending_updates
-            ):
-                self.record_cache.admit(rec.record_id, base_content)
+            if cache is not None and not rec.deleted and not rec.pending_updates:
+                cache.admit(rec.record_id, base_content)
 
         self._gc_along_path(chain, contents)
-        result = contents[record.record_id]
-        if record.pending_updates:
-            result = record.pending_updates[-1]
-        return result, latency
+        return base_content, latency
 
     def _charge_read(self, nbytes: int, foreground: bool) -> float:
         wait = self._disk_request("read", nbytes)

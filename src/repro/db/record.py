@@ -53,7 +53,9 @@ class StoredRecord:
     @property
     def stored_size(self) -> int:
         """Bytes this record occupies on disk (payload + appended updates)."""
-        return len(self.payload) + sum(len(update) for update in self.pending_updates)
+        if not self.pending_updates:
+            return len(self.payload)
+        return len(self.payload) + sum(map(len, self.pending_updates))
 
     @property
     def is_raw(self) -> bool:

@@ -2,14 +2,13 @@
 
 Two entry points with one meaning: :func:`apply_payload` decodes a
 wire-format delta straight into bytes (it lives beside the format in
-:mod:`repro.delta.instructions` and is re-exported here) — the
-secondary's re-encoder, oplog replay and GC validation use it;
-:func:`apply_delta` replays an instruction list, for callers that hold
-instructions anyway (classic xDelta's and the oracles' tests, and
-``Database._materialize``, which still decodes each hop through
-``deserialize``). ``apply_payload(base, p) == apply_delta(base,
-deserialize(p))`` for every payload, and both raise ``ValueError`` on the
-same malformed ones.
+:mod:`repro.delta.instructions` and is re-exported here) — the read
+path's chain walk decodes every hop with it, and so do the secondary's
+re-encoder, oplog replay and GC validation; :func:`apply_delta` replays
+an instruction list, for callers that hold instructions anyway (classic
+xDelta and the oracles in the tests). ``apply_payload(base, p) ==
+apply_delta(base, deserialize(p))`` for every payload, and both raise
+``ValueError`` on the same malformed ones.
 """
 
 from __future__ import annotations

@@ -14,14 +14,15 @@ Wire format (what gets stored in pages and shipped in oplog batches)::
 The format is self-delimiting; a delta is just the concatenation of its
 instructions.
 
-The write path never builds instruction objects: the encoder hands its
-matches to :func:`emit_payload`, the re-encoder reads the forward COPYs
-with :func:`payload_copies`, and the secondary rebuilds records with
-:func:`apply_payload`; all three read or write varints of one and two
-bytes inline. ``InsertInst`` / ``CopyInst`` lists with :func:`serialize`,
-:func:`deserialize` and :func:`coalesce` remain for classic xDelta, the
-frozen oracles in :mod:`repro.delta.reference` and the read path's
-chain decode.
+Neither the write path nor the read path builds instruction objects:
+the encoder hands its matches to :func:`emit_payload`, the re-encoder
+reads the forward COPYs with :func:`payload_copies`, and every decode —
+the primary's chain walk on a read, the secondary's apply, oplog replay
+and GC validation — runs :func:`apply_payload`; all of them read or write
+varints of one and two bytes inline. ``InsertInst`` / ``CopyInst`` lists
+with :func:`serialize`, :func:`deserialize` and :func:`coalesce` remain
+for classic xDelta and the frozen oracles in
+:mod:`repro.delta.reference` and the tests.
 """
 
 from __future__ import annotations
@@ -112,8 +113,11 @@ def apply_payload(base: bytes, payload: bytes) -> bytes:
     The same walk as :func:`deserialize`, but slices of ``base`` and of
     ``payload`` itself are joined directly, without instruction objects in
     between: ``apply_payload(base, p) == apply_delta(base, deserialize(p))``.
-    Varints of one and two bytes are decoded inline; a payload that ends
-    inside one raises like :func:`decode_uvarint` would.
+    This is the decode kernel of every reader — the read path's chain
+    walk decodes each hop with it — so varints of one and two bytes (every
+    offset and length below 16 KiB) are decoded in the loop body itself;
+    longer ones go through :func:`decode_uvarint`. A payload that ends
+    inside a varint raises like :func:`decode_uvarint` would.
 
     Raises:
         ValueError: on a truncated varint or INSERT, an unknown
@@ -122,6 +126,7 @@ def apply_payload(base: bytes, payload: bytes) -> bytes:
             wrong base record.
     """
     parts = []
+    append = parts.append
     limit = len(base)
     end = len(payload)
     pos = 0
@@ -132,26 +137,41 @@ def apply_payload(base: bytes, payload: bytes) -> bytes:
                 offset = payload[pos + 1]
                 pos += 2
                 if offset >= 0x80:
-                    offset, pos = _uvarint_tail(payload, pos, offset)
+                    second = payload[pos]
+                    if second < 0x80:
+                        offset = offset & 0x7F | second << 7
+                        pos += 1
+                    else:
+                        offset, pos = decode_uvarint(payload, pos - 1)
                 length = payload[pos]
                 pos += 1
                 if length >= 0x80:
-                    length, pos = _uvarint_tail(payload, pos, length)
+                    second = payload[pos]
+                    if second < 0x80:
+                        length = length & 0x7F | second << 7
+                        pos += 1
+                    else:
+                        length, pos = decode_uvarint(payload, pos - 1)
                 stop = offset + length
                 if stop > limit:
                     raise ValueError(
                         f"COPY [{offset}, {stop}) outside base of {limit} bytes"
                     )
-                parts.append(base[offset:stop])
+                append(base[offset:stop])
             elif tag == _TAG_INSERT:
                 length = payload[pos + 1]
                 pos += 2
                 if length >= 0x80:
-                    length, pos = _uvarint_tail(payload, pos, length)
+                    second = payload[pos]
+                    if second < 0x80:
+                        length = length & 0x7F | second << 7
+                        pos += 1
+                    else:
+                        length, pos = decode_uvarint(payload, pos - 1)
                 stop = pos + length
                 if stop > end:
                     raise ValueError("truncated INSERT payload")
-                parts.append(payload[pos:stop])
+                append(payload[pos:stop])
                 pos = stop
             else:
                 raise ValueError(f"unknown delta instruction tag 0x{tag:02x}")

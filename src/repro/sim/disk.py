@@ -4,25 +4,21 @@ The queue is the load signal §3.3.2's write-back cache polls: "we use the
 I/O queue length as an indication" of idleness. Requests are served in
 submission order at the cost model's service rate; a foreground request's
 latency is its wait behind the queue plus its own service time.
+
+Only the completion time of a queued request is ever read back, so the
+queue holds nothing else: a deque of floats. Requests complete in
+submission order, so those times never decrease and the finished
+requests are always a prefix of the queue: reaping pops from the left
+until the first time still in the future.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
-
-
-@dataclass(frozen=True)
-class DiskRequest:
-    """One queued request: completion timestamp and size, for accounting."""
-
-    kind: str  # "read" | "write"
-    nbytes: int
-    completes_at: float
 
 
 class SimDisk:
@@ -36,7 +32,8 @@ class SimDisk:
     def __init__(self, clock: SimClock, costs: CostModel | None = None) -> None:
         self.clock = clock
         self.costs = costs if costs is not None else CostModel()
-        self._pending: deque[DiskRequest] = deque()
+        #: Completion times of the requests not yet reaped, oldest first.
+        self._pending: deque[float] = deque()
         self._busy_until = 0.0
         self.reads = 0
         self.writes = 0
@@ -50,15 +47,13 @@ class SimDisk:
         #: the owning node installs the cluster's shared tracer.
         self.tracer: Tracer = NULL_TRACER
 
-    def _reap(self) -> None:
-        now = self.clock.now
-        while self._pending and self._pending[0].completes_at <= now:
-            self._pending.popleft()
-
     def queue_length(self) -> int:
         """Outstanding (unfinished) requests at the current simulated time."""
-        self._reap()
-        return len(self._pending)
+        pending = self._pending
+        now = self.clock.now
+        while pending and pending[0] <= now:
+            pending.popleft()
+        return len(pending)
 
     def is_idle(self, max_queue: int = 0) -> bool:
         """True when at most ``max_queue`` requests are outstanding."""
@@ -70,20 +65,27 @@ class SimDisk:
         The caller decides whether to absorb the latency (foreground read/
         write) or ignore it (background write-back).
         """
-        if kind not in ("read", "write"):
+        if kind == "read":
+            is_read = True
+        elif kind == "write":
+            is_read = False
+        else:
             raise ValueError(f"unknown disk request kind {kind!r}")
         if nbytes < 0:
             raise ValueError(f"negative request size {nbytes}")
         if self.interceptor is not None:
             self.interceptor(kind, nbytes)
-        self._reap()
         now = self.clock.now
-        start = max(now, self._busy_until)
+        pending = self._pending
+        while pending and pending[0] <= now:
+            pending.popleft()
+        busy = self._busy_until
+        start = busy if busy > now else now  # max(now, busy), same float
         service = self.costs.disk_time(nbytes)
         completes = start + service
         self._busy_until = completes
-        self._pending.append(DiskRequest(kind, nbytes, completes))
-        if kind == "read":
+        pending.append(completes)
+        if is_read:
             self.reads += 1
             self.bytes_read += nbytes
         else:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.delta.decode import apply_delta, apply_payload
 from repro.delta.instructions import CopyInst, InsertInst, deserialize, serialize
+from repro.util.varint import encode_uvarint
 
 
 class TestApplyDelta:
@@ -127,3 +128,45 @@ def test_property_damaged_payloads_fail_alike(base, insts, data):
             payload[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
     payload = bytes(payload)
     assert outcome(apply_payload, base, payload) == outcome(two_step, base, payload)
+
+
+#: A value needing a varint of each width: below 2**7, 2**14, 2**21, 2**28.
+VARINT_WIDTHS = {1: 100, 2: 9000, 3: 20000, 4: 2_100_000}
+
+
+def _base(size: int) -> bytes:
+    return bytes(range(251)) * (size // 251 + 1)
+
+
+def _width_cases():
+    """Payloads whose COPY offset, COPY length or INSERT length needs a
+    varint of each width, between a small INSERT and a small COPY; each
+    with the smallest base it decodes against (> 16 KiB for width 3,
+    > 2 MiB for width 4)."""
+    cases = []
+    for width, value in VARINT_WIDTHS.items():
+        for field, inst in (
+            ("copy-offset", CopyInst(value, 9)),
+            ("copy-length", CopyInst(3, value)),
+            ("insert-length", InsertInst(b"i" * value)),
+        ):
+            payload = serialize([InsertInst(b"<<"), inst, CopyInst(1, 2)])
+            needed = inst.offset + inst.length if field != "insert-length" else 3
+            cases.append(
+                pytest.param(width, value, payload, _base(needed), id=f"{field}-{width}B")
+            )
+    return cases
+
+
+@pytest.mark.parametrize("width, value, payload, base", _width_cases())
+def test_every_varint_width_decodes_and_truncates_like_the_two_step_path(
+    width, value, payload, base
+):
+    assert len(encode_uvarint(value)) == width
+    assert apply_payload(base, payload) == two_step(base, payload)
+    # Every proper prefix, through a memoryview so a 2 MiB payload is not
+    # copied two million times; both decoders index and slice it alike.
+    view = memoryview(payload)
+    for cut in range(len(payload)):
+        prefix = view[:cut]
+        assert outcome(apply_payload, base, prefix) == outcome(two_step, base, prefix), cut

@@ -1,10 +1,17 @@
 """Simulated FIFO disk and its queue-length idleness signal."""
 
-import pytest
+from collections import deque
+from dataclasses import dataclass
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
+from repro.sim.faults import TransientIOError
 
 
 @pytest.fixture()
@@ -71,3 +78,169 @@ class TestService:
             disk.submit("write", 64 * 1024)
         delayed = disk.read(1024)
         assert delayed > baseline * 5
+
+
+# The disk as it was while its queue held one frozen ``DiskRequest`` per
+# request, copied verbatim as the reference the float queue must match.
+
+
+@dataclass(frozen=True)
+class DiskRequest:
+    """One queued request: completion timestamp and size, for accounting."""
+
+    kind: str  # "read" | "write"
+    nbytes: int
+    completes_at: float
+
+
+class ReferenceDisk:
+    """FIFO disk: requests serialize behind ``busy_until``.
+
+    Background requests (write-backs) are fire-and-forget: they occupy the
+    queue but nobody waits on them. Foreground requests return the latency
+    the issuing operation must absorb.
+    """
+
+    def __init__(self, clock: SimClock, costs: CostModel | None = None) -> None:
+        self.clock = clock
+        self.costs = costs if costs is not None else CostModel()
+        self._pending: deque[DiskRequest] = deque()
+        self._busy_until = 0.0
+        self.reads = 0
+        self.writes = 0
+        self.bytes_read = 0
+        self.bytes_written = 0
+        #: Optional fault hook ``(kind, nbytes) -> None``; may raise
+        #: :class:`repro.sim.faults.TransientIOError`, in which case the
+        #: request never enters the queue and the caller must retry.
+        self.interceptor = None
+        #: Tracer the device attributes ``disk_s`` (service time) to —
+        #: the owning node installs the cluster's shared tracer.
+        self.tracer: Tracer = NULL_TRACER
+
+    def _reap(self) -> None:
+        now = self.clock.now
+        while self._pending and self._pending[0].completes_at <= now:
+            self._pending.popleft()
+
+    def queue_length(self) -> int:
+        """Outstanding (unfinished) requests at the current simulated time."""
+        self._reap()
+        return len(self._pending)
+
+    def is_idle(self, max_queue: int = 0) -> bool:
+        """True when at most ``max_queue`` requests are outstanding."""
+        return self.queue_length() <= max_queue
+
+    def submit(self, kind: str, nbytes: int) -> float:
+        """Enqueue a request; returns its latency from now until completion.
+
+        The caller decides whether to absorb the latency (foreground read/
+        write) or ignore it (background write-back).
+        """
+        if kind not in ("read", "write"):
+            raise ValueError(f"unknown disk request kind {kind!r}")
+        if nbytes < 0:
+            raise ValueError(f"negative request size {nbytes}")
+        if self.interceptor is not None:
+            self.interceptor(kind, nbytes)
+        self._reap()
+        now = self.clock.now
+        start = max(now, self._busy_until)
+        service = self.costs.disk_time(nbytes)
+        completes = start + service
+        self._busy_until = completes
+        self._pending.append(DiskRequest(kind, nbytes, completes))
+        if kind == "read":
+            self.reads += 1
+            self.bytes_read += nbytes
+        else:
+            self.writes += 1
+            self.bytes_written += nbytes
+        self.tracer.add_cost("disk_s", service)
+        return completes - now
+
+    def read(self, nbytes: int) -> float:
+        """Foreground read; returns latency to absorb."""
+        return self.submit("read", nbytes)
+
+    def write(self, nbytes: int) -> float:
+        """Foreground write; returns latency to absorb."""
+        return self.submit("write", nbytes)
+
+
+def _state(disk) -> tuple:
+    if isinstance(disk, ReferenceDisk):
+        queue = [request.completes_at for request in disk._pending]
+    else:
+        queue = list(disk._pending)
+    return (queue, disk._busy_until, disk.reads, disk.writes,
+            disk.bytes_read, disk.bytes_written)
+
+
+def _fail(kind, nbytes):
+    raise TransientIOError(f"{kind} of {nbytes} B")
+
+
+OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["submit", "fail"]),
+            st.sampled_from(["read", "write", "erase"]),
+            st.integers(-2, 1 << 20),
+        ),
+        st.tuples(st.just("advance"), st.floats(0.0, 0.05, allow_nan=False)),
+        # Up to the last request's completion, often exactly: a request
+        # finishing at ``now`` is no longer queued.
+        st.tuples(st.just("advance_latency")),
+        st.tuples(st.just("queue_length")),
+        st.tuples(st.just("is_idle"), st.integers(0, 4)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPS)
+def test_property_float_queue_matches_the_request_queue(ops):
+    """Same latencies (``==``, not approx), queue lengths, idleness and
+    counters as the reference under any mix of requests and clock
+    advances; a rejected or interrupted request changes neither."""
+    clock = SimClock()
+    disk, reference = SimDisk(clock), ReferenceDisk(clock)
+    latency = 0.0
+    for op in ops:
+        name, *args = op
+        if name == "advance":
+            clock.advance(args[0])
+        elif name == "advance_latency":
+            clock.advance(latency)
+        elif name == "queue_length":
+            assert disk.queue_length() == reference.queue_length()
+        elif name == "is_idle":
+            assert disk.is_idle(args[0]) == reference.is_idle(args[0])
+        else:
+            kind, nbytes = args
+            seen = []
+            for device in (disk, reference):
+                device.interceptor = _fail if name == "fail" else (
+                    lambda k, n: seen.append((k, n))
+                )
+            before = _state(disk)
+            outcomes = []
+            for device in (disk, reference):
+                try:
+                    outcomes.append(device.submit(kind, nbytes))
+                except (ValueError, TransientIOError) as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
+            if isinstance(outcomes[0], float):
+                latency = outcomes[0]
+            if outcomes[0] in (ValueError, TransientIOError):
+                assert _state(disk) == before
+                assert _state(reference) == before
+            if outcomes[0] is ValueError:
+                assert seen == []  # rejected before the interceptor runs
+            elif name == "submit":
+                assert seen == [(kind, nbytes)] * 2
+        assert _state(disk) == _state(reference)
