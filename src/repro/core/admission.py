@@ -11,23 +11,25 @@ without giving up ratio.
 :class:`AdmissionController` subsumes the governor. Per stream (logical
 database key) it keeps an online *yield estimator* — the windowed
 compression ratio plus a duplicate-locality score over recent sketches —
-and answers one of three decisions per record:
+and answers one decision per record:
 
 * ``inline``: run the full dedup pipeline at insert time (high yield, or
   still warming up);
 * ``defer``: store the record raw now and enqueue it for an out-of-line
   dedup pass, drained while the simulator is idle (§3.3.2's queue-length
   trigger) or when the queue bound forces it;
-* ``bypass``: the stream is permanently low-yield — the paper's governor
-  semantics, kept as the degenerate configuration.
+* ``bypass``: the stream is permanently disabled — the paper's governor
+  semantics, reached only in governor mode.
 
 Modes:
 
 * ``"governor"`` (default): the paper-faithful behaviour — inline until
-  the windowed ratio drops below the threshold, then permanent bypass.
+  the windowed ratio drops below :data:`GOVERNOR_THRESHOLD`, then
+  permanent bypass.
 * ``"inline"``: always inline, never defer, never bypass (the estimator
   still runs for reporting).
-* ``"hybrid"``: the three-way policy described above.
+* ``"hybrid"``: inline while the last completed window's yield score is
+  at or above the inline threshold, defer below it; never bypass.
 
 The controller also owns the deferred-record queue (bounded; overflow
 forces a synchronous drain rather than dropping work — a dropped record
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 #: Admission modes (``DedupConfig.admission_mode``).
@@ -53,6 +55,17 @@ DECISION_INLINE = "inline"
 DECISION_DEFER = "defer"
 DECISION_BYPASS = "bypass"
 DECISIONS = (DECISION_INLINE, DECISION_DEFER, DECISION_BYPASS)
+
+#: Window compression ratio below which governor mode disables a stream
+#: for good (§3.4.1: 1.1).
+GOVERNOR_THRESHOLD = 1.1
+
+#: Weight of the duplicate-locality fraction in the yield score
+#: (``score = ratio + LOCALITY_WEIGHT * locality``).
+LOCALITY_WEIGHT = 0.5
+
+#: Recent sketches per stream kept for the locality signal.
+LOCALITY_DEPTH = 64
 
 
 class _LocalityWindow:
@@ -99,8 +112,6 @@ class _StreamState:
     locality_seen: int = 0
     #: Yield score of the last *completed* window; None while warming up.
     last_yield: float | None = None
-    #: Consecutive completed windows under the bypass threshold.
-    low_windows: int = 0
 
 
 def _safe_ratio(bytes_in: int, bytes_out: int) -> float:
@@ -119,22 +130,13 @@ def _safe_ratio(bytes_in: int, bytes_out: int) -> float:
 
 
 class AdmissionController:
-    """Per-stream yield estimation, three-way decisions, deferred queue.
+    """Per-stream yield estimation, admission decisions, deferred queue.
 
     Args:
         mode: one of :data:`ADMISSION_MODES`.
-        threshold: minimum window compression ratio for governor-mode
-            survival (§3.4.1: 1.1).
         window: inserts per estimation window.
         inline_yield_threshold: hybrid mode — yield score at or above
-            which a stream dedups inline.
-        bypass_yield_threshold: hybrid mode — yield score below which a
-            stream is counted toward permanent bypass; ``<= 0`` disables
-            bypass entirely (everything low-yield defers instead).
-        bypass_patience: consecutive low windows before hybrid bypass.
-        locality_weight: weight of the duplicate-locality fraction in the
-            yield score (``score = ratio + weight * locality``).
-        locality_depth: sketches per stream kept in the locality window.
+            which a stream dedups inline; below it, records defer.
         max_deferred_records: global bound on queued deferred records;
             at the bound the engine force-drains the oldest entry before
             enqueueing (records are never silently dropped).
@@ -144,21 +146,14 @@ class AdmissionController:
         self,
         *,
         mode: str = MODE_GOVERNOR,
-        threshold: float = 1.1,
         window: int = 100_000,
         inline_yield_threshold: float = 1.2,
-        bypass_yield_threshold: float = 0.0,
-        bypass_patience: int = 2,
-        locality_weight: float = 0.5,
-        locality_depth: int = 64,
         max_deferred_records: int = 4096,
     ) -> None:
         if mode not in ADMISSION_MODES:
             raise ValueError(
                 f"mode must be one of {ADMISSION_MODES}, got {mode!r}"
             )
-        if threshold < 1.0:
-            raise ValueError(f"threshold must be >= 1.0, got {threshold}")
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         if inline_yield_threshold <= 0:
@@ -166,31 +161,14 @@ class AdmissionController:
                 "inline_yield_threshold must be > 0, "
                 f"got {inline_yield_threshold}"
             )
-        if bypass_patience < 1:
-            raise ValueError(
-                f"bypass_patience must be >= 1, got {bypass_patience}"
-            )
-        if locality_weight < 0:
-            raise ValueError(
-                f"locality_weight must be >= 0, got {locality_weight}"
-            )
-        if locality_depth < 1:
-            raise ValueError(
-                f"locality_depth must be >= 1, got {locality_depth}"
-            )
         if max_deferred_records < 1:
             raise ValueError(
                 "max_deferred_records must be >= 1, "
                 f"got {max_deferred_records}"
             )
         self.mode = mode
-        self.threshold = threshold
         self.window = window
         self.inline_yield_threshold = inline_yield_threshold
-        self.bypass_yield_threshold = bypass_yield_threshold
-        self.bypass_patience = bypass_patience
-        self.locality_weight = locality_weight
-        self.locality_depth = locality_depth
         self.max_deferred_records = max_deferred_records
 
         self._states: dict[str, _StreamState] = {}
@@ -198,9 +176,8 @@ class AdmissionController:
         self.disabled_databases: set[str] = set()
 
         # Deferred queue: live entries keyed by record id, with per-stream
-        # and global FIFO id orders. Invalidation (client update/delete,
-        # bypass teardown) removes the entry; the deques skip dead ids
-        # lazily on pop.
+        # and global FIFO id orders. Invalidation (client update/delete)
+        # removes the entry; the deques skip dead ids lazily on pop.
         self._entries: dict[str, tuple[str, bytes]] = {}
         self._stream_order: dict[str, deque[str]] = {}
         self._global_order: deque[str] = deque()
@@ -225,7 +202,7 @@ class AdmissionController:
         return database not in self.disabled_databases
 
     def decide(self, database: str) -> str:
-        """Three-way admission decision for one record of ``database``.
+        """Admission decision for one record of ``database``.
 
         Pure: no state is mutated, so callers may consult it freely. The
         hybrid policy scores the last *completed* window — a stream with
@@ -273,7 +250,7 @@ class AdmissionController:
         if features is not None:
             locality = self._locality.get(database)
             if locality is None:
-                locality = _LocalityWindow(self.locality_depth)
+                locality = _LocalityWindow(LOCALITY_DEPTH)
                 self._locality[database] = locality
             state.locality_seen += 1
             state.locality_hits += locality.observe(features)
@@ -286,43 +263,24 @@ class AdmissionController:
 
     def _evaluate_window(self, database: str, state: _StreamState) -> bool:
         """Score a completed window; disable, or reset for the next one."""
-        # Governor-mode exactness: the legacy ratio convention (zero
-        # denominator reads as 1.0) and the strict `<` comparison.
-        ratio = (
-            state.bytes_in / state.bytes_out if state.bytes_out else 1.0
-        )
-        if not math.isfinite(ratio):
-            ratio = 1.0
+        ratio = _safe_ratio(state.bytes_in, state.bytes_out)
         if self.mode == MODE_GOVERNOR:
-            if ratio < self.threshold:
-                return self._disable(database, state)
+            if ratio < GOVERNOR_THRESHOLD:
+                state.disabled = True
+                self.disabled_databases.add(database)
+                return False
         else:
-            state.last_yield = ratio + self.locality_weight * (
+            state.last_yield = ratio + LOCALITY_WEIGHT * (
                 state.locality_hits / state.locality_seen
                 if state.locality_seen
                 else 0.0
             )
-            if (
-                self.mode == MODE_HYBRID
-                and self.bypass_yield_threshold > 0
-                and state.last_yield < self.bypass_yield_threshold
-            ):
-                state.low_windows += 1
-                if state.low_windows >= self.bypass_patience:
-                    return self._disable(database, state)
-            else:
-                state.low_windows = 0
         state.bytes_in = 0
         state.bytes_out = 0
         state.inserts = 0
         state.locality_hits = 0
         state.locality_seen = 0
         return True
-
-    def _disable(self, database: str, state: _StreamState) -> bool:
-        state.disabled = True
-        self.disabled_databases.add(database)
-        return False
 
     def window_ratio(self, database: str) -> float:
         """Current window's compression ratio (1.0 when empty).
@@ -426,20 +384,6 @@ class AdmissionController:
         self._note_removed(entry[0])
         self.deferred_discarded_total += 1
         return True
-
-    def discard_deferred(self, database: str) -> int:
-        """Drop every queued entry of a stream (bypass teardown)."""
-        doomed = [
-            record_id
-            for record_id, (entry_db, _) in self._entries.items()
-            if entry_db == database
-        ]
-        for record_id in doomed:
-            del self._entries[record_id]
-        if doomed:
-            self._pending_counts.pop(database, None)
-        self.deferred_discarded_total += len(doomed)
-        return len(doomed)
 
     def note_outofline(self, database: str, raw_size: int) -> None:
         """Account one deferred record drained through the pipeline."""

@@ -22,7 +22,6 @@ class DedupConfig:
             cap, tiered memory budget).
         anchor_interval: delta-compression anchor sampling interval
             (§4.2; paper default 64).
-        delta_window: delta-compression checksum window (xDelta's 16).
         encoding: storage-side encoding scheme — ``'hop'`` (paper default),
             ``'backward'``, ``'version-jumping'``, or ``'forward'`` (no
             storage encoding; network-only dedup, like sDedup).
@@ -33,38 +32,24 @@ class DedupConfig:
         min_savings_ratio: a forward delta must be at most this fraction of
             the raw record, or the record is stored unique — a delta that
             saves almost nothing is not worth a chain edge.
-        governor_threshold: compression ratio below which governor-mode
-            admission disables dedup for a database (§3.4.1: 1.1).
         governor_window: inserts per admission evaluation window
             (§3.4.1: 100 000; simulations use smaller corpora, so this
             is configurable).
         admission_mode: per-stream admission policy — ``"governor"``
             (paper-faithful one-way kill switch, the default),
             ``"inline"`` (always dedup inline), or ``"hybrid"``
-            (three-way inline / defer / bypass decisions driven by the
-            online yield estimator).
+            (inline / defer decisions driven by the online yield
+            estimator).
         admission_inline_threshold: hybrid mode — yield score (window
             ratio + weighted locality) at or above which a stream
             dedups inline; below it, records defer to the out-of-line
             queue.
-        admission_bypass_threshold: hybrid mode — yield score below
-            which a window counts toward permanent bypass; ``<= 0``
-            disables bypass (low-yield streams defer forever instead).
-        admission_bypass_patience: consecutive low-yield windows before
-            a hybrid-mode stream is permanently bypassed.
-        admission_locality_weight: weight of the duplicate-locality
-            fraction in the yield score.
-        admission_locality_depth: recent sketches per stream retained
-            for the locality signal.
         admission_queue_records: global bound on queued deferred
             records; at the bound the oldest entries are force-drained
             through the pipeline before new ones are queued.
-        size_filter_percentile: percentile of record size used as the
-            dedup cut-off (§3.4.2: the 40 %-tile).
-        size_filter_interval: inserts between cut-off refreshes (1000).
+        size_filter_interval: inserts between refreshes of the size
+            filter's cut-off (1000; the cut is §3.4.2's 40 %-tile).
         size_filter_enabled: the filter can be disabled for ablations.
-        idle_queue_threshold: disk queue length at or below which the
-            write-back cache flushes (§3.3.2's idleness signal).
         gc_enabled: run the online garbage collector
             (:class:`repro.core.gc.GarbageCollector`) during idle
             slices. Off by default: reclamation changes stored forms,
@@ -75,9 +60,6 @@ class DedupConfig:
         gc_max_batch_records: most dependent records re-encoded per GC
             batch — bounds the work (and the rollback scope) of one
             idle slice.
-        murmur_seed: seed of the MurmurHash3 feature hash the sketch
-            extractor uses; fixed so sketches (and every golden value
-            downstream of them) are reproducible.
         saving_sample_cap: maximum per-record saving samples retained for
             Fig. 7's weighted CDF; beyond the cap the engine reservoir-
             samples so memory stays O(cap) however long the run. <= 0
@@ -88,30 +70,21 @@ class DedupConfig:
     top_k: int = 8
     index: IndexSpec = IndexSpec()
     anchor_interval: int = 64
-    delta_window: int = 16
     encoding: str = "hop"
     hop_distance: int = 16
     source_cache_bytes: int = 32 * 1024 * 1024
     writeback_cache_bytes: int = 8 * 1024 * 1024
     cache_reward: int = 2
     min_savings_ratio: float = 0.9
-    governor_threshold: float = 1.1
     governor_window: int = 100_000
     admission_mode: str = "governor"
     admission_inline_threshold: float = 1.2
-    admission_bypass_threshold: float = 0.0
-    admission_bypass_patience: int = 2
-    admission_locality_weight: float = 0.5
-    admission_locality_depth: int = 64
     admission_queue_records: int = 4096
-    size_filter_percentile: float = 40.0
     size_filter_interval: int = 1000
     size_filter_enabled: bool = True
-    idle_queue_threshold: int = 0
     gc_enabled: bool = False
     gc_reclaim_threshold_bytes: int = 64 * 1024
     gc_max_batch_records: int = 64
-    murmur_seed: int = 0x5EED
     saving_sample_cap: int = 100_000
 
     def __post_init__(self) -> None:
@@ -129,11 +102,6 @@ class DedupConfig:
             )
         if self.hop_distance < 2:
             raise ValueError(f"hop_distance must be >= 2, got {self.hop_distance}")
-        if not 0.0 <= self.size_filter_percentile < 100.0:
-            raise ValueError(
-                f"size_filter_percentile must be in [0, 100), got "
-                f"{self.size_filter_percentile}"
-            )
         if self.gc_reclaim_threshold_bytes < 0:
             raise ValueError(
                 "gc_reclaim_threshold_bytes must be >= 0, got "
@@ -150,12 +118,7 @@ class DedupConfig:
 
         AdmissionController(
             mode=self.admission_mode,
-            threshold=self.governor_threshold,
             window=self.governor_window,
             inline_yield_threshold=self.admission_inline_threshold,
-            bypass_yield_threshold=self.admission_bypass_threshold,
-            bypass_patience=self.admission_bypass_patience,
-            locality_weight=self.admission_locality_weight,
-            locality_depth=self.admission_locality_depth,
             max_deferred_records=self.admission_queue_records,
         )

@@ -80,22 +80,15 @@ class DedupEngine:
         #: engine, storage, and replication metrics export together.
         self.registry = registry if registry is not None else MetricsRegistry()
         chunker = ContentDefinedChunker(avg_size=self.config.chunk_size)
-        self.extractor = SketchExtractor(
-            chunker=chunker, top_k=self.config.top_k, seed=self.config.murmur_seed
-        )
+        self.extractor = SketchExtractor(chunker=chunker, top_k=self.config.top_k)
         self.planner = WritebackPlanner(self.config)
         self.selector = SourceSelector(
             self.planner.source_cache, self.config.cache_reward
         )
         self.admission = AdmissionController(
             mode=self.config.admission_mode,
-            threshold=self.config.governor_threshold,
             window=self.config.governor_window,
             inline_yield_threshold=self.config.admission_inline_threshold,
-            bypass_yield_threshold=self.config.admission_bypass_threshold,
-            bypass_patience=self.config.admission_bypass_patience,
-            locality_weight=self.config.admission_locality_weight,
-            locality_depth=self.config.admission_locality_depth,
             max_deferred_records=self.config.admission_queue_records,
         )
         #: CPU split the admission experiment reports: pipeline work done
@@ -103,7 +96,6 @@ class DedupEngine:
         self.inline_cpu_seconds = 0.0
         self.outofline_cpu_seconds = 0.0
         self.size_filter = AdaptiveSizeFilter(
-            cut_percentile=self.config.size_filter_percentile,
             refresh_interval=self.config.size_filter_interval,
             enabled=self.config.size_filter_enabled,
         )
@@ -688,9 +680,9 @@ class DedupEngine:
         """Push every queued record of one stream through the pipeline.
 
         Runs before an inline encode of the same stream so per-stream
-        pipeline order always matches insert order. Entries of a stream
-        that got bypassed mid-drain are discarded by the index teardown
-        in :meth:`observe_admission`, which empties the queue for us.
+        pipeline order always matches insert order. Only hybrid mode
+        defers and it never bypasses, so a drained stream stays enabled
+        for the whole drain.
         """
         results: list[EncodeResult] = []
         while True:
@@ -765,22 +757,20 @@ class DedupEngine:
         features: Iterable[int] | None = None,
     ) -> None:
         """Feed one record's outcome to the yield estimator; tear down on
-        a permanent-bypass transition.
+        a permanent-bypass transition (governor mode only).
 
         ``features`` is the record's sketch, feeding the duplicate-
-        locality half of the score.
+        locality half of the score. A bypassed stream has no deferred
+        records to discard: governor mode never defers.
         """
         still_enabled = self.admission.observe(
             database, bytes_in, bytes_out, features=features
         )
         if not still_enabled:
             # §3.4.1: delete the disabled database's index partition, and
-            # prune the per-record bookkeeping that referenced it. Queued
-            # deferred records of the stream are pointless now and are
-            # discarded (counted in deferred_discarded_total).
+            # prune the per-record bookkeeping that referenced it.
             index = self._indexes.pop(database, None)
             if index is not None:
                 index.clear()
             for record_id in self._partition_records.pop(database, ()):
                 self._insert_seq.pop(record_id, None)
-            self.admission.discard_deferred(database)

@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
 # -- drop reasons ---------------------------------------------------------------
 
 #: Admission control has dedup permanently bypassed for the record's
-#: stream (§3.4.1 governor semantics; hybrid-mode bypass transitions).
+#: stream (§3.4.1 governor semantics).
 #: The label value keeps the historical "governor_bypass" spelling so
 #: exported metrics stay comparable across versions.
 DROP_GOVERNOR = "governor_bypass"

@@ -59,9 +59,7 @@ class WritebackPlanner:
 
     def __init__(self, config: DedupConfig) -> None:
         self.config = config
-        self.compressor = DeltaCompressor(
-            anchor_interval=config.anchor_interval, window=config.delta_window
-        )
+        self.compressor = DeltaCompressor(anchor_interval=config.anchor_interval)
         self.source_cache = SourceRecordCache(config.source_cache_bytes)
         self.chains = ChainRegistry()
         self.policy: EncodingPolicy = make_policy(

@@ -4,7 +4,7 @@ Across the paper's datasets the largest ~60 % of records contribute
 90–95 % of all dedup savings, so skipping the small ones sheds ~40 % of
 the dedup work for a 5–10 % ratio loss. The cut-off is learned online: it
 starts at zero (dedup everything) and is refreshed every
-``refresh_interval`` insertions to the configured percentile (default the
+``refresh_interval`` insertions to the :data:`CUT_PERCENTILE` (the
 40 %-tile) of recently observed record sizes.
 """
 
@@ -14,24 +14,21 @@ from collections import deque
 
 from repro.util.stats import percentile
 
+#: Percentile of recent record sizes used as the dedup cut-off (§3.4.2).
+CUT_PERCENTILE = 40.0
+
 
 class AdaptiveSizeFilter:
     """Per-database record-size cut-off with periodic refresh."""
 
     def __init__(
         self,
-        cut_percentile: float = 40.0,
         refresh_interval: int = 1000,
         history: int = 10_000,
         enabled: bool = True,
     ) -> None:
-        if not 0.0 <= cut_percentile < 100.0:
-            raise ValueError(
-                f"cut_percentile must be in [0, 100), got {cut_percentile}"
-            )
         if refresh_interval < 1:
             raise ValueError(f"refresh_interval must be >= 1, got {refresh_interval}")
-        self.cut_percentile = cut_percentile
         self.refresh_interval = refresh_interval
         self.enabled = enabled
         self._sizes: dict[str, deque[int]] = {}
@@ -56,7 +53,7 @@ class AdaptiveSizeFilter:
         self._counts[database] = count
         if count % self.refresh_interval == 0:
             self._thresholds[database] = int(
-                percentile(list(sizes), self.cut_percentile)
+                percentile(list(sizes), CUT_PERCENTILE)
             )
         if not self.enabled:
             return True

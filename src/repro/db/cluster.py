@@ -12,7 +12,12 @@ from dataclasses import dataclass, field, replace
 
 from repro.compression.block import make_block_compressor
 from repro.db.errors import CorruptChain, CorruptPage, NodeUnavailableError
-from repro.db.failover import FailoverManager
+from repro.db.failover import (
+    FAILOVER_TIMEOUT_S,
+    HEARTBEAT_INTERVAL_S,
+    REJOIN_DELAY_S,
+    FailoverManager,
+)
 from repro.db.node import PrimaryNode, SecondaryNode
 from repro.db.replication import ReplicationLink
 from repro.db.spec import ClusterSpec
@@ -343,14 +348,13 @@ class Cluster:
             raise NodeUnavailableError(self.primary.node_name, "primary")
         failover.stalled_ops += 1
         self._slo_events.labels("failover_stall", tenant).inc()
-        interval = self.config.heartbeat_interval_s
         attempts = (
-            int(self.config.failover_timeout_s / interval)
-            + int(self.config.rejoin_delay_s / interval)
+            int(FAILOVER_TIMEOUT_S / HEARTBEAT_INTERVAL_S)
+            + int(REJOIN_DELAY_S / HEARTBEAT_INTERVAL_S)
             + 16
         )
         for _ in range(attempts):
-            self.clock.advance(interval)
+            self.clock.advance(HEARTBEAT_INTERVAL_S)
             failover.tick()
             if self.primary.is_available:
                 return self.primary

@@ -51,7 +51,6 @@ class Database:
         block_compressor: BlockCompressor | None = None,
         writeback_capacity: int = 8 * 1024 * 1024,
         record_cache: SourceRecordCache | None = None,
-        idle_queue_threshold: int = 0,
         page_store=None,
         node_role: str = "node",
     ) -> None:
@@ -66,7 +65,6 @@ class Database:
         )
         self.writeback_cache = LossyWriteBackCache(writeback_capacity)
         self.record_cache = record_cache
-        self.idle_queue_threshold = idle_queue_threshold
         self.records: dict[str, StoredRecord] = {}
         # Through a weak proxy: a bound method stored on a cache this store
         # owns would make every Database a reference cycle, freed only when
@@ -213,7 +211,7 @@ class Database:
     def flush_writebacks_if_idle(self, max_flushes: int | None = None) -> int:
         """Apply pending write-backs while the disk queue is idle (§3.3.2)."""
         applied = 0
-        while self.disk.is_idle(self.idle_queue_threshold):
+        while self.disk.is_idle():
             if max_flushes is not None and applied >= max_flushes:
                 break
             entry = self.writeback_cache.flush_most_valuable()

@@ -8,7 +8,7 @@ This module adds that machinery to the simulated cluster:
   :meth:`FailoverManager.tick` runs after client operations and idle
   slices; it never advances time and never consumes randomness, so a
   fault-free run with failover enabled is bit-identical to one without.
-  A primary that stays unavailable for ``failover_timeout_s`` is
+  A primary that stays unavailable for :data:`FAILOVER_TIMEOUT_S` is
   declared dead.
 * **election** — the most-caught-up available secondary wins (highest
   local oplog head; ties break to the lowest replica index), the same
@@ -43,6 +43,16 @@ from dataclasses import dataclass
 
 from repro.db.node import PrimaryNode, SecondaryNode
 from repro.db.oplog import Oplog
+
+#: Heartbeat observation cadence (simulated seconds).
+HEARTBEAT_INTERVAL_S = 0.25
+
+#: Unavailability span after which a primary is declared dead (and a
+#: downed secondary is revived by the supervisor).
+FAILOVER_TIMEOUT_S = 1.0
+
+#: Wait before a demoted old primary rejoins as a secondary.
+REJOIN_DELAY_S = 2.0
 
 #: Sync rounds attempted during an immediate catch-up resync; leftovers
 #: (possible only under delivery-fault injection) drain at finalize.
@@ -120,10 +130,10 @@ class FailoverManager:
     Owned by :class:`~repro.db.cluster.Cluster`; the cluster calls
     :meth:`tick` from its operation hooks and :meth:`settle` at the top
     of ``finalize()`` so invariant sweeps always see a completed
-    topology (promotion done, rejoin done, index backlog drained). The
-    knobs (``failover_enabled``, ``heartbeat_interval_s``,
-    ``failover_timeout_s``, ``rejoin_delay_s``) are read from the
-    cluster's :class:`~repro.db.spec.ClusterSpec`, which validated them.
+    topology (promotion done, rejoin done, index backlog drained).
+    Whether it acts at all is the cluster spec's ``failover_enabled``;
+    its timing is the module constants :data:`HEARTBEAT_INTERVAL_S`,
+    :data:`FAILOVER_TIMEOUT_S` and :data:`REJOIN_DELAY_S`.
     """
 
     def __init__(self, cluster) -> None:
@@ -141,7 +151,7 @@ class FailoverManager:
         #: Client operations that had to wait out a promotion.
         self.stalled_ops = 0
         self.last_time_to_promote_s: float | None = None
-        #: Demoted old primary waiting out ``rejoin_delay_s``.
+        #: Demoted old primary waiting out :data:`REJOIN_DELAY_S`.
         self.awaiting_rejoin: PrimaryNode | None = None
         self._rejoin_due_s: float | None = None
         self._primary_down_at: float | None = None
@@ -156,12 +166,12 @@ class FailoverManager:
         Reads the simulated clock but never advances it, and uses no
         randomness — a fault-free run is byte-identical with or without
         failover enabled. At most one observation per
-        ``heartbeat_interval_s`` does any work.
+        :data:`HEARTBEAT_INTERVAL_S` does any work.
         """
         if not self.config.failover_enabled:
             return
         now = self.cluster.clock.now
-        if now - self._last_tick_s < self.config.heartbeat_interval_s:
+        if now - self._last_tick_s < HEARTBEAT_INTERVAL_S:
             return
         self._last_tick_s = now
         self._observe_secondaries(now)
@@ -209,7 +219,7 @@ class FailoverManager:
         if self._primary_down_at is None:
             self._primary_down_at = now
             return
-        if now - self._primary_down_at >= self.config.failover_timeout_s:
+        if now - self._primary_down_at >= FAILOVER_TIMEOUT_S:
             self._promote(now)
 
     def _observe_secondaries(self, now: float) -> None:
@@ -219,7 +229,7 @@ class FailoverManager:
                 self._secondary_down_at.pop(name, None)
                 continue
             down_at = self._secondary_down_at.setdefault(name, now)
-            if now - down_at >= self.config.failover_timeout_s:
+            if now - down_at >= FAILOVER_TIMEOUT_S:
                 self._restart_secondary(secondary, now)
 
     def _restart_secondary(self, secondary: SecondaryNode, now: float) -> None:
@@ -268,7 +278,7 @@ class FailoverManager:
         self.last_time_to_promote_s = outage
         self._primary_down_at = None
         self.awaiting_rejoin = old
-        self._rejoin_due_s = now + self.config.rejoin_delay_s
+        self._rejoin_due_s = now + REJOIN_DELAY_S
         self.events.append(
             FailoverEvent(
                 kind="promote",

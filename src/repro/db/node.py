@@ -61,7 +61,6 @@ def _build_database(node, role: str, record_cache, disk: SimDisk | None) -> Data
         block_compressor=node._block_compressor,
         writeback_capacity=node.config.writeback_cache_bytes,
         record_cache=record_cache,
-        idle_queue_threshold=node.config.idle_queue_threshold,
         page_store=page_store,
         node_role=role,
     )
@@ -592,16 +591,16 @@ class PrimaryNode:
         """Run one GC batch when idle and worth the trip (§3.3.2 gating).
 
         Three gates, all cheap: the config opt-in (``gc_enabled``), the
-        idleness signal (disk queue at or below ``idle_queue_threshold``
-        — the same signal the write-back flusher uses), and a
-        reclaimable-bytes floor (``gc_reclaim_threshold_bytes``) so idle
-        slices do not burn planning CPU on a clean store. Returns the
+        idleness signal (an empty disk queue — the same signal the
+        write-back flusher uses), and a reclaimable-bytes floor
+        (``gc_reclaim_threshold_bytes``) so idle slices do not burn
+        planning CPU on a clean store. Returns the
         units of GC work done (re-roots + tombstones + pages freed).
         """
         if (
             not self.config.gc_enabled
             or self._crashed
-            or not self.db.disk.is_idle(self.config.idle_queue_threshold)
+            or not self.db.disk.is_idle()
         ):
             return 0
         plan = self.gc.plan()
@@ -644,16 +643,13 @@ class PrimaryNode:
     ) -> int:
         """Run out-of-line dedup passes over queued deferred records.
 
-        Gated on §3.3.2's idleness signal (disk queue at or below
-        ``idle_queue_threshold``) unless ``force`` is set — the finalize
-        path forces a full drain so a run's storage state converges with
-        the all-inline equivalent. Returns the records processed.
+        Gated on §3.3.2's idleness signal (an empty disk queue) unless
+        ``force`` is set — the finalize path forces a full drain so a
+        run's storage state converges with the all-inline equivalent. Returns the records processed.
         """
         if self.engine is None or self._crashed:
             return 0
-        if not force and not self.db.disk.is_idle(
-            self.config.idle_queue_threshold
-        ):
+        if not force and not self.db.disk.is_idle():
             return 0
         results = self.engine.drain_deferred(
             self.db, max_records=max_records

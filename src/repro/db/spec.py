@@ -27,15 +27,6 @@ PLACEMENTS = ("hash", "prefix")
 #: Default replication batching threshold (bytes of pending oplog).
 DEFAULT_BATCH_BYTES = 256 * 1024
 
-#: Default heartbeat observation cadence (simulated seconds).
-DEFAULT_HEARTBEAT_INTERVAL_S = 0.25
-
-#: Default unavailability span after which the primary is declared dead.
-DEFAULT_FAILOVER_TIMEOUT_S = 1.0
-
-#: Default wait before a demoted old primary rejoins as a secondary.
-DEFAULT_REJOIN_DELAY_S = 2.0
-
 
 @dataclass(frozen=True, kw_only=True)
 class ClusterSpec:
@@ -74,13 +65,8 @@ class ClusterSpec:
             which only fault injection causes, and its heartbeat
             observation is passive (no clock, no randomness). False makes
             operations against a dead primary raise
-            :class:`~repro.db.errors.NodeUnavailableError`.
-        heartbeat_interval_s: how often the failover monitor samples
-            node health (simulated seconds, > 0).
-        failover_timeout_s: how long the primary must stay unresponsive
-            before a secondary is promoted (>= ``heartbeat_interval_s``).
-        rejoin_delay_s: grace period before a revived old primary is
-            rolled back and re-admitted as a secondary (>= 0).
+            :class:`~repro.db.errors.NodeUnavailableError`. The
+            monitor's timing is fixed in :mod:`repro.db.failover`.
         shards: number of independent shards (1 = plain cluster).
         placement: 'hash' (uniform) or 'prefix' (locality-preserving) —
             see :class:`~repro.db.sharding.ShardRouter`.
@@ -102,9 +88,6 @@ class ClusterSpec:
     read_preference: str = "primary"
     physical_storage: bool = False
     failover_enabled: bool = True
-    heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S
-    failover_timeout_s: float = DEFAULT_FAILOVER_TIMEOUT_S
-    rejoin_delay_s: float = DEFAULT_REJOIN_DELAY_S
     shards: int = 1
     placement: str = "hash"
     costs: CostModel = field(default_factory=CostModel)
@@ -137,20 +120,6 @@ class ClusterSpec:
             raise ValueError(
                 f"read_preference must be 'primary' or 'secondary', got "
                 f"{self.read_preference!r}"
-            )
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError(
-                f"heartbeat_interval_s must be > 0, got "
-                f"{self.heartbeat_interval_s}"
-            )
-        if self.failover_timeout_s < self.heartbeat_interval_s:
-            raise ValueError(
-                "failover_timeout_s must be >= heartbeat_interval_s "
-                f"({self.failover_timeout_s} < {self.heartbeat_interval_s})"
-            )
-        if self.rejoin_delay_s < 0:
-            raise ValueError(
-                f"rejoin_delay_s must be >= 0, got {self.rejoin_delay_s}"
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")

@@ -29,10 +29,11 @@ class IndexSpec:
             (§3.1.2) — or ``"tiered"`` — the same cuckoo structure as a
             byte-budgeted hot tier over a constant-memory approximate
             cold tier (Bloom filter per feature band).
-        num_buckets / slots_per_bucket: cuckoo geometry (hot tier
-            geometry when tiered); buckets round up to a power of two.
-        max_candidates: per-feature cap on similar records returned by a
-            lookup before LRU eviction kicks in (§3.1.2).
+        num_buckets: cuckoo bucket count (the hot tier's when tiered);
+            rounds up to a power of two. Slots per bucket (4) and the
+            per-feature candidate cap (8) are
+            :class:`~repro.index.cuckoo.CuckooFeatureIndex` defaults
+            (§3.1.2).
         hot_bytes_budget: tiered only — byte ceiling on the hot tier;
             exceeding it demotes LRU entries into the cold tier. None
             means unbounded (the tiered index then never demotes, and a
@@ -50,8 +51,6 @@ class IndexSpec:
 
     kind: str = "cuckoo"
     num_buckets: int = 1 << 16
-    slots_per_bucket: int = 4
-    max_candidates: int = 8
     hot_bytes_budget: int | None = None
     cold_fpp: float = 0.01
     promotion_hits: int = 2
@@ -67,14 +66,6 @@ class IndexSpec:
         if self.num_buckets < 1:
             raise ValueError(
                 f"num_buckets must be >= 1, got {self.num_buckets}"
-            )
-        if self.slots_per_bucket < 1:
-            raise ValueError(
-                f"slots_per_bucket must be >= 1, got {self.slots_per_bucket}"
-            )
-        if self.max_candidates < 1:
-            raise ValueError(
-                f"max_candidates must be >= 1, got {self.max_candidates}"
             )
         if self.hot_bytes_budget is not None and self.hot_bytes_budget < 1:
             raise ValueError(

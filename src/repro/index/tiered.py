@@ -108,12 +108,7 @@ class TieredFeatureIndex:
         if spec.kind != "tiered":
             raise ValueError(f"expected a tiered spec, got kind={spec.kind!r}")
         self.spec = spec
-        self.hot = CuckooFeatureIndex(
-            num_buckets=spec.num_buckets,
-            slots_per_bucket=spec.slots_per_bucket,
-            max_candidates=spec.max_candidates,
-        )
-        self.max_candidates = spec.max_candidates
+        self.hot = CuckooFeatureIndex(num_buckets=spec.num_buckets)
         self.hot_bytes_budget = spec.hot_bytes_budget
         self._track = track_false_positives
         #: Bands materialize on first demotion so an index that never
@@ -271,7 +266,7 @@ class TieredFeatureIndex:
         # Newest demotions first: the record list is FIFO-ordered, and
         # recent records are the likeliest delta sources (§3.1.3's
         # recency preference, applied at band granularity).
-        candidates = list(band.records)[-self.max_candidates:][::-1]
+        candidates = list(band.records)[-self.hot.max_candidates:][::-1]
         self.cold_hits += 1
         self._note_cold_hit(feature, candidates)
         return candidates
@@ -361,11 +356,7 @@ def build_index(spec: IndexSpec) -> CuckooFeatureIndex | TieredFeatureIndex:
     """Construct the feature index an :class:`IndexSpec` describes."""
     if spec.kind == "tiered":
         return TieredFeatureIndex(spec)
-    return CuckooFeatureIndex(
-        num_buckets=spec.num_buckets,
-        slots_per_bucket=spec.slots_per_bucket,
-        max_candidates=spec.max_candidates,
-    )
+    return CuckooFeatureIndex(num_buckets=spec.num_buckets)
 
 
 #: Union accepted everywhere a feature index flows (engine, invariants).

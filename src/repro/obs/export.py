@@ -469,7 +469,7 @@ def check_reconciliation(document: dict) -> list[str]:
       ``outofline_dedup_records_total + deferred_queue_depth +
       deferred_discarded_total`` — every deferred record is either
       still queued, was deduped out of line, or was discarded
-      (superseded by an update/delete or swept by a bypass);
+      (superseded by an update/delete);
     * feature index: per database (and shard), ``index_lookups_total ==
       index_hot_hits_total + index_cold_hits_total + index_misses_total``
       — every lookup resolves to exactly one tier outcome, whichever

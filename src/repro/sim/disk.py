@@ -55,9 +55,9 @@ class SimDisk:
             pending.popleft()
         return len(pending)
 
-    def is_idle(self, max_queue: int = 0) -> bool:
-        """True when at most ``max_queue`` requests are outstanding."""
-        return self.queue_length() <= max_queue
+    def is_idle(self) -> bool:
+        """True when no request is outstanding (§3.3.2's idleness signal)."""
+        return self.queue_length() == 0
 
     def submit(self, kind: str, nbytes: int) -> float:
         """Enqueue a request; returns its latency from now until completion.

@@ -12,8 +12,6 @@ class TestIndexSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"kind": "btree"},
         {"num_buckets": 0},
-        {"slots_per_bucket": 0},
-        {"max_candidates": 0},
         {"hot_bytes_budget": 0},
         {"hot_bytes_budget": -1},
         {"cold_fpp": 0.0},

@@ -1,11 +1,13 @@
 """ClusterSpec: the consolidated, validated deployment description."""
 
+import ast
 import dataclasses
 
 import pytest
 
-from repro.api import ClusterSpec, open_cluster
+from repro.api import ClusterSpec, IndexSpec, open_cluster
 from repro.core.config import DedupConfig
+from tests.test_retired_tests import REPO_ROOT, is_defined
 
 
 class TestValidation:
@@ -47,9 +49,6 @@ class TestValidation:
         ("insert_batch_size", 0),
         ("num_secondaries", 0),
         ("read_preference", "nearest"),
-        ("heartbeat_interval_s", 0),
-        ("failover_timeout_s", 0.1),
-        ("rejoin_delay_s", -1),
         ("shards", 0),
         ("placement", "round-robin"),
     ])
@@ -103,8 +102,81 @@ class TestToClusterConfig:
 
     def test_one_field_per_knob(self):
         names = [field.name for field in dataclasses.fields(ClusterSpec)]
-        assert len(names) == 21
         # No None-means-inherit twin of a DedupConfig knob survives.
         assert not set(names) & {
             field.name for field in dataclasses.fields(DedupConfig)
         }
+
+
+#: Config fields that no code under src/, benchmarks/ or tools/ sets,
+#: each against the test that needs its non-default value (behaviour the
+#: shipping code has, reachable only through the field).
+TEST_ONLY_KNOBS = {
+    "read_preference":
+        "tests.db.test_read_preference.TestReadPreference"
+        "::test_secondary_serves_synced_reads",
+    "failover_enabled":
+        "tests.api.test_failover_api.TestTypedErrors"
+        "::test_disabled_failover_maps_to_retriable_error",
+    "min_savings_ratio":
+        "tests.core.test_pipeline_stats::test_weak_delta_increments_one_reason",
+    "admission_inline_threshold":
+        "tests.db.test_sharding_equivalence"
+        "::test_per_shard_reports_match_for_one_shard",
+    "admission_queue_records":
+        "tests.integration.test_golden_runs"
+        "::test_golden_run[hybrid-oltp-wikipedia]",
+    "size_filter_interval":
+        "tests.integration.test_golden_runs::test_golden_run[wikipedia]",
+    "gc_max_batch_records":
+        "tests.api.test_client.TestIntrospection"
+        "::test_spec_is_the_config_the_engines_run",
+    "saving_sample_cap":
+        "tests.core.test_pipeline_stats"
+        "::test_engine_honours_configured_sample_cap",
+}
+
+
+def _set_fields(roots) -> set[str]:
+    """Names set by a keyword argument or a string dict key anywhere
+    under ``roots`` — not counting pass-throughs (``x=spec.x``)."""
+    names = set()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.keyword) and node.arg:
+                    pairs = [(node.arg, node.value)]
+                elif isinstance(node, ast.Dict):
+                    pairs = [
+                        (key.value, value)
+                        for key, value in zip(node.keys, node.values)
+                        if isinstance(key, ast.Constant)
+                        and isinstance(key.value, str)
+                    ]
+                else:
+                    continue
+                names.update(
+                    name
+                    for name, value in pairs
+                    if not (
+                        isinstance(value, ast.Attribute) and value.attr == name
+                    )
+                )
+    return names
+
+
+def test_config_census():
+    """A knob no caller sets is a constant: every field of the three
+    config classes has a setter in src/, benchmarks/ or tools/, or is a
+    :data:`TEST_ONLY_KNOBS` entry whose test exists."""
+    fields = {
+        field.name
+        for cls in (ClusterSpec, DedupConfig, IndexSpec)
+        for field in dataclasses.fields(cls)
+    }
+    set_fields = _set_fields(
+        REPO_ROOT / root for root in ("src", "benchmarks", "tools")
+    )
+    assert sorted(fields - set_fields) == sorted(TEST_ONLY_KNOBS)
+    for test_id in TEST_ONLY_KNOBS.values():
+        assert is_defined(test_id), test_id

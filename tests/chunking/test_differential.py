@@ -122,13 +122,13 @@ def wiki_corpus() -> bytes:
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 class TestDifferentialFamilies:
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(byte=st.integers(0, 255), length=st.integers(0, 2200))
     def test_single_byte_runs(self, geometry, byte, length):
         data = bytes([byte]) * length
         assert_lanes_agree("run", data, geometry)
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(
         anchor=st.sampled_from(["min", "avg", "max", "2max"]),
         jitter=st.integers(-2, 2),
@@ -146,7 +146,7 @@ class TestDifferentialFamilies:
         data = random.Random(seed).randbytes(length)
         assert_lanes_agree("nearsize", data, geometry)
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_shorter_than_min_chunk(self, geometry, seed):
         scalar, _ = make_chunkers(geometry)
@@ -156,13 +156,13 @@ class TestDifferentialFamilies:
         cuts = assert_lanes_agree("short", data, geometry)
         assert cuts == ([length] if length else [])
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(data=st.binary(min_size=0, max_size=6000))
     def test_random_binary(self, geometry, data):
         assert_lanes_agree("binary", data, geometry)
         assert_sketches_agree(data, geometry)
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(start=st.integers(0, 110_000), length=st.integers(0, 9000))
     def test_wikipedia_slices(self, geometry, start, length, wiki_corpus):
         data = wiki_corpus[start : start + length]

@@ -10,6 +10,7 @@ from repro.core.admission import (
     DECISION_BYPASS,
     DECISION_DEFER,
     DECISION_INLINE,
+    LOCALITY_DEPTH,
     AdmissionController,
 )
 
@@ -29,13 +30,13 @@ class TestYieldEstimator:
         assert controller.decide("db") == DECISION_INLINE
 
     def test_low_yield_window_defers(self):
-        controller = make_hybrid(locality_weight=0.0)
+        controller = make_hybrid()
         for _ in range(4):
             controller.observe("db", 100, 100)  # ratio 1.0 < 1.2
         assert controller.decide("db") == DECISION_DEFER
 
     def test_high_yield_window_stays_inline(self):
-        controller = make_hybrid(locality_weight=0.0)
+        controller = make_hybrid()
         for _ in range(4):
             controller.observe("db", 100, 25)  # ratio 4.0 >= 1.2
         assert controller.decide("db") == DECISION_INLINE
@@ -43,22 +44,24 @@ class TestYieldEstimator:
     def test_locality_lifts_yield_over_the_bar(self):
         # Ratio 1.0 alone defers; locality hits add weight * fraction.
         # The first sketch sees an empty window, so 3 of 4 records hit.
-        controller = make_hybrid(locality_weight=0.5)
+        controller = make_hybrid()
         for _ in range(4):
             controller.observe("db", 100, 100, features=(1, 2, 3))
         assert controller.yield_score("db") == pytest.approx(1.375)
         assert controller.decide("db") == DECISION_INLINE
 
     def test_locality_fraction_tracks_recent_sketches(self):
-        controller = make_hybrid(locality_depth=2, window=100)
-        controller.observe("db", 1, 1, features=(1,))
-        controller.observe("db", 1, 1, features=(2,))
-        controller.observe("db", 1, 1, features=(3,))
-        # Feature 1 expired from the depth-2 window before this arrives.
-        controller.observe("db", 1, 1, features=(1,))
+        controller = make_hybrid(window=LOCALITY_DEPTH + 10)
+        controller.observe("db", 1, 1, features=(0,))
+        for feature in range(1, LOCALITY_DEPTH + 1):
+            controller.observe("db", 1, 1, features=(feature,))
+        # Feature 0 expired from the window before this arrives.
+        controller.observe("db", 1, 1, features=(0,))
         assert controller.locality_fraction("db") == pytest.approx(0.0)
-        controller.observe("db", 1, 1, features=(1,))
-        assert controller.locality_fraction("db") == pytest.approx(0.2)
+        controller.observe("db", 1, 1, features=(0,))
+        assert controller.locality_fraction("db") == pytest.approx(
+            1 / (LOCALITY_DEPTH + 3)
+        )
 
     def test_zero_byte_window_is_finite(self):
         controller = make_hybrid()
@@ -74,7 +77,7 @@ class TestYieldEstimator:
         assert math.isfinite(controller.window_ratio("db"))
 
     def test_streams_are_independent(self):
-        controller = make_hybrid(locality_weight=0.0)
+        controller = make_hybrid()
         for _ in range(4):
             controller.observe("cold", 100, 100)
             controller.observe("hot", 100, 10)
@@ -82,7 +85,7 @@ class TestYieldEstimator:
         assert controller.decide("hot") == DECISION_INLINE
 
     def test_recovering_stream_returns_to_inline(self):
-        controller = make_hybrid(locality_weight=0.0)
+        controller = make_hybrid()
         for _ in range(4):
             controller.observe("db", 100, 100)
         assert controller.decide("db") == DECISION_DEFER
@@ -92,37 +95,10 @@ class TestYieldEstimator:
 
 
 class TestBypass:
-    def test_bypass_after_patient_low_windows(self):
-        controller = make_hybrid(
-            locality_weight=0.0,
-            bypass_yield_threshold=1.05,
-            bypass_patience=2,
-        )
-        for _ in range(4):
-            controller.observe("db", 100, 100)
-        assert controller.decide("db") == DECISION_DEFER  # one low window
-        for _ in range(3):
-            controller.observe("db", 100, 100)
-        assert controller.observe("db", 100, 100) is False  # second: bypass
-        assert controller.decide("db") == DECISION_BYPASS
-        assert not controller.is_enabled("db")
-
-    def test_one_good_window_resets_patience(self):
-        controller = make_hybrid(
-            locality_weight=0.0,
-            bypass_yield_threshold=1.05,
-            bypass_patience=2,
-        )
-        for _ in range(4):
-            controller.observe("db", 100, 100)  # low window 1
-        for _ in range(4):
-            controller.observe("db", 100, 10)  # healthy window resets
-        for _ in range(4):
-            controller.observe("db", 100, 100)  # low window 1 again
-        assert controller.is_enabled("db")
-
     def test_bypass_disabled_by_default(self):
-        controller = make_hybrid(locality_weight=0.0)
+        # Hybrid mode answers inline or defer only: a stream that never
+        # dedups defers forever and is never bypassed.
+        controller = make_hybrid()
         for _ in range(40):
             controller.observe("db", 100, 100)
         assert controller.is_enabled("db")
@@ -138,25 +114,19 @@ class TestGovernorMode:
         assert controller.window_ratio("anything") == 1.0
 
     def test_keeps_compressing_database(self):
-        controller = AdmissionController(
-            mode="governor", threshold=1.1, window=10
-        )
+        controller = AdmissionController(mode="governor", window=10)
         for _ in range(25):
             assert controller.observe("good", bytes_in=100, bytes_out=10)
         assert controller.is_enabled("good")
 
     def test_window_resets_after_healthy_evaluation(self):
-        controller = AdmissionController(
-            mode="governor", threshold=1.1, window=5
-        )
+        controller = AdmissionController(mode="governor", window=5)
         for _ in range(5):
             controller.observe("db", 100, 10)
         assert controller.window_ratio("db") == 1.0
 
     def test_databases_isolated(self):
-        controller = AdmissionController(
-            mode="governor", threshold=1.1, window=5
-        )
+        controller = AdmissionController(mode="governor", window=5)
         for _ in range(5):
             controller.observe("bad", 100, 100)
             controller.observe("good", 100, 10)
@@ -170,22 +140,19 @@ class TestGovernorMode:
         assert controller.window_ratio("db") == pytest.approx(4.0)
 
     def test_disables_below_threshold_never_reenables(self):
-        controller = AdmissionController(
-            mode="governor", threshold=1.1, window=3
-        )
+        controller = AdmissionController(mode="governor", window=3)
         for _ in range(2):
             assert controller.observe("db", 100, 100)
         assert controller.observe("db", 100, 100) is False
         assert not controller.is_enabled("db")
+        assert controller.decide("db") == DECISION_BYPASS
         # Healthy traffic afterwards cannot resurrect the stream.
         for _ in range(6):
             assert controller.observe("db", 100, 10) is False
         assert not controller.is_enabled("db")
 
     def test_exact_threshold_survives(self):
-        controller = AdmissionController(
-            mode="governor", threshold=1.1, window=2
-        )
+        controller = AdmissionController(mode="governor", window=2)
         controller.observe("db", 110, 100)
         assert controller.observe("db", 110, 100)  # ratio == 1.1, strict <
         assert controller.is_enabled("db")
@@ -235,17 +202,6 @@ class TestDeferredQueue:
         assert controller.pending("a") == 1
         # The dead id is skipped by both pop orders.
         assert controller.pop_deferred("a") == ("a2", b"live")
-
-    def test_discard_deferred_sweeps_one_stream(self):
-        controller = make_hybrid()
-        controller.defer("a", "a1", b"1")
-        controller.defer("a", "a2", b"2")
-        controller.defer("b", "b1", b"3")
-        assert controller.discard_deferred("a") == 2
-        assert controller.deferred_discarded_total == 2
-        assert controller.pending("a") == 0
-        assert controller.pending("b") == 1
-        assert controller.pop_oldest() == ("b", "b1", b"3")
 
 
 class DictProvider:
@@ -325,12 +281,8 @@ class TestValidation:
         "kwargs",
         [
             {"mode": "nope"},
-            {"threshold": 0.5},
             {"window": 0},
             {"inline_yield_threshold": 0.0},
-            {"bypass_patience": 0},
-            {"locality_weight": -1.0},
-            {"locality_depth": 0},
             {"max_deferred_records": 0},
         ],
     )

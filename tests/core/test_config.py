@@ -4,7 +4,21 @@ import dataclasses
 
 import pytest
 
+from repro.core.admission import (
+    GOVERNOR_THRESHOLD,
+    LOCALITY_DEPTH,
+    LOCALITY_WEIGHT,
+)
 from repro.core.config import DedupConfig
+from repro.core.size_filter import CUT_PERCENTILE
+from repro.db.failover import (
+    FAILOVER_TIMEOUT_S,
+    HEARTBEAT_INTERVAL_S,
+    REJOIN_DELAY_S,
+)
+from repro.delta.dbdelta import DEFAULT_WINDOW
+from repro.index.cuckoo import CuckooFeatureIndex
+from repro.sketch.features import SketchExtractor
 
 
 class TestDefaults:
@@ -17,8 +31,19 @@ class TestDefaults:
         assert config.encoding == "hop"
         assert config.source_cache_bytes == 32 * 1024 * 1024
         assert config.writeback_cache_bytes == 8 * 1024 * 1024
-        assert config.governor_threshold == pytest.approx(1.1)
-        assert config.size_filter_percentile == pytest.approx(40.0)
+        # The values the paper fixes are module constants, not knobs.
+        assert GOVERNOR_THRESHOLD == 1.1  # §3.4.1
+        assert CUT_PERCENTILE == 40.0  # §3.4.2
+        assert DEFAULT_WINDOW == 16  # §4.2, xDelta's window
+        index = CuckooFeatureIndex()
+        assert (index.slots_per_bucket, index.max_candidates) == (4, 8)
+        assert SketchExtractor().seed == 0x5EED
+        assert (LOCALITY_WEIGHT, LOCALITY_DEPTH) == (0.5, 64)
+        assert (HEARTBEAT_INTERVAL_S, FAILOVER_TIMEOUT_S, REJOIN_DELAY_S) == (
+            0.25,
+            1.0,
+            2.0,
+        )
 
 
 class TestValidation:
@@ -55,7 +80,3 @@ class TestValidation:
     def test_hop_distance_minimum(self):
         with pytest.raises(ValueError):
             DedupConfig(hop_distance=1)
-
-    def test_size_filter_percentile_bounds(self):
-        with pytest.raises(ValueError):
-            DedupConfig(size_filter_percentile=100.0)

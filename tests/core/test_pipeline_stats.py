@@ -317,7 +317,7 @@ def test_forget_record_does_not_recycle_sequence_numbers(revision_pair):
 
 
 def test_governor_disable_prunes_partition():
-    engine = make_engine(governor_window=3, governor_threshold=1.1)
+    engine = make_engine(governor_window=3)
     for i in range(2):
         engine.register_insert("dbA", f"a{i}")
     engine.register_insert("dbB", "b0")

@@ -8,8 +8,6 @@ from repro.core.size_filter import AdaptiveSizeFilter
 class TestSizeFilter:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            AdaptiveSizeFilter(cut_percentile=100.0)
-        with pytest.raises(ValueError):
             AdaptiveSizeFilter(refresh_interval=0)
 
     def test_everything_passes_before_first_refresh(self):
@@ -18,14 +16,14 @@ class TestSizeFilter:
         assert filt.threshold("db") == 0
 
     def test_threshold_learned_at_refresh(self):
-        filt = AdaptiveSizeFilter(cut_percentile=40.0, refresh_interval=10)
+        filt = AdaptiveSizeFilter(refresh_interval=10)
         for size in range(100, 1100, 100):  # 100..1000
             filt.should_dedup("db", size)
         threshold = filt.threshold("db")
         assert 400 <= threshold <= 500
 
     def test_small_records_skipped_after_refresh(self):
-        filt = AdaptiveSizeFilter(cut_percentile=40.0, refresh_interval=10)
+        filt = AdaptiveSizeFilter(refresh_interval=10)
         for size in range(100, 1100, 100):
             filt.should_dedup("db", size)
         assert not filt.should_dedup("db", 50)

@@ -117,20 +117,6 @@ class TestDivergencePoint:
         assert divergence_point(ours, theirs) is None
 
 
-class TestFailoverConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="heartbeat_interval_s"):
-            ClusterSpec(heartbeat_interval_s=0)
-        with pytest.raises(ValueError, match="failover_timeout_s"):
-            ClusterSpec(heartbeat_interval_s=1.0, failover_timeout_s=0.5)
-        with pytest.raises(ValueError, match="rejoin_delay_s"):
-            ClusterSpec(rejoin_delay_s=-1)
-
-    def test_spec_validates_at_construction(self):
-        with pytest.raises(ValueError, match="failover_timeout_s"):
-            ClusterSpec(heartbeat_interval_s=2.0, failover_timeout_s=0.1)
-
-
 class TestElection:
     def test_most_caught_up_secondary_wins(self):
         # Nothing ships on its own (huge threshold); hand-sync replica 1

@@ -169,11 +169,7 @@ class TestEquivalence:
         """With no budget the tiered index IS the cuckoo index."""
         spec = tiered_spec(hot_bytes_budget=None)
         tiered = TieredFeatureIndex(spec)
-        cuckoo = CuckooFeatureIndex(
-            num_buckets=spec.num_buckets,
-            slots_per_bucket=spec.slots_per_bucket,
-            max_candidates=spec.max_candidates,
-        )
+        cuckoo = CuckooFeatureIndex(num_buckets=spec.num_buckets)
         for position in range(400):
             feature = (position % 97) * 7919
             record = f"r{position}"

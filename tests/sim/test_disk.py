@@ -43,9 +43,11 @@ class TestService:
         assert disk.is_idle()
 
     def test_idleness_threshold(self, clock, disk):
-        disk.write(1024)
-        assert not disk.is_idle(0)
-        assert disk.is_idle(1)
+        # Idle means an empty queue: one outstanding request is busy.
+        latency = disk.write(1024)
+        assert not disk.is_idle()
+        clock.advance(latency)
+        assert disk.is_idle()
 
     def test_counters(self, disk):
         disk.read(100)
@@ -194,7 +196,7 @@ OPS = st.lists(
         # finishing at ``now`` is no longer queued.
         st.tuples(st.just("advance_latency")),
         st.tuples(st.just("queue_length")),
-        st.tuples(st.just("is_idle"), st.integers(0, 4)),
+        st.tuples(st.just("is_idle")),
     ),
     max_size=60,
 )
@@ -218,7 +220,7 @@ def test_property_float_queue_matches_the_request_queue(ops):
         elif name == "queue_length":
             assert disk.queue_length() == reference.queue_length()
         elif name == "is_idle":
-            assert disk.is_idle(args[0]) == reference.is_idle(args[0])
+            assert disk.is_idle() == reference.is_idle()
         else:
             kind, nbytes = args
             seen = []

@@ -54,7 +54,8 @@ def test_every_public_class_method_documented():
 
 def test_every_config_field_is_documented():
     """Config docs cannot drift: each field of the three config classes
-    is named in its class docstring and in docs/TUNING.md."""
+    is named in its class docstring and in docs/TUNING.md, and each knob
+    row of a TUNING.md table names only fields."""
     import dataclasses
     import re
     from pathlib import Path
@@ -73,3 +74,25 @@ def test_every_config_field_is_documented():
         if not re.search(rf"\b{field.name}\b", text)
     ]
     assert not missing, f"undocumented config fields: {missing}"
+
+    fields = {
+        field.name
+        for cls in (ClusterSpec, DedupConfig, IndexSpec)
+        for field in dataclasses.fields(cls)
+    }
+    stale = []
+    in_knob_table = False
+    for line in tuning.splitlines():
+        if not line.startswith("|"):
+            in_knob_table = False
+            continue
+        first_cell = line.split("|")[1].strip()
+        if first_cell.startswith("knob"):
+            in_knob_table = True
+        elif in_knob_table:
+            stale += [
+                name
+                for name in re.findall(r"`([^`]+)`", first_cell)
+                if name not in fields
+            ]
+    assert not stale, f"TUNING.md rows for no config field: {stale}"
