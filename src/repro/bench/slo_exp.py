@@ -66,9 +66,6 @@ class SloScenario:
 
     shards: int
     admission_mode: str
-    placement: str = "prefix"
-    num_secondaries: int = 1
-    failover_enabled: bool = True
 
     @property
     def label(self) -> str:
@@ -297,9 +294,7 @@ def _build_client(
             admission_mode=scenario.admission_mode,
         ),
         shards=scenario.shards,
-        placement=scenario.placement,
-        num_secondaries=scenario.num_secondaries,
-        failover_enabled=scenario.failover_enabled,
+        placement="prefix",
         costs=costs,
     )
     return open_cluster(spec)
@@ -318,9 +313,10 @@ def run_probe(
 ) -> dict:
     """One open-loop replay of the tenant schedule at ``rate_scale``.
 
-    Returns the probe row: per-tenant quantiles/ops, event counts,
-    dedup ratios, the sustainability verdict, and (optionally) the full
-    embedded metrics document of the cluster.
+    Returns the probe row: the topology of the spec that ran, per-tenant
+    quantiles/ops, event counts, dedup ratios, the sustainability
+    verdict, and (optionally) the full embedded metrics document of the
+    cluster.
     """
     schedule = compose_tenants(tenants, seed, rate_scale)
     client = _build_client(scenario, chunk_size, window, cpu_scale)
@@ -344,7 +340,14 @@ def run_probe(
 
     overall = _merged_overall_quantile(driver, 0.99)
     sustainable = overall is not None and overall <= slo_p99_s
+    spec = client.spec
     probe = {
+        "topology": {
+            "shards": spec.shards,
+            "admission_mode": spec.dedup.admission_mode,
+            "placement": spec.placement,
+            "num_secondaries": spec.num_secondaries,
+        },
         "rate_scale": rate_scale,
         "rate_ops_s": rate_scale * sum(s.rate_ops_s for s in tenants),
         "operations": operations,
@@ -515,13 +518,7 @@ def slo_experiment(
                 )
             row = {
                 "label": scenario.label,
-                "topology": {
-                    "shards": scenario.shards,
-                    "admission_mode": scenario.admission_mode,
-                    "placement": scenario.placement,
-                    "num_secondaries": scenario.num_secondaries,
-                    "failover_enabled": scenario.failover_enabled,
-                },
+                "topology": base["topology"],
                 "base_rate_ops_s": base["rate_ops_s"],
                 "max_sustainable_rate_ops_s": max_rate,
                 "tenants": base["tenants"],
@@ -536,7 +533,7 @@ def slo_experiment(
                     {
                         key: value
                         for key, value in probe.items()
-                        if key != "metrics"
+                        if key not in ("metrics", "topology")
                     }
                     for probe in search_probes
                 ],

@@ -23,6 +23,7 @@ from repro.bench.pipeline_profile import pipeline_profile
 from repro.bench.sharding_exp import shard_scaling
 from repro.bench.slo_exp import DEFAULT_CPU_SCALE, slo_experiment
 from repro.core.config import DedupConfig
+from repro.core.gc import MAX_BATCH_RECORDS
 from repro.workloads import ALL_WORKLOADS, make_workload, parse_tenants
 
 #: Experiment ids accepted by ``experiment`` (paper table/figure numbers).
@@ -290,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     cleanup.add_argument("--max-batch-records", type=int, default=None,
                          metavar="N",
                          help="cap on dependents re-encoded in the batch "
-                              "(default: the config's gc_max_batch_records)")
+                              "(default: repro.core.gc.MAX_BATCH_RECORDS = "
+                              f"{MAX_BATCH_RECORDS})")
     cleanup.add_argument("--dry-run", action="store_true",
                          help="print the GC plan (reclaimable bytes, chains "
                               "to re-root, pages to compact) without "

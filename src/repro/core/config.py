@@ -57,9 +57,6 @@ class DedupConfig:
         gc_reclaim_threshold_bytes: minimum estimated reclaimable bytes
             (tombstones + compactable page slack) before an idle slice
             spends time on a GC batch.
-        gc_max_batch_records: most dependent records re-encoded per GC
-            batch — bounds the work (and the rollback scope) of one
-            idle slice.
         saving_sample_cap: maximum per-record saving samples retained for
             Fig. 7's weighted CDF; beyond the cap the engine reservoir-
             samples so memory stays O(cap) however long the run. <= 0
@@ -84,7 +81,6 @@ class DedupConfig:
     size_filter_enabled: bool = True
     gc_enabled: bool = False
     gc_reclaim_threshold_bytes: int = 64 * 1024
-    gc_max_batch_records: int = 64
     saving_sample_cap: int = 100_000
 
     def __post_init__(self) -> None:
@@ -106,11 +102,6 @@ class DedupConfig:
             raise ValueError(
                 "gc_reclaim_threshold_bytes must be >= 0, got "
                 f"{self.gc_reclaim_threshold_bytes}"
-            )
-        if self.gc_max_batch_records < 1:
-            raise ValueError(
-                f"gc_max_batch_records must be >= 1, got "
-                f"{self.gc_max_batch_records}"
             )
         # Admission parameters share the controller's validation so a bad
         # spec fails at construction, not at first insert.

@@ -48,6 +48,10 @@ OUTCOME_ROLLED_BACK = "rolled_back"
 OUTCOME_NOOP = "noop"
 OUTCOMES = (OUTCOME_APPLIED, OUTCOME_ROLLED_BACK, OUTCOME_NOOP)
 
+#: Most dependent records one node-driven GC batch re-encodes: bounds the
+#: work (and the rollback undo log) of one idle slice.
+MAX_BATCH_RECORDS = 64
+
 
 @dataclass(frozen=True)
 class RerootAction:

@@ -366,8 +366,9 @@ class FailoverManager:
         old_head = old.oplog.next_seq
         with cluster.tracer.span("failover", phase="rejoin", node=old.node_name):
             with cluster.tracer.span("rollback", node=old.node_name):
-                dropped = old.oplog.truncate_from(point)
-                rejoined = SecondaryNode.from_demoted_primary(old)
+                rejoined, dropped = SecondaryNode.from_demoted_primary(
+                    old, point
+                )
             self.rollback_entries += len(dropped)
             cluster.secondaries.append(rejoined)
             link = cluster._make_link(rejoined)

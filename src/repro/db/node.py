@@ -5,17 +5,23 @@ oplog; the dedup encoder runs *off the critical path* (charged as
 background CPU, not client latency), replacing oplog payloads with forward
 deltas and queueing backward write-backs. The secondary replays shipped
 oplog batches through the re-encoder so both replicas converge.
+
+Each node's oplog is its write-ahead record, so a crash costs compression,
+never bytes. Every rebuild of a node from that log (a crash restart of
+either role, a divergence rollback, an old primary's rejoin) goes through
+one routine, :func:`_recover`.
 """
 
 from __future__ import annotations
 
 from repro.compression.block import make_block_compressor
 from repro.core.engine import DedupEngine
-from repro.core.gc import GarbageCollector
+from repro.core.gc import MAX_BATCH_RECORDS, GarbageCollector
 from repro.core.reencoder import SecondaryReencoder
 from repro.db.database import Database
 from repro.db.errors import NodeUnavailableError
 from repro.db.oplog import Oplog, OplogEntry
+from repro.db.recovery import ReplayReport, replay_oplog
 from repro.db.spec import ClusterSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer, TracingObserver
@@ -64,6 +70,60 @@ def _build_database(node, role: str, record_cache, disk: SimDisk | None) -> Data
         page_store=page_store,
         node_role=role,
     )
+
+
+def _require_whole_history(oplog: Oplog) -> None:
+    """Raise ``ValueError`` when a checkpoint truncated ``oplog``: replay
+    alone cannot rebuild the lost history, which needs the checkpoint
+    snapshot (:func:`~repro.db.snapshot.load_snapshot`, then
+    :func:`~repro.db.recovery.replay_oplog`)."""
+    if oplog.truncated_before > 0:
+        raise ValueError(
+            "oplog history was truncated at a checkpoint; recovery needs "
+            "the checkpoint snapshot"
+        )
+
+
+def _recover(
+    node, drop_from: int | None = None
+) -> tuple[list[OplogEntry], ReplayReport]:
+    """Rebuild ``node``'s store from its oplog: the one recovery routine.
+
+    Checks that the log holds the whole history before anything changes,
+    drops the log's suffix from ``drop_from`` on (a rollback), then
+    builds fresh volatile state on the node's surviving disk (the role's
+    engine or re-encoder and a store whose decode cache is theirs), moves
+    the fault plan's hooks to the new store and replays the log into it.
+    Everything lands raw and re-compresses over time. Returns the dropped
+    entries and the :class:`~repro.db.recovery.ReplayReport`.
+
+    Raises:
+        ValueError: when the oplog was truncated at a checkpoint
+            (:func:`_require_whole_history`).
+    """
+    _require_whole_history(node.oplog)
+    dropped = [] if drop_from is None else node.oplog.truncate_from(drop_from)
+    old = node.db
+    db = node._fresh_store(old.disk)  # the device outlives the process
+    injector = old.fault_injector
+    if injector is not None:
+        db.fault_injector = injector
+        old.disk.interceptor = injector._disk_interceptor(db)
+    _, report = replay_oplog(node.oplog.entries(), into=db)
+    node.db = db
+    return dropped, report
+
+
+def _insert_order(node) -> list[str]:
+    """Record ids in the order the feature index must see them: ids the
+    log never inserts (sorted), then each inserted id in log order."""
+    order: list[str] = []
+    seen: set[str] = set()
+    for entry in node.oplog.entries():
+        if entry.op == "insert" and entry.record_id not in seen:
+            seen.add(entry.record_id)
+            order.append(entry.record_id)
+    return sorted(set(node.db.records) - seen) + order
 
 
 def _install_node_collectors(registry: MetricsRegistry, node) -> None:
@@ -255,8 +315,7 @@ class PrimaryNode:
         # write path; both knobs are read on every insert.
         self.inline_block_compression = spec.block_compression != "none"
         self.use_writeback_cache = spec.use_writeback_cache
-        self.engine = self._build_engine() if self.dedup_enabled else None
-        self.db = self._build_database()
+        self.db = self._fresh_store()
         self.gc = GarbageCollector(self.db, self.costs)
         self.oplog = Oplog()
         self.background_cpu_seconds = 0.0
@@ -303,13 +362,7 @@ class PrimaryNode:
         node.crashes = secondary.crashes
         node.background_cpu_seconds = secondary.background_cpu_seconds
         if node.engine is not None:
-            order: list[str] = []
-            seen: set[str] = set()
-            for entry in node.oplog.entries():
-                if entry.op == "insert" and entry.record_id not in seen:
-                    seen.add(entry.record_id)
-                    order.append(entry.record_id)
-            node._index_backlog = sorted(set(node.db.records) - seen) + order
+            node._index_backlog = _insert_order(node)
             # The audit trail's queryable entries are volatile engine
             # state; rebuild them from the adopted oplog (counters stay
             # untouched — the shared registry already holds them).
@@ -360,18 +413,23 @@ class PrimaryNode:
         )
         return indexed
 
-    def _build_engine(self) -> DedupEngine:
-        """A dedup engine sharing the node's registry and tracer."""
-        return DedupEngine(
-            config=self.config,
-            costs=self.costs,
-            observers=(TracingObserver(self.tracer),),
-            registry=self.registry,
-        )
+    def _fresh_store(self, disk: SimDisk | None = None) -> Database:
+        """A fresh dedup engine (sharing the node's registry and tracer)
+        and a primary store whose decode cache is its source cache.
 
-    def _build_database(self, disk: SimDisk | None = None) -> Database:
-        """A fresh primary store whose decode cache is the engine's
-        source cache."""
+        A shared registry sees a rebuilt engine's collectors shadow the
+        dead engine's, so restarted state reads fresh.
+        """
+        self.engine = (
+            DedupEngine(
+                config=self.config,
+                costs=self.costs,
+                observers=(TracingObserver(self.tracer),),
+                registry=self.registry,
+            )
+            if self.dedup_enabled
+            else None
+        )
         return _build_database(
             self, "primary",
             self.engine.source_cache if self.engine else None, disk,
@@ -387,56 +445,28 @@ class PrimaryNode:
         self.crashes += 1
         self._crashed = True
 
-    def restart(self, snapshot_path=None):
+    def restart(self) -> ReplayReport:
         """Recover from a crash by replaying the oplog.
 
-        Rebuilds the record store by replaying every retained oplog entry
-        (optionally seeded from a checkpoint snapshot when earlier history
-        was truncated) — everything lands raw and re-compresses over time,
-        losing nothing but transient disk space. The dedup engine is then
-        rebuilt and its feature index repopulated from the recovered
-        records in original insert order, so the restarted node finds
-        similar records exactly as the pre-crash node would have.
+        :func:`_recover` rebuilds the record store from every oplog entry
+        on a fresh dedup engine — everything lands raw and re-compresses
+        over time, losing nothing but transient disk space. The engine's
+        feature index is then repopulated from the recovered records in
+        original insert order, so the restarted node finds similar
+        records exactly as the pre-crash node would have.
 
         Returns the :class:`~repro.db.recovery.ReplayReport`.
 
         Raises:
-            ValueError: when the oplog was truncated at a checkpoint and
-                no snapshot is given — the lost history is unrecoverable
-                from the log alone.
+            ValueError: when the oplog was truncated at a checkpoint — the
+                lost history is unrecoverable from the log alone; the
+                node stays down with its store untouched.
         """
-        from repro.db.recovery import replay_oplog
-
-        if self.oplog.truncated_before > 0 and snapshot_path is None:
-            raise ValueError(
-                "oplog history was truncated at a checkpoint; restart "
-                "needs the checkpoint snapshot"
-            )
-        fault_injector = self.db.fault_injector
-        disk = self.db.disk  # the device outlives the process
-        if self.dedup_enabled:
-            # A shared registry sees the rebuilt engine's collectors
-            # shadow the dead engine's — restarted state reads fresh.
-            self.engine = self._build_engine()
-        db = self._build_database(disk)
-        db.fault_injector = fault_injector
-        if snapshot_path is not None:
-            from repro.db.snapshot import load_snapshot
-
-            load_snapshot(snapshot_path, into=db)
-        _, report = replay_oplog(self.oplog.entries(), into=db)
-        self.db = db
-        self.gc = GarbageCollector(db, self.costs)
+        _, report = _recover(self)
+        self.gc = GarbageCollector(self.db, self.costs)
         if self.engine is not None:
-            order: list[str] = []
-            seen: set[str] = set()
-            for entry in self.oplog.entries():
-                if entry.op == "insert" and entry.record_id not in seen:
-                    seen.add(entry.record_id)
-                    order.append(entry.record_id)
-            order = sorted(set(db.records) - seen) + order
             before = self.engine.index_maintenance_cpu_seconds
-            self.engine.rebuild_from(db, order=order)
+            self.engine.rebuild_from(self.db, order=_insert_order(self))
             self.background_cpu_seconds += (
                 self.engine.index_maintenance_cpu_seconds - before
             )
@@ -444,7 +474,7 @@ class PrimaryNode:
             # registry-backed audit counters survived the crash on the
             # shared registry and must not be re-incremented.
             self.engine.audit.rebuild_from_oplog(
-                self.oplog.entries(), db.records
+                self.oplog.entries(), self.db.records
             )
         self._crashed = False
         return report
@@ -606,9 +636,7 @@ class PrimaryNode:
         plan = self.gc.plan()
         if plan.estimated_reclaim_bytes < self.config.gc_reclaim_threshold_bytes:
             return 0
-        report = self.gc.run(
-            plan=plan, max_records=self.config.gc_max_batch_records
-        )
+        report = self.gc.run(plan=plan, max_records=MAX_BATCH_RECORDS)
         self.background_cpu_seconds += report.cpu_seconds
         return (
             report.reroots_applied
@@ -630,9 +658,7 @@ class PrimaryNode:
         report = self.gc.run(
             plan=plan,
             max_records=(
-                max_records
-                if max_records is not None
-                else self.config.gc_max_batch_records
+                max_records if max_records is not None else MAX_BATCH_RECORDS
             ),
         )
         self.background_cpu_seconds += report.cpu_seconds
@@ -711,12 +737,7 @@ class SecondaryNode:
         node_name: str = "secondary",
     ) -> None:
         _bind_spec(self, spec, clock, registry, tracer, node_name)
-        self.reencoder = (
-            SecondaryReencoder(self.config, self.costs)
-            if self.dedup_enabled
-            else None
-        )
-        self.db = self._build_database()
+        self.db = self._fresh_store()
         self.oplog = Oplog()
         self.background_cpu_seconds = 0.0
         self.decode_fallbacks = 0
@@ -731,25 +752,25 @@ class SecondaryNode:
             ).collect(lambda: {(self.node_name,): float(self.decode_fallbacks)})
 
     @classmethod
-    def from_demoted_primary(cls, node: PrimaryNode) -> "SecondaryNode":
-        """Rebuild a rolled-back old primary as a secondary replica.
+    def from_demoted_primary(
+        cls, node: PrimaryNode, point: int
+    ) -> tuple["SecondaryNode", list[OplogEntry]]:
+        """Rebuild a demoted old primary as a secondary replica.
 
-        Called by the failover manager after the rejoining node's oplog
-        suffix was truncated at the divergence point: the retained log is
-        replayed into a fresh store on the node's surviving disk, and the
-        node re-enters the replica set with a clean re-encoder (existing
-        chains stay as stored; future encoded entries start new ones).
+        One :func:`_recover` call truncates the node's oplog at the
+        divergence ``point`` and replays the retained log into a fresh
+        store on the node's surviving disk; the node re-enters the replica
+        set with a clean re-encoder (existing chains stay as stored;
+        future encoded entries start new ones). Returns the replica and
+        the dropped entries (the unreplicated writes it gives up).
 
         Raises:
             ValueError: when the node's oplog history was truncated at a
                 checkpoint — same contract as :meth:`PrimaryNode.restart`;
-                the rejoin then needs the checkpoint snapshot.
+                the rejoin then needs the checkpoint snapshot. Raised before
+                the replica (and its metric collectors) exists.
         """
-        if node.oplog.truncated_before > 0:
-            raise ValueError(
-                "oplog history was truncated at a checkpoint; rejoin "
-                "needs the checkpoint snapshot"
-            )
+        _require_whole_history(node.oplog)
         secondary = cls(
             node.spec,
             clock=node.clock,
@@ -760,53 +781,36 @@ class SecondaryNode:
         secondary.oplog = node.oplog
         secondary.crashes = node.crashes
         secondary.background_cpu_seconds = node.background_cpu_seconds
-        secondary._adopt_disk(node.db)
-        return secondary
+        secondary.db = node.db
+        dropped, _ = _recover(secondary, drop_from=point)
+        return secondary, dropped
 
     @property
     def is_available(self) -> bool:
         """False while the simulated process is down."""
         return not self._crashed
 
-    def _adopt_disk(self, old_db: Database) -> None:
-        """Replay the local oplog into a fresh store on an existing disk.
-
-        Shared by the rejoin path and the divergence rollback: the log
-        (already truncated to the agreed prefix) is the ground truth, so
-        replaying it yields exactly the retained client-visible state.
-        Fault-plan hooks carry over to the rebuilt store.
-        """
-        from repro.db.recovery import replay_oplog
-
-        fault_injector = old_db.fault_injector
-        disk = old_db.disk
-        db = self._build_database(disk)
-        db.fault_injector = fault_injector
-        if fault_injector is not None and hasattr(
-            fault_injector, "_disk_interceptor"
-        ):
-            disk.interceptor = fault_injector._disk_interceptor(db)
-        replay_oplog(self.oplog.entries(), into=db)
-        self.db = db
-
     def rollback_to(self, seq: int) -> list[OplogEntry]:
         """Divergence rollback: drop local history from ``seq`` onward.
 
-        Truncates the local oplog's suffix and rebuilds the store by
-        replaying the retained prefix. Returns the dropped entries (the
-        writes this replica is giving up); empty when already aligned.
+        :func:`_recover` truncates the local oplog's suffix and rebuilds
+        the store by replaying the retained prefix. Returns the dropped
+        entries (the writes this replica is giving up); empty, with no
+        rebuild, when already aligned.
         """
-        dropped = self.oplog.truncate_from(seq)
-        if not dropped:
-            return dropped
-        if self.dedup_enabled:
-            self.reencoder = SecondaryReencoder(self.config, self.costs)
-        self._adopt_disk(self.db)
+        if seq >= self.oplog.next_seq:
+            return []
+        dropped, _ = _recover(self, drop_from=seq)
         return dropped
 
-    def _build_database(self, disk: SimDisk | None = None) -> Database:
-        """A fresh replica store whose decode cache is the re-encoder's
-        source cache."""
+    def _fresh_store(self, disk: SimDisk | None = None) -> Database:
+        """A fresh re-encoder and a replica store whose decode cache is
+        its source cache."""
+        self.reencoder = (
+            SecondaryReencoder(self.config, self.costs)
+            if self.dedup_enabled
+            else None
+        )
         return _build_database(
             self, "secondary",
             self.reencoder.planner.source_cache if self.reencoder else None,
@@ -820,29 +824,24 @@ class SecondaryNode:
         self.crashes += 1
         self._crashed = True
 
-    def restart(self):
+    def restart(self) -> ReplayReport:
         """Recover by replaying the replica's local oplog.
 
         The secondary appends every shipped entry to its own log before
-        applying it, so replaying that log (forward deltas decode against
-        already-replayed bases, the same path the live replica uses)
-        reconverges it to the pre-crash client-visible state. A fresh
-        re-encoder starts with empty chain bookkeeping: subsequent
-        encoded entries simply start new chains, which changes storage
-        forms but never contents.
+        applying it, so :func:`_recover` replaying that log (forward
+        deltas decode against already-replayed bases, the same path the
+        live replica uses) reconverges it to the pre-crash client-visible
+        state. A fresh re-encoder starts with empty chain bookkeeping:
+        subsequent encoded entries simply start new chains, which changes
+        storage forms but never contents.
 
         Returns the :class:`~repro.db.recovery.ReplayReport`.
-        """
-        from repro.db.recovery import replay_oplog
 
-        fault_injector = self.db.fault_injector
-        disk = self.db.disk
-        if self.dedup_enabled:
-            self.reencoder = SecondaryReencoder(self.config, self.costs)
-        db = self._build_database(disk)
-        db.fault_injector = fault_injector
-        _, report = replay_oplog(self.oplog.entries(), into=db)
-        self.db = db
+        Raises:
+            ValueError: when the oplog was truncated at a checkpoint
+                (same contract as :meth:`PrimaryNode.restart`).
+        """
+        _, report = _recover(self)
         self._crashed = False
         return report
 

@@ -102,7 +102,7 @@ class TestIntrospection:
             admission_mode="hybrid",
             admission_queue_records=8,
             gc_enabled=True,
-            gc_max_batch_records=4,
+            gc_reclaim_threshold_bytes=4096,
             index=IndexSpec(kind="tiered", hot_bytes_budget=4096),
         )
         client = open_cluster(ClusterSpec(dedup=dedup), shards=shards)

@@ -128,9 +128,6 @@ TEST_ONLY_KNOBS = {
         "::test_golden_run[hybrid-oltp-wikipedia]",
     "size_filter_interval":
         "tests.integration.test_golden_runs::test_golden_run[wikipedia]",
-    "gc_max_batch_records":
-        "tests.api.test_client.TestIntrospection"
-        "::test_spec_is_the_config_the_engines_run",
     "saving_sample_cap":
         "tests.core.test_pipeline_stats"
         "::test_engine_honours_configured_sample_cap",

@@ -12,7 +12,10 @@ import random
 
 import pytest
 
+from repro.api import ClusterSpec
+from repro.core.config import DedupConfig
 from repro.core.gc import (
+    MAX_BATCH_RECORDS,
     OUTCOME_APPLIED,
     OUTCOME_NOOP,
     OUTCOME_ROLLED_BACK,
@@ -21,7 +24,9 @@ from repro.core.gc import (
 from repro.db.database import Database
 from repro.db.invariants import check_database
 from repro.db.record import RecordForm
+from repro.db.node import PrimaryNode
 from repro.delta.dbdelta import DeltaCompressor
+from repro.sim.clock import SimClock
 
 
 def _content(seed: int, size: int = 4000) -> bytes:
@@ -192,6 +197,30 @@ class TestRun:
         assert sum(1 for r in db.records.values() if r.deleted) == 0
         for index in range(4):
             assert db.decode_stored_content(f"d{index}") == contents[f"d{index}"]
+
+    def test_idle_slice_batch_reencodes_at_most_the_cap(self):
+        node = PrimaryNode(
+            ClusterSpec(
+                dedup=DedupConfig(gc_enabled=True, gc_reclaim_threshold_bytes=0)
+            ),
+            clock=SimClock(),
+        )
+        cohorts = MAX_BATCH_RECORDS + 6
+        contents = {}
+        edges = []
+        for index in range(cohorts):
+            base = _content(index, size=1000)
+            contents[f"t{index}"] = base
+            contents[f"d{index}"] = base[:700] + b"*" + base[700:]
+            edges.append((f"d{index}", f"t{index}"))
+        _chain(node.db, contents, edges)
+        for index in range(cohorts):
+            node.db.delete(f"t{index}")
+        node.clock.advance(60.0)  # let the disk queue drain: idle
+        assert node.maybe_collect_garbage() > 0
+        assert node.gc.reroots_applied == MAX_BATCH_RECORDS
+        tombstones = sum(1 for r in node.db.records.values() if r.deleted)
+        assert tombstones == cohorts - MAX_BATCH_RECORDS
 
     def test_footprint_guard_skips_growing_cohorts(self):
         # A raw tombstone whose dependents were stored as very small

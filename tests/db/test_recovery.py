@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.db.oplog import OplogEntry
 from repro.db.recovery import replay_oplog
 from repro.workloads.base import Operation
@@ -13,7 +12,9 @@ from repro.workloads.wikipedia import WikipediaWorkload
 
 @pytest.fixture()
 def run_cluster():
-    cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
+    cluster = open_cluster(
+        ClusterSpec(dedup=DedupConfig(chunk_size=64))
+    ).cluster
     workload = WikipediaWorkload(seed=61, target_bytes=150_000)
     ops = list(workload.insert_trace())
     for op in ops:

@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.db.invariants import check_cluster
 from repro.sim.faults import (
     CorruptPageReads,
@@ -56,12 +55,12 @@ FAULT_RULES = {
 def test_random_crud_under_faults_preserves_invariants(
     steps, fault_seed, scenario
 ):
-    cluster = Cluster(
+    cluster = open_cluster(
         ClusterSpec(
             dedup=DedupConfig(chunk_size=64, size_filter_enabled=False),
             oplog_batch_bytes=4096,
         )
-    )
+    ).cluster
     plan = FaultPlan(seed=fault_seed, rules=FAULT_RULES[scenario])
     plan.install(cluster)
     rng = random.Random(1234)

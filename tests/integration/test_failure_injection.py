@@ -20,8 +20,7 @@ import random
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.db.invariants import check_cluster
 from repro.sim.faults import (
     CorruptPageReads,
@@ -56,13 +55,13 @@ SCENARIOS = {
 }
 
 
-def make_cluster() -> Cluster:
-    return Cluster(
+def make_cluster():
+    return open_cluster(
         ClusterSpec(
             dedup=DedupConfig(chunk_size=64, size_filter_enabled=False),
             oplog_batch_bytes=4096,
         )
-    )
+    ).cluster
 
 
 def mixed_trace(seed: int, inserts: int = 110) -> list[Operation]:

@@ -9,6 +9,10 @@ commit *before* a refactor, and must not change while the code under
 them is folded or moved: a refactor that keeps behaviour keeps this
 file green without touching the JSON.
 
+A case named in ``FAULT_PLANS`` runs under that seeded fault plan and
+also pins its failover event log, so crash recovery, promotion and
+rejoin are held to the same standard.
+
 Floats are pinned through ``float.hex`` and long documents through their
 SHA-256, so the expectations stay small. When a case fails, the actual
 documents are written in full to the chaos-artifact directory; running
@@ -41,6 +45,7 @@ from repro.bench.admission_exp import mixed_trace
 from repro.core.config import DedupConfig
 from repro.db.cluster import RunResult
 from repro.obs.export import metrics_document, trace_document
+from repro.sim.faults import CrashNode, DropBatches, FaultPlan, TransientIOErrors
 from repro.workloads import make_workload
 
 EXPECTED_PATH = Path(__file__).with_name("golden_runs.json")
@@ -121,7 +126,38 @@ CASES = {
         dict(dedup=_dedup(), trace=True, sample_every_ops=10),
         {},
     ),
+    # Every oplog rebuild of a node under one fault plan (FAULT_PLANS).
+    "lifecycle-stackexchange": (
+        lambda: _mixed("stackexchange"),
+        dict(dedup=_dedup(), num_secondaries=2, oplog_batch_bytes=4096),
+        {},
+    ),
 }
+
+#: case name -> fault plan installed before the run. The lifecycle case
+#: drives, in oplog order: a secondary crash-restart, a second secondary
+#: left down for the failover supervisor to revive, a primary
+#: crash-restart, then a primary kill that failover answers with a
+#: promotion and, at finalize, the old primary's rollback and rejoin.
+#: Disk faults are node="any", so which requests fail does not depend on
+#: the role a restarted store's fault hooks were bound for.
+FAULT_PLANS = {
+    "lifecycle-stackexchange": lambda: FaultPlan(
+        seed=SEED,
+        rules=[
+            CrashNode(node="secondary", after_appends=15),
+            CrashNode(node="secondary:1", after_appends=25, restart=False),
+            CrashNode(node="primary", after_appends=40),
+            CrashNode(node="primary", after_appends=65, restart=False),
+            TransientIOErrors(probability=0.02, node="any"),
+            DropBatches(every=7),
+        ],
+    ),
+}
+
+#: Failover events each fault-plan case must log, so a case that stops
+#: reaching a path fails instead of pinning a narrower run.
+LIFECYCLE_EVENTS = {"restart", "promote", "rejoin"}
 
 
 def _sha256(document) -> str:
@@ -149,6 +185,8 @@ def _run_case(name: str) -> tuple[dict, dict]:
     """Run one case; returns ``(pinned summary, full documents)``."""
     build_ops, spec_kwargs, run_kwargs = CASES[name]
     client = open_cluster(ClusterSpec(**spec_kwargs))
+    if name in FAULT_PLANS:
+        FAULT_PLANS[name]().install(client.cluster)
     result = client.run(build_ops(), **run_kwargs)
     documents = {
         "metrics": metrics_document(client.registry, client.cluster.sampler),
@@ -161,6 +199,14 @@ def _run_case(name: str) -> tuple[dict, dict]:
     if spec_kwargs.get("trace"):
         documents["trace"] = trace_document(client.tracer)
         pinned["trace_sha256"] = _sha256(documents["trace"])
+    if name in FAULT_PLANS:
+        documents["failover_events"] = client.cluster.failover.event_log()
+        documents["fault_events"] = client.cluster.fault_plan.events
+        # Not the fault events: their lines name the role a disk's hook
+        # was bound for, which a promotion after a restart moves.
+        pinned["failover_events_sha256"] = _sha256(
+            documents["failover_events"]
+        )
     return pinned, documents
 
 
@@ -176,6 +222,12 @@ def test_golden_run(name):
             )
         )
     assert pinned == expected
+    if name in FAULT_PLANS:
+        kinds = {
+            line.split()[1]
+            for line in documents["failover_events"].splitlines()
+        }
+        assert LIFECYCLE_EVENTS <= kinds, documents["failover_events"]
 
 
 if __name__ == "__main__":

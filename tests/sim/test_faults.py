@@ -1,11 +1,13 @@
 """Unit tests for the seeded fault-injection plan."""
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
+from repro.db.node import PrimaryNode
 from repro.sim.faults import (
     MAX_EVENTS,
     CorruptPageReads,
@@ -200,7 +202,7 @@ class TestDiskHook:
 
 class TestInstallUninstall:
     def test_install_wires_and_uninstall_unwires(self):
-        cluster = Cluster(ClusterSpec())
+        cluster = open_cluster(ClusterSpec()).cluster
         plan = FaultPlan(seed=3, rules=[DropBatches(every=2)])
         plan.install(cluster)
         assert cluster.fault_plan is plan
@@ -216,7 +218,7 @@ class TestInstallUninstall:
             assert node.db.disk.interceptor is None
 
     def test_uninstall_is_a_noop_for_foreign_plans(self):
-        cluster = Cluster(ClusterSpec())
+        cluster = open_cluster(ClusterSpec()).cluster
         installed = FaultPlan(seed=4, rules=[DropBatches(every=2)])
         other = FaultPlan(seed=5, rules=[DropBatches(every=3)])
         installed.install(cluster)
@@ -225,11 +227,51 @@ class TestInstallUninstall:
         assert cluster.network.interceptor == installed.on_transfer
 
 
+class TestHooksFollowRecovery:
+    """A recovery moves the plan's hooks onto the store it builds."""
+
+    def test_role_scoped_disk_rule_reaches_restarted_then_promoted_node(self):
+        cluster = open_cluster(ClusterSpec()).cluster
+        plan = FaultPlan(
+            seed=8,
+            rules=[
+                TransientIOErrors(
+                    probability=1.0, kinds=("write",), node="primary", limit=3
+                )
+            ],
+        )
+        plan.install(cluster)
+        secondary = cluster.secondary
+        secondary.crash()
+        secondary.restart()
+        promoted = PrimaryNode.from_secondary(secondary)
+        promoted.insert("db", "r0", b"payload " * 64)
+        assert plan.injected == 3
+        assert promoted.db.io_retries == 3
+
+    @pytest.mark.parametrize("role", ["primary", "secondary"])
+    def test_restart_releases_the_dead_store(self, role):
+        from repro.workloads.base import Operation
+
+        cluster = open_cluster(ClusterSpec(oplog_batch_bytes=1)).cluster
+        plan = FaultPlan(seed=9, rules=[TransientIOErrors(probability=0.0)])
+        plan.install(cluster)
+        cluster.execute(Operation("insert", "db", "r0", b"payload " * 64))
+        node = getattr(cluster, role)
+        dead = weakref.ref(node.db)
+        node.crash()
+        node.restart()
+        gc.collect()
+        assert dead() is None
+        assert node.db.fault_injector is plan
+        assert node.db.fetch_content("r0") == b"payload " * 64
+
+
 class TestCrashHook:
     def test_crash_fires_once_at_threshold(self):
         from repro.workloads.base import Operation
 
-        cluster = Cluster(ClusterSpec())
+        cluster = open_cluster(ClusterSpec()).cluster
         plan = FaultPlan(
             seed=6, rules=[CrashNode(node="primary", after_appends=3)]
         )
@@ -244,7 +286,9 @@ class TestCrashHook:
     def test_indexed_address_crashes_that_replica_only(self):
         from repro.workloads.base import Operation
 
-        cluster = Cluster(ClusterSpec(num_secondaries=3, oplog_batch_bytes=1))
+        cluster = open_cluster(
+            ClusterSpec(num_secondaries=3, oplog_batch_bytes=1)
+        ).cluster
         plan = FaultPlan(
             seed=6, rules=[CrashNode(node="secondary:1", after_appends=2)]
         )
@@ -258,7 +302,7 @@ class TestCrashHook:
     def test_out_of_range_address_stays_pending(self):
         from repro.workloads.base import Operation
 
-        cluster = Cluster(ClusterSpec(oplog_batch_bytes=1))
+        cluster = open_cluster(ClusterSpec(oplog_batch_bytes=1)).cluster
         plan = FaultPlan(
             seed=6, rules=[CrashNode(node="secondary:5", after_appends=1)]
         )

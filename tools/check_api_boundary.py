@@ -59,22 +59,16 @@ ALLOWED = frozenset({
     "tests/core/test_maintenance.py",
     "tests/db/test_batch_compression.py",
     "tests/db/test_batch_insert.py",
-    "tests/db/test_checkpoint.py",
     "tests/db/test_cluster.py",
     "tests/db/test_invariants.py",
     "tests/db/test_multi_secondary.py",
     "tests/db/test_pending_references.py",
     "tests/db/test_physical_cluster.py",
     "tests/db/test_read_preference.py",
-    "tests/db/test_recovery.py",
-    "tests/db/test_snapshot.py",
-    "tests/integration/test_cluster_chaos.py",
     "tests/integration/test_crud_dedup.py",
     "tests/integration/test_end_to_end.py",
-    "tests/integration/test_failure_injection.py",
     "tests/integration/test_observability.py",
     "tests/integration/test_stateful.py",
-    "tests/sim/test_faults.py",
     "tests/sim/test_network.py",
     "tests/test_cli.py",
     "tests/workloads/test_oltp.py",
