@@ -42,11 +42,19 @@ import pytest
 
 from repro.api import ClusterSpec, open_cluster
 from repro.bench.admission_exp import mixed_trace
+from repro.bench.gc_exp import delete_heavy_trace
 from repro.core.config import DedupConfig
 from repro.db.cluster import RunResult
 from repro.obs.export import metrics_document, trace_document
-from repro.sim.faults import CrashNode, DropBatches, FaultPlan, TransientIOErrors
+from repro.sim.faults import (
+    CorruptPageReads,
+    CrashNode,
+    DropBatches,
+    FaultPlan,
+    TransientIOErrors,
+)
 from repro.workloads import make_workload
+from repro.workloads.base import Operation
 
 EXPECTED_PATH = Path(__file__).with_name("golden_runs.json")
 ARTIFACT_DIR = Path(os.environ.get("CHAOS_ARTIFACT_DIR", "chaos-artifacts"))
@@ -77,6 +85,24 @@ def _full_batches(name: str, target_bytes: int, batches: int):
     )
     assert len(ops) == batches * BATCH, (name, len(ops))
     return ops
+
+
+def _delete_heavy():
+    """Delete a quarter of a stackexchange corpus, read the survivors,
+    update every fifth of them, idle, and read them again: the store's
+    rewrite sites (GC re-roots and promotions, compaction, read-path
+    splices, raw and appended updates) all run."""
+    ops = delete_heavy_trace("stackexchange", 150_000, SEED, 0.25)
+    deleted = {op.record_id for op in ops if op.kind == "delete"}
+    survivors = [
+        op for op in ops if op.kind == "insert" and op.record_id not in deleted
+    ]
+    reads = [Operation("read", op.database, op.record_id) for op in survivors]
+    updates = [
+        Operation("update", op.database, op.record_id, op.content + b"x")
+        for op in survivors[::5]
+    ]
+    return ops + reads + updates + [Operation("idle", idle_seconds=10.0)] + reads
 
 
 #: case name -> (ops builder, ClusterSpec keywords, run keywords)
@@ -132,6 +158,14 @@ CASES = {
         dict(dedup=_dedup(), num_secondaries=2, oplog_batch_bytes=4096),
         {},
     ),
+    "gc-stackexchange": (
+        _delete_heavy,
+        dict(dedup=_dedup(gc_enabled=True, gc_reclaim_threshold_bytes=4096)),
+        {},
+    ),
+    # GC off, so the read path splices tombstones; sticky corruption
+    # sends records through quarantine repair (FAULT_PLANS).
+    "repair-stackexchange": (_delete_heavy, dict(dedup=_dedup()), {}),
 }
 
 #: case name -> fault plan installed before the run. The lifecycle case
@@ -153,11 +187,34 @@ FAULT_PLANS = {
             DropBatches(every=7),
         ],
     ),
+    "repair-stackexchange": lambda: FaultPlan(
+        seed=SEED,
+        rules=[
+            CorruptPageReads(
+                probability=0.01, sticky=True, node="primary", limit=2
+            ),
+        ],
+    ),
 }
 
-#: Failover events each fault-plan case must log, so a case that stops
-#: reaching a path fails instead of pinning a narrower run.
-LIFECYCLE_EVENTS = {"restart", "promote", "rejoin"}
+#: What a case must reach, so one that stops reaching a path fails
+#: instead of pinning a narrower run: metric families whose values must
+#: sum to non-zero, and failover event kinds its event log must hold.
+REACHES = {
+    "gc-stackexchange": dict(
+        metrics=(
+            "gc_batches_total",
+            "gc_reroots_total",
+            "gc_promotions_total",
+            "gc_tombstones_removed_total",
+            "gc_pages_freed_total",
+        ),
+    ),
+    "repair-stackexchange": dict(
+        metrics=("db_gc_splices_total", "cluster_repairs_total"),
+    ),
+    "lifecycle-stackexchange": dict(events=("restart", "promote", "rejoin")),
+}
 
 
 def _sha256(document) -> str:
@@ -222,12 +279,17 @@ def test_golden_run(name):
             )
         )
     assert pinned == expected
-    if name in FAULT_PLANS:
+    reaches = REACHES.get(name, {})
+    metrics = documents["metrics"]["metrics"]
+    for family in reaches.get("metrics", ()):
+        total = sum(value["value"] for value in metrics[family]["values"])
+        assert total > 0, family
+    if "events" in reaches:
         kinds = {
             line.split()[1]
             for line in documents["failover_events"].splitlines()
         }
-        assert LIFECYCLE_EVENTS <= kinds, documents["failover_events"]
+        assert set(reaches["events"]) <= kinds, documents["failover_events"]
 
 
 if __name__ == "__main__":
