@@ -1,11 +1,9 @@
 """Caches specialized for delta-encoded storage (§3.3)."""
 
-from repro.cache.lru import LRUByteCache
 from repro.cache.source_cache import SourceRecordCache
 from repro.cache.writeback import LossyWriteBackCache, WriteBackEntry
 
 __all__ = [
-    "LRUByteCache",
     "SourceRecordCache",
     "LossyWriteBackCache",
     "WriteBackEntry",

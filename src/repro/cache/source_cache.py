@@ -16,60 +16,93 @@ what Fig. 13a measures against the cache-aware selection reward score.
 
 from __future__ import annotations
 
-from repro.cache.lru import LRUByteCache
+from collections import OrderedDict
 
 #: Paper configuration: "a small source record cache (32 MB)".
 DEFAULT_CAPACITY_BYTES = 32 * 1024 * 1024
 
 
 class SourceRecordCache:
-    """Record-id → raw content cache with chain-aware replacement."""
+    """Record-id → raw content cache with chain-aware replacement.
+
+    The capacity is a byte budget, not an entry count: each entry costs
+    ``len(content)``. Content bigger than the whole budget is rejected
+    rather than evicting everything else.
+    """
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES) -> None:
-        self._lru = LRUByteCache(capacity_bytes)
+        if capacity_bytes < 1:
+            raise ValueError(f"capacity_bytes must be >= 1, got {capacity_bytes}")
+        self.capacity_bytes = capacity_bytes
+        self._entries: OrderedDict[str, bytes] = OrderedDict()
+        #: Bytes currently held by cached entries.
+        self.used_bytes = 0
+        #: Lookups served from the cache / that fell through to storage.
+        self.hits = 0
+        self.misses = 0
+        #: Entries the byte budget pushed out (invalidations and
+        #: same-key replacements do not count).
+        self.evictions = 0
 
     def __contains__(self, record_id: str) -> bool:
-        return record_id in self._lru
+        return record_id in self._entries
 
     def __len__(self) -> int:
-        return len(self._lru)
-
-    @property
-    def hits(self) -> int:
-        """Number of lookups served from the cache."""
-        return self._lru.hits
-
-    @property
-    def misses(self) -> int:
-        """Number of lookups that fell through to storage."""
-        return self._lru.misses
-
-    @property
-    def evictions(self) -> int:
-        """Entries the byte budget pushed out."""
-        return self._lru.evictions
+        return len(self._entries)
 
     @property
     def miss_ratio(self) -> float:
         """Fraction of lookups that missed (0.0 when never queried)."""
-        return self._lru.miss_ratio
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently held by cached entries."""
-        return self._lru.used_bytes
+        total = self.hits + self.misses
+        return self.misses / total if total else 0.0
 
     def get(self, record_id: str) -> bytes | None:
         """Fetch a cached record's raw content (counts hit/miss)."""
-        return self._lru.get(record_id)
+        content = self._entries.get(record_id)
+        if content is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(record_id)
+        self.hits += 1
+        return content
 
     def peek(self, record_id: str) -> bytes | None:
         """Fetch without touching recency or hit/miss counters (decode path)."""
-        return self._lru.peek(record_id)
+        return self._entries.get(record_id)
 
     def admit(self, record_id: str, content: bytes) -> None:
         """Cache a record fetched from storage or freshly inserted."""
-        self._lru.put(record_id, content)
+        size = len(content)
+        capacity = self.capacity_bytes
+        if size > capacity:
+            self._invalidate(record_id)
+            return
+        entries = self._entries
+        old = entries.pop(record_id, None)
+        used = self.used_bytes + size
+        if old is not None:
+            used -= len(old)
+        entries[record_id] = content
+        if used > capacity:
+            evict = entries.popitem
+            evicted = 0
+            while used > capacity:
+                used -= len(evict(last=False)[1])
+                evicted += 1
+            self.evictions += evicted
+        self.used_bytes = used
+
+    def invalidate(self, record_id: str) -> None:
+        """Drop a record (its raw content changed or it was deleted)."""
+        content = self._entries.pop(record_id, None)
+        if content is not None:
+            self.used_bytes -= len(content)
+
+    # The chain-aware calls below reuse admit/invalidate through these
+    # names, so a timing wrapper installed on the public methods counts
+    # each public call once.
+    _admit = admit
+    _invalidate = invalidate
 
     def replace_tail(self, old_tail: str, new_tail: str, content: bytes) -> None:
         """Chain grew: the old tail's slot is taken over by the new tail.
@@ -78,15 +111,11 @@ class SourceRecordCache:
         it replaces the existing record with the new one." Replacing rather
         than adding keeps exactly one non-hop-base entry per chain.
         """
-        self._lru.pop(old_tail)
-        self._lru.put(new_tail, content)
+        self._invalidate(old_tail)
+        self._admit(new_tail, content)
 
     def keep_hop_base(self, record_id: str, content: bytes, replacing: str | None) -> None:
         """Cache the latest hop base of a level, dropping the one it replaces."""
         if replacing is not None:
-            self._lru.pop(replacing)
-        self._lru.put(record_id, content)
-
-    def invalidate(self, record_id: str) -> None:
-        """Drop a record (its raw content changed or it was deleted)."""
-        self._lru.pop(record_id)
+            self._invalidate(replacing)
+        self._admit(record_id, content)

@@ -13,16 +13,18 @@ background work:
   dependent is promoted to raw and the rest re-encoded against it),
   after which the tombstone's refcount reaches zero and it is reclaimed;
 * **page compaction** — live payloads are migrated off sparse pages so
-  empty pages can be freed through the store (both the accounting
-  :class:`~repro.db.pagestore.PageStore` and the physical
-  :class:`~repro.storage.heapfile.HeapFileStore` implement ``compact``).
+  empty pages can be freed (``Database.compact_pages``).
 
 Every cycle is a **rollback-safe batch**: plan (pure) → dry-run (decode
 and pre-compute every new payload, skipping cohorts that would *grow*
 the footprint or that hit corrupt pages) → apply (with an undo log of
-full pre-images) → post-validate (byte-identity of every rewritten
-chain plus the :mod:`repro.db.invariants` node-local sweep) → automatic
-rollback when validation fails. GC never writes the oplog — a crash
+``Database.pre_image`` copies) → post-validate (byte-identity of every
+rewritten chain plus the :mod:`repro.db.invariants` node-local sweep,
+counting only what names a record the batch touched) → automatic
+rollback through ``Database.reinstate`` when validation fails. The
+collector only decides; every change to a stored record is a
+``Database`` call (``rewrite`` reaps the tombstone when its last
+dependent moves off). GC never writes the oplog — a crash
 mid-batch recovers by replaying the oplog to the pre-GC logical state,
 which is observably identical by construction.
 
@@ -160,20 +162,6 @@ class _PreparedReroot:
     dependents: list[_PreparedDependent]
 
 
-@dataclass
-class _Snapshot:
-    """Full pre-image of one record, for the undo log."""
-
-    record: StoredRecord
-    existed: bool
-    form: RecordForm
-    payload: bytes
-    base_id: str | None
-    raw_size: int
-    ref_count: int
-    deleted: bool
-
-
 class GarbageCollector:
     """Refcounted delta-chain GC with rollback-safe batches.
 
@@ -262,23 +250,15 @@ class GarbageCollector:
                 )
             )
             plan.reclaimable_bytes += record.stored_size
-        plan.pages_before = getattr(db.pages, "page_count", 0)
-        page_size = self._page_size()
-        if page_size and hasattr(db.pages, "compact"):
-            capacity = plan.pages_before * page_size
-            plan.page_slack_bytes = max(0, capacity - db.stored_bytes)
-            plan.compact_pages = (
-                plan.page_slack_bytes >= self.page_slack_pages * page_size
-            )
+        plan.pages_before = db.page_count
+        page_size = db.page_size
+        capacity = plan.pages_before * page_size
+        plan.page_slack_bytes = max(0, capacity - db.stored_bytes)
+        plan.compact_pages = (
+            plan.page_slack_bytes >= self.page_slack_pages * page_size
+        )
         self.cpu_seconds += scanned_bytes * self.costs.cpu_gc_scan_byte_s
         return plan
-
-    def _page_size(self) -> int:
-        pages = self.db.pages
-        size = getattr(pages, "page_size", None)
-        if size is None:
-            size = getattr(getattr(pages, "heap", None), "page_size", 0)
-        return size or 0
 
     # -- dry-run ------------------------------------------------------------
 
@@ -391,25 +371,18 @@ class GarbageCollector:
 
     # -- apply + rollback ---------------------------------------------------
 
-    def _snapshot(self, record_id: str, undo: list[_Snapshot]) -> None:
-        record = self.db.records.get(record_id)
-        if record is None:
-            return
-        undo.append(
-            _Snapshot(
-                record=record,
-                existed=True,
-                form=record.form,
-                payload=record.payload,
-                base_id=record.base_id,
-                raw_size=record.raw_size,
-                ref_count=record.ref_count,
-                deleted=record.deleted,
-            )
-        )
+    @staticmethod
+    def _touched(cohort: _PreparedReroot) -> list[str]:
+        """Every record a cohort's apply rewrites, reaps or re-references."""
+        action = cohort.action
+        touched = [action.tombstone_id]
+        if action.grandbase_id is not None:
+            touched.append(action.grandbase_id)
+        touched.extend(dep.record_id for dep in cohort.dependents)
+        return touched
 
     def _apply(
-        self, prepared: list[_PreparedReroot], undo: list[_Snapshot]
+        self, prepared: list[_PreparedReroot], undo: list[StoredRecord]
     ) -> GcReport:
         db = self.db
         report = GcReport()
@@ -420,59 +393,47 @@ class GarbageCollector:
                 action.dependent_ids
             ):
                 continue
-            self._snapshot(action.tombstone_id, undo)
-            if action.grandbase_id is not None:
-                self._snapshot(action.grandbase_id, undo)
+            undo.extend(
+                image
+                for image in map(db.pre_image, self._touched(cohort))
+                if image is not None
+            )
+            # The last dependent to move off the tombstone releases its
+            # final reference, which reaps it (and releases the
+            # grandbase reference the tombstone held).
             for dep in cohort.dependents:
-                self._snapshot(dep.record_id, undo)
-            for dep in cohort.dependents:
-                record = db.records[dep.record_id]
-                record.form = dep.new_form
-                record.payload = dep.new_payload
-                record.base_id = dep.new_base_id
+                db.rewrite(
+                    db.records[dep.record_id],
+                    dep.new_form,
+                    dep.new_payload,
+                    dep.new_base_id,
+                )
                 if dep.new_form is RecordForm.RAW:
-                    record.raw_size = len(dep.new_payload)
                     report.promotions += 1
-                if dep.new_base_id is not None:
-                    db.records[dep.new_base_id].ref_count += 1
-                tombstone.ref_count -= 1
-                db.pages.update(dep.record_id, db._disk_image(record))
-                db._note_checksum(record)
-                db._disk_request("write", len(dep.new_payload))
                 report.reroots_applied += 1
-            # Every dependent moved off the tombstone; reap it. _remove
-            # releases the tombstone's own base reference (undone via
-            # the grandbase snapshot above).
-            db._remove(tombstone)
             report.tombstones_removed += 1
         return report
 
-    def _rollback(self, undo: list[_Snapshot]) -> None:
-        db = self.db
-        for snap in reversed(undo):
-            record = snap.record
-            record.form = snap.form
-            record.payload = snap.payload
-            record.base_id = snap.base_id
-            record.raw_size = snap.raw_size
-            record.ref_count = snap.ref_count
-            record.deleted = snap.deleted
-            if record.record_id not in db.records:
-                db.records[record.record_id] = record
-                db.pages.place(record.record_id, db._disk_image(record))
-            else:
-                db.pages.update(record.record_id, db._disk_image(record))
-            db._note_checksum(record)
-            if db.record_cache is not None:
-                db.record_cache.invalidate(record.record_id)
+    def _rollback(self, undo: list[StoredRecord]) -> None:
+        # Newest first, so a record imaged twice ends at its oldest image.
+        for image in reversed(undo):
+            self.db.reinstate(image)
 
     # -- post-validate ------------------------------------------------------
 
     def _post_validate(self, prepared: list[_PreparedReroot]) -> list[str]:
+        """Violations the batch is answerable for: a rewritten chain that
+        no longer decodes to its pre-GC bytes, and any store-wide
+        invariant violation that names a record the batch touched or no
+        record at all. A record the batch never touched (say, one
+        quarantined and awaiting repair) does not roll it back."""
         from repro.db.invariants import check_database
 
         db = self.db
         violations: list[str] = []
+        touched = {
+            record_id for cohort in prepared for record_id in self._touched(cohort)
+        }
         for cohort in prepared:
             for dep in cohort.dependents:
                 try:
@@ -488,7 +449,11 @@ class GarbageCollector:
                         "no longer decodes to the pre-GC content"
                     )
         report = check_database(db, node="gc")
-        violations.extend(str(v) for v in report.violations)
+        violations.extend(
+            str(violation)
+            for violation in report.violations
+            if violation.record_id is None or violation.record_id in touched
+        )
         return violations
 
     # -- the batch ----------------------------------------------------------
@@ -518,7 +483,7 @@ class GarbageCollector:
             )
 
         before_bytes = db.stored_bytes
-        undo: list[_Snapshot] = []
+        undo: list[StoredRecord] = []
         report = self._apply(prepared, undo)
         if self.on_post_validate is not None:
             self.on_post_validate(db, prepared)
@@ -534,12 +499,10 @@ class GarbageCollector:
                 return failed
 
         if compact and plan.compact_pages:
-            freed, moved = db.pages.compact()
+            freed, moved = db.compact_pages()
             report.pages_freed = freed
             report.compaction_bytes_moved = moved
-            if moved:
-                self.cpu_seconds += moved * self.costs.cpu_compaction_byte_s
-                db._disk_request("write", moved)
+            self.cpu_seconds += moved * self.costs.cpu_compaction_byte_s
 
         report.outcome = OUTCOME_APPLIED
         report.reclaimed_bytes = max(0, before_bytes - db.stored_bytes)

@@ -16,6 +16,7 @@ idleness signal and the latency numbers mean something.
 from __future__ import annotations
 
 import weakref
+from dataclasses import replace
 from typing import Sequence
 from zlib import crc32
 
@@ -161,17 +162,8 @@ class Database:
             record.pending_updates.append(content)
             self.pages.update(record_id, self._disk_image(record))
             return self._disk_request("write", len(content))
-        old_base = record.base_id
-        record.form = RecordForm.RAW
-        record.payload = content
-        record.base_id = None
-        record.raw_size = len(content)
         record.pending_updates.clear()
-        self.pages.update(record_id, content)
-        self._note_checksum(record)
-        if old_base is not None:
-            self._release_base(old_base)
-        return self._disk_request("write", len(content))
+        return self.rewrite(record, RecordForm.RAW, content, None)
 
     def delete(self, record_id: str) -> float:
         """Delete a record, deferring if others decode from it (§4.1)."""
@@ -239,19 +231,9 @@ class Database:
         always safe, that is the cache's whole premise.
         """
         record = self.records.get(entry.record_id)
-        base = self.records.get(entry.base_id)
-        if record is None or base is None or record.pending_updates:
+        if record is None or entry.base_id not in self.records or record.pending_updates:
             return False
-        old_base = record.base_id
-        record.form = RecordForm.DELTA
-        record.payload = entry.payload
-        record.base_id = entry.base_id
-        base.ref_count += 1
-        self.pages.update(entry.record_id, self._disk_image(record))
-        self._note_checksum(record)
-        self._disk_request("write", len(entry.payload))  # background write
-        if old_base is not None:
-            self._release_base(old_base)
+        self.rewrite(record, RecordForm.DELTA, entry.payload, entry.base_id)
         self.writebacks_applied += 1
         return True
 
@@ -296,23 +278,7 @@ class Database:
         record = self.records.get(record_id)
         if record is None:
             return None
-        chain: list[StoredRecord] = []
-        cursor = record
-        seen: set[str] = set()
-        while True:
-            if cursor.record_id in seen:
-                raise CorruptChain(f"cycle at {cursor.record_id!r}")
-            seen.add(cursor.record_id)
-            chain.append(cursor)
-            if cursor.form is RecordForm.RAW:
-                break
-            base = self.records.get(cursor.base_id)
-            if base is None:
-                raise CorruptChain(
-                    f"{cursor.record_id!r} has dangling base "
-                    f"{cursor.base_id!r}"
-                )
-            cursor = base
+        chain = self._stored_chain(record)
         content: bytes | None = None
         try:
             for rec in reversed(chain):
@@ -356,13 +322,28 @@ class Database:
         == stored_bytes`` at all times, so savings reports can subtract
         deleted records' bytes instead of overstating dedup.
         """
-        return getattr(self.pages, "bytes_written_total", 0)
+        return self.pages.bytes_written_total
 
     @property
     def reclaimed_bytes_total(self) -> int:
         """Monotonic bytes reclaimed from storage (deletes, shrinking
         rewrites, GC). Never exceeds :attr:`stored_bytes_total`."""
-        return getattr(self.pages, "bytes_reclaimed_total", 0)
+        return self.pages.bytes_reclaimed_total
+
+    @property
+    def page_count(self) -> int:
+        """Pages the store has allocated."""
+        return self.pages.page_count
+
+    @property
+    def page_size(self) -> int:
+        """Capacity of one page in bytes."""
+        return self.pages.page_size
+
+    @property
+    def buffer_pool(self):
+        """The physical engine's buffer pool; None on the accounting store."""
+        return getattr(self.pages, "pool", None)
 
     @property
     def tombstone_bytes(self) -> int:
@@ -382,20 +363,7 @@ class Database:
         record = self.records.get(record_id)
         if record is None:
             raise RecordNotFound(record_id)
-        steps = 0
-        seen = set()
-        while record.form is RecordForm.DELTA:
-            if record.record_id in seen:
-                raise CorruptChain(f"cycle at {record.record_id!r}")
-            seen.add(record.record_id)
-            steps += 1
-            base = self.records.get(record.base_id)
-            if base is None:
-                raise CorruptChain(
-                    f"{record.record_id!r} has dangling base {record.base_id!r}"
-                )
-            record = base
-        return steps
+        return len(self._stored_chain(record)) - 1
 
     # -- internals ---------------------------------------------------------------
 
@@ -404,6 +372,27 @@ class Database:
         if record is None or record.deleted:
             raise RecordNotFound(record_id)
         return record
+
+    def _stored_chain(self, record: StoredRecord) -> list[StoredRecord]:
+        """``record`` and its stored bases, up to the raw root.
+
+        Raises:
+            CorruptChain: on cycles or dangling base pointers.
+        """
+        chain = [record]
+        seen = {record.record_id}
+        while record.form is RecordForm.DELTA:
+            base = self.records.get(record.base_id)
+            if base is None:
+                raise CorruptChain(
+                    f"{record.record_id!r} has dangling base {record.base_id!r}"
+                )
+            if base.record_id in seen:
+                raise CorruptChain(f"cycle at {base.record_id!r}")
+            seen.add(base.record_id)
+            chain.append(base)
+            record = base
+        return chain
 
     def _disk_image(self, record: StoredRecord) -> bytes:
         """What the page store holds for a record (payload + pendings)."""
@@ -537,13 +526,21 @@ class Database:
         Corrupt records are quarantined and returned; the caller repairs
         them from a healthy replica (``Cluster.repair_record``).
         """
-        corrupt = []
-        for record_id, record in self.records.items():
-            expected = self._checksums.get(record_id)
-            if expected is not None and crc32(record.payload) != expected:
-                self.quarantine.add(record_id)
-                corrupt.append(record_id)
+        corrupt = [
+            record_id
+            for record_id in self.records
+            if self.checksum_matches(record_id) is False
+        ]
+        self.quarantine.update(corrupt)
         return corrupt
+
+    def checksum_matches(self, record_id: str) -> bool | None:
+        """Whether a record's stored payload verifies against the checksum
+        written with it; None when no checksum was written."""
+        expected = self._checksums.get(record_id)
+        if expected is None:
+            return None
+        return crc32(self.records[record_id].payload) == expected
 
     def dependents_of(self, record_id: str) -> list[str]:
         """Records whose stored delta decodes directly from ``record_id``."""
@@ -567,18 +564,77 @@ class Database:
         self.writeback_cache.invalidate(record_id)
         if self.record_cache is not None:
             self.record_cache.invalidate(record_id)
-        old_base = record.base_id
-        record.form = RecordForm.RAW
-        record.payload = content
-        record.base_id = None
-        record.raw_size = len(content)
         record.pending_updates.clear()
-        self.pages.update(record_id, content)
+        self.rewrite(record, RecordForm.RAW, content, None)
+        return True
+
+    # -- the stored form's one owner ----------------------------------------
+
+    def rewrite(
+        self,
+        record: StoredRecord,
+        form: RecordForm,
+        payload: bytes,
+        base_id: str | None,
+    ) -> float:
+        """Change a stored record's form: the one path every client
+        update, write-back, repair, read-path splice and GC re-root
+        takes. Returns the latency of the charged write.
+
+        Side effects run in one order: the new base's reference is
+        taken, the page image and its checksum are written, the write is
+        charged, and only then is the old base released — which reaps
+        that base if it was a tombstone and this was its last dependent.
+        """
+        old_base = record.base_id
+        record.form = form
+        record.payload = payload
+        record.base_id = base_id
+        if form is RecordForm.RAW:
+            record.raw_size = len(payload)
+        if base_id is not None:
+            self.records[base_id].ref_count += 1
+        self.pages.update(record.record_id, self._disk_image(record))
         self._note_checksum(record)
-        self._disk_request("write", len(content))
+        latency = self._disk_request("write", len(payload))
         if old_base is not None:
             self._release_base(old_base)
-        return True
+        return latency
+
+    def pre_image(self, record_id: str) -> StoredRecord | None:
+        """A detached copy of a record's whole stored state, for an undo
+        log to hand back to :meth:`reinstate`; None for unknown ids."""
+        record = self.records.get(record_id)
+        if record is None:
+            return None
+        return replace(record, pending_updates=list(record.pending_updates))
+
+    def reinstate(self, record: StoredRecord) -> None:
+        """Make ``record`` the stored state of its id, exactly as given.
+
+        The one restore path: snapshot load and GC rollback both come
+        through here. It rewrites the page image and checksum and drops
+        the id from the record cache; it charges no write and adjusts no
+        reference count, because the caller restores a whole consistent
+        set of records.
+        """
+        record_id = record.record_id
+        if record_id in self.records:
+            self.pages.update(record_id, self._disk_image(record))
+        else:
+            self.pages.place(record_id, self._disk_image(record))
+        self.records[record_id] = record
+        self._note_checksum(record)
+        if self.record_cache is not None:
+            self.record_cache.invalidate(record_id)
+
+    def compact_pages(self) -> tuple[int, int]:
+        """Repack the page store, charging the migrated bytes as one
+        background write. Returns ``(pages_freed, bytes_moved)``."""
+        freed, moved = self.pages.compact()
+        if moved:
+            self._disk_request("write", moved)
+        return freed, moved
 
     def _gc_along_path(
         self, chain: list[StoredRecord], contents: dict[str, bytes]
@@ -606,18 +662,13 @@ class Database:
                 # Base decoded from the record cache: skip the splice this
                 # time; a later uncached read will do it.
                 continue
-            dependent.payload = self._gc_compressor.compress(
+            payload = self._gc_compressor.compress(
                 contents[grandbase.record_id], contents[dependent.record_id]
             )
-            dependent.base_id = grandbase.record_id
-            grandbase.ref_count += 1
-            self.pages.update(dependent.record_id, self._disk_image(dependent))
-            self._note_checksum(dependent)
-            self._disk_request("write", len(dependent.payload))
-            middle.ref_count -= 1
             self.gc_splices += 1
-            if middle.ref_count <= 0:
-                self._remove(middle)
+            self.rewrite(
+                dependent, RecordForm.DELTA, payload, grandbase.record_id
+            )
 
     def _release_base(self, base_id: str) -> None:
         """Decrement a base's refcount; reap it if it was tomb-stoned."""

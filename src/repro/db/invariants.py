@@ -44,7 +44,6 @@ full report unless told otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from zlib import crc32
 
 from repro.db.database import Database
 from repro.db.errors import CorruptChain, CorruptPage, DatabaseError
@@ -240,11 +239,11 @@ def _check_ref_counts(db: Database, node: str, report: InvariantReport) -> None:
 
 def _check_checksums(db: Database, node: str, report: InvariantReport) -> None:
     """Stored payloads verify against their page checksums; no quarantine."""
-    for record_id, record in db.records.items():
-        expected = db._checksums.get(record_id)
-        if expected is None:
+    for record_id in db.records:
+        matches = db.checksum_matches(record_id)
+        if matches is None:
             report.add(node, "checksum", "record has no checksum", record_id)
-        elif crc32(record.payload) != expected:
+        elif not matches:
             report.add(
                 node, "checksum", "stored payload fails checksum", record_id
             )

@@ -221,9 +221,7 @@ def _install_node_collectors(registry: MetricsRegistry, node) -> None:
 
     # Only the physical engine (HeapFileStore.pool) has a buffer pool;
     # the idealized PageStore has none and exports zeros.
-    pool = lambda attr: (
-        lambda: getattr(getattr(node.db.pages, "pool", None), attr, 0)
-    )
+    pool = lambda attr: (lambda: getattr(node.db.buffer_pool, attr, 0))
     export(
         pool("hits"), "bufferpool_hits_total",
         "Buffer-pool page requests served from memory",

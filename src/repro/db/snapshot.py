@@ -116,9 +116,7 @@ def load_database(blob: bytes, into: Database | None = None) -> Database:
             deleted=bool(flags & 0x02),
             pending_updates=pending,
         )
-        db.records[record.record_id] = record
-        db.pages.place(record.record_id, db._disk_image(record))
-        db._note_checksum(record)
+        db.reinstate(record)
     if pos != len(blob):
         raise ValueError("trailing bytes after snapshot records")
     return db

@@ -258,6 +258,11 @@ class HeapFileStore:
         """Number of pages allocated so far."""
         return self.heap.page_count
 
+    @property
+    def page_size(self) -> int:
+        """Bytes per heap page."""
+        return self.heap.page_size
+
     def place(self, record_id: str, payload: bytes) -> int:
         """Store a new record's payload."""
         self.heap.put(record_id, payload)

@@ -1,6 +1,5 @@
 """Cache lifecycle counters: evictions, flushes, discards, invalidations."""
 
-from repro.cache.lru import LRUByteCache
 from repro.cache.source_cache import SourceRecordCache
 from repro.cache.writeback import LossyWriteBackCache, WriteBackEntry
 
@@ -14,25 +13,26 @@ def _entry(record_id: str, saving: int, payload: bytes = b"x" * 10):
 
 class TestLRUCounters:
     def test_eviction_counts_only_budget_pressure(self):
-        cache = LRUByteCache(capacity_bytes=20)
-        cache.put("a", b"x" * 10)
-        cache.put("b", b"x" * 10)
+        cache = SourceRecordCache(capacity_bytes=20)
+        cache.admit("a", b"x" * 10)
+        cache.admit("b", b"x" * 10)
         assert cache.evictions == 0
-        cache.put("c", b"x" * 10)  # pushes 'a' out
+        cache.admit("c", b"x" * 10)  # pushes 'a' out
         assert cache.evictions == 1
         # Explicit removal and replacement are not evictions.
-        cache.pop("b")
-        cache.put("c", b"y" * 10)
+        cache.invalidate("b")
+        cache.admit("c", b"y" * 10)
         assert cache.evictions == 1
 
     def test_oversized_value_rejected_without_eviction(self):
-        cache = LRUByteCache(capacity_bytes=8)
-        assert cache.put("a", b"x" * 9) is False
+        cache = SourceRecordCache(capacity_bytes=8)
+        cache.admit("a", b"x" * 9)
+        assert "a" not in cache
         assert cache.evictions == 0
 
 
 class TestSourceCacheCounters:
-    def test_evictions_delegate_to_the_lru(self):
+    def test_evictions_and_lookups_are_counted(self):
         cache = SourceRecordCache(capacity_bytes=20)
         cache.admit("a", b"x" * 10)
         cache.admit("b", b"x" * 10)

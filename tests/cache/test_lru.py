@@ -1,79 +1,75 @@
-"""Byte-budget LRU cache."""
+"""The source record cache as a byte-budget LRU cache."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cache.lru import LRUByteCache
+from repro.cache.source_cache import SourceRecordCache
 
 
 class TestBasics:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            LRUByteCache(0)
+            SourceRecordCache(0)
 
     def test_get_miss_counts(self):
-        cache = LRUByteCache(100)
+        cache = SourceRecordCache(100)
         assert cache.get("x") is None
         assert cache.misses == 1
         assert cache.miss_ratio == 1.0
 
     def test_put_get_hit(self):
-        cache = LRUByteCache(100)
-        cache.put("x", b"value")
+        cache = SourceRecordCache(100)
+        cache.admit("x", b"value")
         assert cache.get("x") == b"value"
         assert cache.hits == 1
 
     def test_peek_does_not_count(self):
-        cache = LRUByteCache(100)
-        cache.put("x", b"v")
+        cache = SourceRecordCache(100)
+        cache.admit("x", b"v")
         cache.peek("x")
         cache.peek("y")
         assert cache.hits == 0
         assert cache.misses == 0
 
     def test_pop(self):
-        cache = LRUByteCache(100)
-        cache.put("x", b"abc")
-        assert cache.pop("x") == b"abc"
-        assert cache.pop("x") is None
+        cache = SourceRecordCache(100)
+        cache.admit("x", b"abc")
+        cache.invalidate("x")
+        assert "x" not in cache
+        cache.invalidate("x")
         assert cache.used_bytes == 0
 
     def test_replace_updates_bytes(self):
-        cache = LRUByteCache(100)
-        cache.put("x", b"aaaa")
-        cache.put("x", b"bb")
+        cache = SourceRecordCache(100)
+        cache.admit("x", b"aaaa")
+        cache.admit("x", b"bb")
         assert cache.used_bytes == 2
         assert len(cache) == 1
 
 
 class TestEviction:
     def test_evicts_lru_on_overflow(self):
-        cache = LRUByteCache(10)
-        cache.put("a", b"12345")
-        cache.put("b", b"12345")
+        cache = SourceRecordCache(10)
+        cache.admit("a", b"12345")
+        cache.admit("b", b"12345")
         cache.get("a")  # refresh a
-        cache.put("c", b"12345")  # evicts b
+        cache.admit("c", b"12345")  # evicts b
         assert "a" in cache
         assert "b" not in cache
         assert "c" in cache
 
     def test_oversized_value_rejected(self):
-        cache = LRUByteCache(4)
-        assert cache.put("big", b"12345") is False
+        cache = SourceRecordCache(4)
+        cache.admit("big", b"12345")
         assert "big" not in cache
+        assert cache.used_bytes == 0
 
     def test_oversized_replacement_removes_old(self):
-        cache = LRUByteCache(4)
-        cache.put("x", b"ab")
-        assert cache.put("x", b"123456") is False
+        cache = SourceRecordCache(4)
+        cache.admit("x", b"ab")
+        cache.admit("x", b"123456")
         assert "x" not in cache
-
-    def test_clear(self):
-        cache = LRUByteCache(100)
-        cache.put("a", b"xy")
-        cache.clear()
-        assert len(cache) == 0
         assert cache.used_bytes == 0
 
 
@@ -84,9 +80,9 @@ class TestEviction:
     )
 )
 def test_property_capacity_never_exceeded(puts):
-    cache = LRUByteCache(16)
+    cache = SourceRecordCache(16)
     for key, value in puts:
-        cache.put(key, value)
+        cache.admit(key, value)
         assert cache.used_bytes <= 16
         assert cache.used_bytes == sum(
             len(cache.peek(k)) for k in "abcdef" if cache.peek(k) is not None

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.workloads.wikipedia import WikipediaWorkload
 
 
@@ -14,7 +13,7 @@ def run_cluster(batch_compression: str, dedup_enabled: bool = True):
         dedup_enabled=dedup_enabled,
         batch_compression=batch_compression,
     )
-    cluster = Cluster(config)
+    cluster = open_cluster(config).cluster
     workload = WikipediaWorkload(seed=41, target_bytes=200_000)
     result = cluster.run(workload.insert_trace())
     return cluster, result

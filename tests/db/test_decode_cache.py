@@ -31,7 +31,8 @@ def chained_db(revision_chain):
     db.clock.advance(60)
     db.drain_writebacks()
     # Start from a cold cache so the first read pays the full walk.
-    cache._lru.clear()
+    for index in range(len(contents)):
+        cache.invalidate(f"v{index}")
     return db, contents
 
 

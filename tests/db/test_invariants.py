@@ -5,8 +5,7 @@ from zlib import crc32
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.db.database import Database
 from repro.db.invariants import (
     ClusterInvariantError,
@@ -98,7 +97,7 @@ class TestDatabaseChecks:
         )
 
     def test_oplog_divergence_is_caught(self):
-        cluster = Cluster(ClusterSpec())
+        cluster = open_cluster(ClusterSpec()).cluster
         cluster.execute(Operation("insert", "db", "r0", b"truth " * 30))
         db = cluster.primary.db
         # Store different bytes but keep the checksum honest, so only the
@@ -110,7 +109,7 @@ class TestDatabaseChecks:
         assert "oplog" in checks_of(report)
 
     def test_truncated_oplog_skips_ground_truth(self):
-        cluster = Cluster(ClusterSpec())
+        cluster = open_cluster(ClusterSpec()).cluster
         for index in range(4):
             cluster.execute(
                 Operation("insert", "db", f"r{index}", b"x %d " % index * 20)
@@ -125,11 +124,11 @@ class TestDatabaseChecks:
 
 class TestHopBoundGating:
     def test_clean_drained_cluster_arms_the_bound(self):
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(
                 dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
             )
-        )
+        ).cluster
         base = b"the quick brown fox jumps over the lazy dog " * 30
         for index in range(12):
             content = base + b"variant %d" % index
@@ -142,11 +141,11 @@ class TestHopBoundGating:
         from repro.cache.writeback import WriteBackEntry
         from repro.delta.dbdelta import DeltaCompressor
 
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(
                 dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
             )
-        )
+        ).cluster
         base = b"the quick brown fox jumps over the lazy dog " * 30
         for index in range(4):
             content = base + b"variant %d" % index
@@ -175,9 +174,9 @@ class TestHopBoundGating:
     def test_dangling_base_is_reported_with_the_bound_armed(self):
         # The hop-bound check walks every chain; a base pointer into
         # nothing must surface as a structure violation, not a KeyError.
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(dedup=DedupConfig(chunk_size=64, encoding="hop"))
-        )
+        ).cluster
         cluster.run(WikipediaWorkload(7, 60_000).insert_trace())
         db = cluster.primary.db
         victim = next(
@@ -196,7 +195,7 @@ class TestHopBoundGating:
 
 class TestClusterCheck:
     def _loaded_cluster(self):
-        cluster = Cluster(ClusterSpec())
+        cluster = open_cluster(ClusterSpec()).cluster
         for index in range(6):
             cluster.execute(
                 Operation("insert", "db", f"r{index}", b"content %d " % index * 25)

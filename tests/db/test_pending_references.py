@@ -10,8 +10,7 @@ updates append (§4.1 semantics) until the entry flushes or drops.
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.db.record import RecordForm
 from repro.workloads.base import Operation
 from repro.workloads.edits import revise
@@ -23,9 +22,9 @@ def scenario():
     """Insert v0, derive v1 (write-back for v0 queued, base v1)."""
     import random
 
-    cluster = Cluster(
+    cluster = open_cluster(
         ClusterSpec(dedup=DedupConfig(chunk_size=64, size_filter_enabled=False))
-    )
+    ).cluster
     rng = random.Random(3)
     text_gen = TextGenerator(seed=3)
     v0 = text_gen.document(4000).encode()

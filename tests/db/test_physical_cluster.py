@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.storage.bufferpool import BufferPool
 from repro.storage.heapfile import HeapFileStore
 from repro.workloads.wikipedia import WikipediaWorkload
@@ -12,14 +11,14 @@ from repro.workloads.wikipedia import WikipediaWorkload
 
 @pytest.fixture()
 def physical_cluster():
-    return Cluster(
+    return open_cluster(
         ClusterSpec(
             dedup=DedupConfig(chunk_size=64),
             physical_storage=True,
             block_compression="zlib",
             page_size=8192,
         )
-    )
+    ).cluster
 
 
 class TestPhysicalCluster:

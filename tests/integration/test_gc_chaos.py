@@ -250,3 +250,33 @@ def test_failed_gc_batch_rolls_back_cleanly(seed, record_fault_plan):
     assert check_reconciliation(
         metrics_document(client.cluster.registry)
     ) == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unrelated_quarantined_record_does_not_roll_back_gc(seed):
+    client = make_client()
+    trace = insert_trace(seed)
+    client.run(trace)
+    delete_referenced(client, seed)
+    primary = client.cluster.primary
+    db = primary.db
+    involved = set()
+    for action in primary.gc.plan().reroots:
+        involved.update((action.tombstone_id, action.grandbase_id))
+        involved.update(action.dependent_ids)
+    # A record in no cohort that nothing decodes through: only the
+    # store-wide invariant sweep can see its corruption.
+    bystander = next(
+        record_id
+        for record_id, record in sorted(db.records.items())
+        if record_id not in involved and record.ref_count == 0
+    )
+    record = db.records[bystander]
+    record.payload = bytes([record.payload[0] ^ 0xFF]) + record.payload[1:]
+    assert db.verify_checksums() == [bystander]
+
+    report = primary.collect_garbage()
+    assert report.outcome == OUTCOME_APPLIED, report.violations
+    assert report.tombstones_removed > 0
+    # Still quarantined: repair, not GC, owns it.
+    assert bystander in db.quarantine

@@ -142,7 +142,7 @@ def _read_effects(db: Database) -> tuple:
         db.clock.now,
         db.decode_base_fetches,
         db.gc_splices,
-        list(db.record_cache._lru._entries),
+        list(db.record_cache._entries),
     )
 
 

@@ -57,13 +57,9 @@ ALLOWED = frozenset({
     "tests/api/test_client.py",       # exercises the boundary itself
     "tests/core/test_engine_rebuild.py",
     "tests/core/test_maintenance.py",
-    "tests/db/test_batch_compression.py",
     "tests/db/test_batch_insert.py",
     "tests/db/test_cluster.py",
-    "tests/db/test_invariants.py",
     "tests/db/test_multi_secondary.py",
-    "tests/db/test_pending_references.py",
-    "tests/db/test_physical_cluster.py",
     "tests/db/test_read_preference.py",
     "tests/integration/test_crud_dedup.py",
     "tests/integration/test_end_to_end.py",
