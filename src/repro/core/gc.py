@@ -411,7 +411,8 @@ class GarbageCollector:
                 if dep.new_form is RecordForm.RAW:
                     report.promotions += 1
                 report.reroots_applied += 1
-            report.tombstones_removed += 1
+            if action.tombstone_id not in db.records:
+                report.tombstones_removed += 1
         return report
 
     def _rollback(self, undo: list[StoredRecord]) -> None:
