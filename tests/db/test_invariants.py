@@ -238,6 +238,102 @@ class TestClusterCheck:
         assert not plan.active  # stays suspended if it was suspended
 
 
+def details(report, check):
+    return [
+        (violation.record_id, violation.detail)
+        for violation in report.violations
+        if violation.check == check
+    ]
+
+
+class TestViolationMessages:
+    """One seeded fault per oplog / convergence message, named exactly."""
+
+    def _logged_cluster(self):
+        cluster = open_cluster(ClusterSpec()).cluster
+        for index in range(3):
+            cluster.execute(
+                Operation("insert", "db", f"r{index}", b"logged %d " % index * 25)
+            )
+        return cluster
+
+    def _loaded_cluster(self):
+        cluster = self._logged_cluster()
+        cluster.finalize()
+        return cluster
+
+    def test_unlogged_record_is_absent_from_oplog_replay(self):
+        cluster = self._logged_cluster()
+        db = cluster.primary.db
+        db.insert("db", "stray", b"never logged " * 20)  # bypasses the oplog
+        report = check_database(db, oplog=cluster.primary.oplog)
+        assert details(report, "oplog") == [
+            ("stray", "live record absent from oplog replay")
+        ]
+
+    def test_unlogged_delete_is_a_record_the_store_lost(self):
+        cluster = self._logged_cluster()
+        db = cluster.primary.db
+        db.delete("r1")  # bypasses the oplog
+        report = check_database(db, oplog=cluster.primary.oplog)
+        assert details(report, "oplog") == [
+            ("r1", "oplog replay yields record the store lost")
+        ]
+
+    def test_unlogged_update_diverges_from_oplog_replay(self):
+        cluster = self._logged_cluster()
+        db = cluster.primary.db
+        db.update("r2", b"rewritten " * 5)  # bypasses the oplog
+        report = check_database(db, oplog=cluster.primary.oplog)
+        [(record_id, detail)] = details(report, "oplog")
+        assert record_id == "r2"
+        assert detail.startswith("content diverges from oplog replay")
+        assert "(50 vs 225 bytes)" in detail
+
+    def test_undelivered_tail_leaves_the_cursor_behind(self, monkeypatch):
+        cluster = self._loaded_cluster()
+        monkeypatch.setattr(cluster.links[0], "sync", lambda: 0)
+        cluster.execute(Operation("insert", "db", "late", b"undelivered " * 20))
+        head = cluster.primary.oplog.next_seq
+        report = check_cluster(cluster, strict=False)
+        assert (
+            None,
+            f"replication cursor {cluster.links[0].cursor} behind oplog "
+            f"head {head}",
+        ) in details(report, "convergence")
+        assert ("late", "missing replicated record") in details(
+            report, "convergence"
+        )
+        assert not cluster.replicas_converged()
+
+    def test_lost_replica_record_is_a_missing_replicated_record(self):
+        cluster = self._loaded_cluster()
+        cluster.secondary.db.delete("r1")
+        report = check_cluster(cluster, strict=False)
+        assert details(report, "convergence") == [
+            ("r1", "missing replicated record")
+        ]
+        assert not cluster.replicas_converged()
+
+    def test_extra_replica_record_is_absent_on_primary(self):
+        cluster = self._loaded_cluster()
+        cluster.secondary.db.insert("db", "extra", b"replica only " * 20)
+        report = check_cluster(cluster, strict=False)
+        assert details(report, "convergence") == [
+            ("extra", "record absent on primary")
+        ]
+        assert not cluster.replicas_converged()
+
+    def test_replica_content_diverges_from_primary(self):
+        cluster = self._loaded_cluster()
+        cluster.secondary.db.update("r0", b"drifted " * 5)
+        report = check_cluster(cluster, strict=False)
+        assert details(report, "convergence") == [
+            ("r0", "content diverges from primary (40 vs 225 bytes)")
+        ]
+        assert not cluster.replicas_converged()
+
+
 class TestReportFormatting:
     def test_ok_summary(self):
         report = InvariantReport(nodes_checked=2, records_checked=10)
