@@ -18,9 +18,10 @@ background work:
 Every cycle is a **rollback-safe batch**: plan (pure) → dry-run (decode
 and pre-compute every new payload, skipping cohorts that would *grow*
 the footprint or that hit corrupt pages) → apply (with an undo log of
-``Database.pre_image`` copies) → post-validate (byte-identity of every
-rewritten chain plus the :mod:`repro.db.invariants` node-local sweep,
-counting only what names a record the batch touched) → automatic
+``Database.pre_image`` copies) → post-validate (read-only, through
+``Database.content_of``: byte-identity of every rewritten chain plus the
+:mod:`repro.db.invariants` node-local sweep, counting only what names a
+record the batch touched) → automatic
 rollback through ``Database.reinstate`` when validation fails. The
 collector only decides; every change to a stored record is a
 ``Database`` call (``rewrite`` reaps the tombstone when its last
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.db.errors import CorruptChain
+from repro.db.errors import CorruptChain, CorruptPage
 from repro.db.record import RecordForm, StoredRecord
 from repro.delta.dbdelta import DeltaCompressor
 from repro.sim.costs import CostModel
@@ -427,7 +428,9 @@ class GarbageCollector:
         no longer decodes to its pre-GC bytes, and any store-wide
         invariant violation that names a record the batch touched or no
         record at all. A record the batch never touched (say, one
-        quarantined and awaiting repair) does not roll it back."""
+        quarantined and awaiting repair) does not roll it back. Reads go
+        through the read-only ``Database.content_of``: validation splices
+        no chain, so the undo log covers every change the batch made."""
         from repro.db.invariants import check_database
 
         db = self.db
@@ -438,8 +441,8 @@ class GarbageCollector:
         for cohort in prepared:
             for dep in cohort.dependents:
                 try:
-                    decoded = db.decode_stored_content(dep.record_id)
-                except CorruptChain as fault:
+                    decoded = db.content_of(dep.record_id, stored=True)
+                except (CorruptChain, CorruptPage) as fault:
                     violations.append(
                         f"[gc-decode] {dep.record_id}: {fault}"
                     )

@@ -18,7 +18,9 @@ from repro.db.failover import (
     REJOIN_DELAY_S,
     FailoverManager,
 )
+from repro.db.invariants import replica_divergences
 from repro.db.node import PrimaryNode, SecondaryNode
+from repro.db.recovery import oplog_model
 from repro.db.replication import ReplicationLink
 from repro.db.spec import ClusterSpec
 from repro.obs import (
@@ -580,7 +582,7 @@ class Cluster:
                 # Tombstones have no client-visible content to restore;
                 # they are reaped as their dependents release them.
                 continue
-            content = self._healthy_content(node, record.database, target)
+            content = self._healthy_content(node, target)
             if content is None:
                 continue  # unrecoverable for now; stays quarantined
             if db.restore_record_raw(target, content):
@@ -588,15 +590,16 @@ class Cluster:
         self.repairs += restored
         return restored
 
-    def _healthy_content(self, exclude_node, database: str, record_id: str):
-        """A record's content from any replica that reads it cleanly,
-        falling back to an oplog replay when no replica can serve it.
+    def _healthy_content(self, exclude_node, record_id: str):
+        """A record's content from any replica that holds it cleanly (read
+        through the read-only ``Database.content_of``), falling back to
+        the contents the oplog describes when no replica can serve it.
 
         A secondary with undelivered oplog entries for the record is
         skipped: it reads cleanly but serves the *previous* version, and
         restoring that onto the primary would silently roll back a
-        confirmed write. The oplog-replay fallback covers the case where
-        no replica holds a fresh clean copy.
+        confirmed write. The oplog fallback covers the case where no
+        replica holds a fresh clean copy.
         """
         for node in [self.primary, *self.secondaries]:
             if node is exclude_node:
@@ -605,25 +608,15 @@ class Cluster:
                 node, record_id
             ):
                 continue
-            record = node.db.records.get(record_id)
-            if record is None or record.deleted:
-                continue
             try:
-                content, _ = node.db.read(database, record_id)
+                content = node.db.content_of(record_id)
             except (CorruptPage, CorruptChain):
                 continue
             if content is not None:
                 return content
         if self.primary.oplog.truncated_before > 0:
-            return None  # replay cannot reach truncated history
-        from repro.db.recovery import replay_oplog
-
-        replayed, _ = replay_oplog(self.primary.oplog.entries())
-        try:
-            content, _ = replayed.read(database, record_id)
-        except (CorruptPage, CorruptChain):  # pragma: no cover — replay is raw
-            return None
-        return content
+            return None  # the log no longer reaches truncated history
+        return oplog_model(self.primary.oplog.entries()).get(record_id)
 
     def _secondary_is_stale_for(self, node, record_id: str) -> bool:
         """True when ``node`` has not yet applied every oplog entry the
@@ -698,35 +691,10 @@ class Cluster:
         for secondary in self.secondaries:
             secondary.db.drain_writebacks()
 
-    @staticmethod
-    def _live_ids(node) -> set[str]:
-        """Record ids of a node's live (non-deleted) records."""
-        return {
-            record_id
-            for record_id, record in node.db.records.items()
-            if not record.deleted
-        }
-
     def replicas_converged(self) -> bool:
-        """True when every replica holds identical live record contents."""
-        primary_ids = self._live_ids(self.primary)
-        for name, node in self.nodes():
-            if name == "primary":
-                continue
-            if primary_ids != self._live_ids(node):
-                return False
-            # Sorted, not set order: the reads below go through the decode
-            # cache, so a hash-randomized visit order would leak into the
-            # exported disk/decode counters from run to run.
-            for record_id in sorted(primary_ids):
-                record = self.primary.db.records[record_id]
-                primary_content, _ = self.primary.db.read(
-                    record.database, record_id
-                )
-                secondary_content, _ = node.db.read(record.database, record_id)
-                if primary_content != secondary_content:
-                    return False
-        return True
+        """True when every replica holds identical live record contents
+        (:func:`~repro.db.invariants.replica_divergences` is empty)."""
+        return not replica_divergences(self)
 
     def summary_stats(self) -> dict:
         """Point-in-time client-facing summary (the facade's ``stats()``).
@@ -743,7 +711,7 @@ class Cluster:
             "shards": 1,
             "inserts": self.inserts,
             "reads": self.reads,
-            "records": len(self._live_ids(self.primary)),
+            "records": db.live_records,
             "logical_bytes": logical,
             "stored_bytes": stored,
             "physical_bytes": db.physical_bytes(),

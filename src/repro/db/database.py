@@ -69,9 +69,9 @@ class Database:
         self.records: dict[str, StoredRecord] = {}
         # Through a weak proxy: a bound method stored on a cache this store
         # owns would make every Database a reference cycle, freed only when
-        # a full collection happens to run — and the invariant sweep replays
-        # each node's oplog into a scratch store the size of the corpus, so
-        # peak RSS would depend on when the collector gets to the first one.
+        # a full collection happens to run — and recovery replaces a node's
+        # whole store, so peak RSS would depend on when the collector gets
+        # to the old one.
         owner = weakref.proxy(self)
         self.writeback_cache.on_drop = lambda entry: owner._on_writeback_drop(entry)
         # GC re-encoding runs rarely; default compressor parameters suffice.
@@ -263,14 +263,12 @@ class Database:
         return record.stored_size if record is not None else 0
 
     def decode_stored_content(self, record_id: str) -> bytes | None:
-        """What a record's *stored* chain decodes to, for GC validation.
+        """What a record's *stored* chain decodes to, for GC's dry run.
 
-        Unlike :meth:`read`/:meth:`fetch_content` this ignores the
-        record's own pending client updates and bypasses the record
-        cache — it answers "what do dependents' deltas decode against",
-        which is the byte identity garbage collection must preserve.
-        Charges background disk reads; returns None when a page along
-        the chain is corrupt (the GC batch then skips or rolls back).
+        The charged twin of ``content_of(record_id, stored=True)``: it
+        bypasses the record cache, charges background disk reads and
+        returns None when a page along the chain reads corrupt (the GC
+        batch then skips the cohort).
 
         Raises:
             CorruptChain: on cycles or dangling base pointers.
@@ -278,19 +276,29 @@ class Database:
         record = self.records.get(record_id)
         if record is None:
             return None
-        chain = self._stored_chain(record)
-        content: bytes | None = None
         try:
-            for rec in reversed(chain):
-                payload = self._read_payload(rec)
-                self._charge_read(rec.stored_size, foreground=False)
-                if rec.form is RecordForm.RAW:
-                    content = payload
-                else:
-                    content = apply_payload(content, payload)
+            return self._decode_stored(record, charged=True)
         except CorruptPage:
             return None
-        return content
+
+    def content_of(self, record_id: str, *, stored: bool = False) -> bytes | None:
+        """The read-only view every oracle reads through: the client-visible
+        content (the last pending update, else the decoded stored chain) or,
+        with ``stored``, what dependents' deltas decode against. None for an
+        unknown id and, unless ``stored``, a deleted one. Verifies each hop's
+        checksum and does nothing else: no disk charge, no source-cache
+        lookup or admission, no splice, no quarantine, no fault injection.
+
+        Raises:
+            CorruptPage: a payload along the chain fails its checksum.
+            CorruptChain: on cycles or dangling base pointers.
+        """
+        record = self.records.get(record_id)
+        if record is None or (record.deleted and not stored):
+            return None
+        if record.pending_updates and not stored:
+            return record.pending_updates[-1]
+        return self._decode_stored(record, charged=False)
 
     # -- measurements ------------------------------------------------------------
 
@@ -393,6 +401,25 @@ class Database:
             chain.append(base)
             record = base
         return chain
+
+    def _decode_stored(self, record: StoredRecord, charged: bool) -> bytes:
+        """Decode ``record``'s stored chain from its raw root. ``charged``
+        reads each hop through :meth:`_read_payload` and charges a
+        background disk read; otherwise checksums are only compared."""
+        content: bytes | None = None
+        for rec in reversed(self._stored_chain(record)):
+            if charged:
+                payload = self._read_payload(rec)
+                self._charge_read(rec.stored_size, foreground=False)
+            elif self.checksum_matches(rec.record_id) is False:
+                raise CorruptPage(rec.record_id)
+            else:
+                payload = rec.payload
+            if rec.form is RecordForm.RAW:
+                content = payload
+            else:
+                content = apply_payload(content, payload)
+        return content
 
     def _disk_image(self, record: StoredRecord) -> bytes:
         """What the page store holds for a record (payload + pendings)."""

@@ -20,8 +20,8 @@ encode the safety argument of the whole reproduction —
   configured byte budget, charges memory consistently across tiers, and
   resolves every lookup to exactly one outcome (hot hit, cold hit, or
   miss);
-* **oplog ground truth** — replaying a node's oplog from scratch yields
-  byte-identical client-visible contents (skipped after checkpoint
+* **oplog ground truth** — a node's client-visible contents match the
+  contents its oplog describes byte for byte (skipped after checkpoint
   truncation, when the log alone no longer covers history);
 * **convergence** — once replication drains, secondaries hold the same
   live records with the same contents as the primary;
@@ -39,6 +39,9 @@ encode the safety argument of the whole reproduction —
 replication and write-backs, scrubs remaining corruption, and runs every
 check on every node — raising :class:`ClusterInvariantError` with the
 full report unless told otherwise.
+
+Every check reads through the read-only ``Database.content_of``, never
+the client read path, so a sweep (or GC's validation) changes nothing.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.db.database import Database
-from repro.db.errors import CorruptChain, CorruptPage, DatabaseError
+from repro.db.errors import CorruptChain, DatabaseError
 from repro.db.record import RecordForm
-from repro.db.recovery import replay_oplog
+from repro.db.recovery import oplog_model
 from repro.encoding.policies import HopEncodingPolicy
 
 #: Violations kept per report; past this the run is broken enough.
@@ -156,7 +159,8 @@ def check_database(
             (primary engine's or secondary re-encoder's) — enables the
             conditional hop-bound check.
         oplog: the node's :class:`~repro.db.oplog.Oplog` — enables the
-            replay ground-truth check (skipped when truncated).
+            ground-truth check against its contents (skipped when
+            truncated).
         index_partitions: ``(database, index)`` pairs for the liveness
             check (primary only).
         report: accumulate into an existing report instead of a new one.
@@ -166,12 +170,13 @@ def check_database(
     _check_structure(db, node, report)
     _check_ref_counts(db, node, report)
     _check_checksums(db, node, report)
-    _check_decodes(db, node, report)
+    expected = None
+    if oplog is not None:
+        expected = _check_oplog_ground_truth(db, node, oplog, report)
+    _check_decodes(db, node, expected, report)
     if index_partitions is not None:
         _check_index_liveness(db, node, index_partitions, report)
         _check_index_tiers(node, index_partitions, report)
-    if oplog is not None:
-        _check_oplog_ground_truth(db, node, oplog, report)
     if planner is not None:
         _check_hop_bound(db, node, planner, report)
     return report
@@ -187,30 +192,13 @@ def _check_structure(db: Database, node: str, report: InvariantReport) -> None:
                 f"raw record carries base pointer {record.base_id!r}",
                 record_id,
             )
-        if record.form is RecordForm.DELTA:
-            if record.base_id is None:
-                report.add(
-                    node, "structure", "delta record has no base", record_id
-                )
-                continue
-            if record.base_id not in db.records:
-                report.add(
-                    node, "structure",
-                    f"dangling base {record.base_id!r}", record_id,
-                )
-        # Walk the chain to catch cycles (bounded by the record count).
-        seen = {record_id}
-        cursor = record
-        while cursor.form is RecordForm.DELTA and cursor.base_id in db.records:
-            if cursor.base_id in seen:
-                report.add(
-                    node, "structure",
-                    f"base-pointer cycle through {cursor.base_id!r}",
-                    record_id,
-                )
-                break
-            seen.add(cursor.base_id)
-            cursor = db.records[cursor.base_id]
+        if record.form is RecordForm.DELTA and record.base_id is None:
+            report.add(node, "structure", "delta record has no base", record_id)
+            continue
+        try:
+            db.decode_cost(record_id)  # walks the chain to its raw root
+        except CorruptChain as fault:
+            report.add(node, "structure", str(fault), record_id)
 
 
 def _check_ref_counts(db: Database, node: str, report: InvariantReport) -> None:
@@ -254,30 +242,42 @@ def _check_checksums(db: Database, node: str, report: InvariantReport) -> None:
         )
 
 
-def _check_decodes(db: Database, node: str, report: InvariantReport) -> None:
-    """Every live record decodes through its chain without error."""
-    for record_id in sorted(db.records):
-        record = db.records.get(record_id)
-        if record is None or record.deleted:
-            continue
+def _check_decodes(
+    db: Database, node: str, expected: dict[str, bytes] | None, report: InvariantReport
+) -> None:
+    """Every live record decodes through its chain — to the bytes its
+    oplog describes, when ``expected`` holds them. Each record is decoded
+    once and dropped, so the sweep never holds a second copy of the store."""
+    for record_id in sorted(_live_ids(db)):
         try:
-            content, _ = db.read(record.database, record_id)
-        except (CorruptChain, CorruptPage, DatabaseError) as fault:
+            actual = db.content_of(record_id)
+        except DatabaseError as fault:
             report.add(node, "decode", f"read failed: {fault}", record_id)
             continue
-        if content is None:
-            report.add(node, "decode", "live record read as missing", record_id)
+        logged = None if expected is None else expected.get(record_id)
+        if logged is not None and actual != logged:
+            report.add(
+                node, "oplog",
+                f"content diverges from oplog replay "
+                f"({len(actual)} vs {len(logged)} bytes)",
+                record_id,
+            )
+
+
+def _live_ids(db: Database) -> set[str]:
+    """Ids of a store's live (non-deleted) records."""
+    return {
+        record_id
+        for record_id, record in db.records.items()
+        if not record.deleted
+    }
 
 
 def _check_index_liveness(
     db: Database, node: str, index_partitions, report: InvariantReport
 ) -> None:
     """Feature-index entries point only at live (non-deleted) records."""
-    live = {
-        record_id
-        for record_id, record in db.records.items()
-        if not record.deleted
-    }
+    live = _live_ids(db)
     for database, index in index_partitions:
         for record_id in index.record_ids() - live:
             report.add(
@@ -340,51 +340,30 @@ def _check_index_tiers(
 
 def _check_oplog_ground_truth(
     db: Database, node: str, oplog, report: InvariantReport
-) -> None:
-    """A from-scratch oplog replay reproduces the node's visible contents.
+) -> dict[str, bytes] | None:
+    """The node holds exactly the records its oplog describes.
 
-    The oplog is the write-ahead record of everything the node accepted,
-    so its replay is the ground truth the store must agree with —
-    byte-for-byte, per record. Skipped when a checkpoint truncated the
-    log (history is then split between snapshot and log).
+    The oplog's contents (:func:`~repro.db.recovery.oplog_model`) are the
+    ground truth the store must agree with byte for byte; they are
+    returned for :func:`_check_decodes` to compare each record against.
+    None, and nothing checked, when a checkpoint truncated the log
+    (history is then split between snapshot and log).
     """
     if oplog.truncated_before > 0:
-        return
+        return None
     report.oplog_checked = True
-    replayed, _ = replay_oplog(oplog.entries())
-    live = {
-        record_id: record
-        for record_id, record in db.records.items()
-        if not record.deleted
-    }
-    replayed_live = {
-        record_id
-        for record_id, record in replayed.records.items()
-        if not record.deleted
-    }
-    for record_id in sorted(set(live) - replayed_live):
+    expected = oplog_model(oplog.entries())
+    live = _live_ids(db)
+    for record_id in sorted(live - expected.keys()):
         report.add(
             node, "oplog", "live record absent from oplog replay", record_id
         )
-    for record_id in sorted(replayed_live - set(live)):
+    for record_id in sorted(expected.keys() - live):
         report.add(
             node, "oplog", "oplog replay yields record the store lost",
             record_id,
         )
-    for record_id in sorted(replayed_live & set(live)):
-        record = live[record_id]
-        expected, _ = replayed.read(record.database, record_id)
-        try:
-            actual, _ = db.read(record.database, record_id)
-        except (CorruptChain, CorruptPage, DatabaseError):
-            continue  # already reported by the decode check
-        if actual != expected:
-            report.add(
-                node, "oplog",
-                f"content diverges from oplog replay "
-                f"({len(actual or b'')} vs {len(expected or b'')} bytes)",
-                record_id,
-            )
+    return expected
 
 
 def _check_hop_bound(
@@ -573,18 +552,18 @@ def _check_single_primary(cluster, report: InvariantReport) -> None:
     holds no role until the rejoin completes or is blocked.
     """
     primary = cluster.primary
-    if not getattr(primary, "is_available", True):
+    if not primary.is_available:
         report.add(
             "primary", "single-primary",
             "no available primary after failover settled",
         )
-    if getattr(primary.db, "node_role", "primary") != "primary":
+    if primary.db.node_role != "primary":
         report.add(
             "primary", "single-primary",
             f"primary's store carries role {primary.db.node_role!r}",
         )
     for position, secondary in enumerate(cluster.secondaries):
-        role = getattr(secondary.db, "node_role", "secondary")
+        role = secondary.db.node_role
         if role != "secondary":
             report.add(
                 f"secondary{position}", "single-primary",
@@ -621,7 +600,7 @@ def _check_rollback_completeness(cluster, report: InvariantReport) -> None:
                         "rolled-back insert still live (zombie record)",
                         record_id,
                     )
-    backlog = getattr(cluster.primary, "index_backlog_len", 0)
+    backlog = cluster.primary.index_backlog_len
     if backlog:
         report.add(
             "primary", "promoted-index",
@@ -640,9 +619,9 @@ def _check_deferred_drained(cluster, report: InvariantReport) -> None:
     subsystem promises).
     """
     primary = cluster.primary
-    if not getattr(primary, "is_available", True):
+    if not primary.is_available:
         return  # a crashed primary cannot drain; convergence checks cover it
-    pending = getattr(primary, "deferred_queue_len", 0)
+    pending = primary.deferred_queue_len
     if pending:
         report.add(
             "primary", "admission",
@@ -661,36 +640,37 @@ def _check_convergence(cluster, report: InvariantReport) -> None:
                 f"replication cursor {link.cursor} behind oplog head {head}",
             )
     report.convergence_checked = True
+    for node, detail, record_id in replica_divergences(cluster):
+        report.add(node, "convergence", detail, record_id)
+
+
+def replica_divergences(cluster) -> list[tuple[str, str, str]]:
+    """``(node, detail, record_id)`` for every secondary record that is
+    missing, extra, unreadable or holds other bytes than the primary's:
+    the one convergence comparison, which :func:`check_cluster` reports
+    and ``Cluster.replicas_converged`` wants empty."""
     primary_db = cluster.primary.db
-    primary_live = {
-        record_id
-        for record_id, record in primary_db.records.items()
-        if not record.deleted
-    }
+    primary_live = _live_ids(primary_db)
+    divergences: list[tuple[str, str, str]] = []
     for position, secondary in enumerate(cluster.secondaries):
         node = f"secondary{position}"
-        secondary_live = {
-            record_id
-            for record_id, record in secondary.db.records.items()
-            if not record.deleted
-        }
+        secondary_live = _live_ids(secondary.db)
         for record_id in sorted(primary_live - secondary_live):
-            report.add(node, "convergence", "missing replicated record",
-                       record_id)
+            divergences.append((node, "missing replicated record", record_id))
         for record_id in sorted(secondary_live - primary_live):
-            report.add(node, "convergence", "record absent on primary",
-                       record_id)
+            divergences.append((node, "record absent on primary", record_id))
         for record_id in sorted(primary_live & secondary_live):
-            record = primary_db.records[record_id]
             try:
-                expected, _ = primary_db.read(record.database, record_id)
-                actual, _ = secondary.db.read(record.database, record_id)
-            except (CorruptChain, CorruptPage, DatabaseError):
-                continue  # reported by the per-node checks
+                expected = primary_db.content_of(record_id)
+                actual = secondary.db.content_of(record_id)
+            except DatabaseError as fault:
+                divergences.append((node, f"unreadable: {fault}", record_id))
+                continue
             if expected != actual:
-                report.add(
-                    node, "convergence",
+                divergences.append((
+                    node,
                     f"content diverges from primary "
-                    f"({len(actual or b'')} vs {len(expected or b'')} bytes)",
+                    f"({len(actual)} vs {len(expected)} bytes)",
                     record_id,
-                )
+                ))
+    return divergences

@@ -11,6 +11,10 @@ Replay intentionally does *not* reproduce the storage-side encodings: a
 recovering node stores everything raw and lets the background write-back
 machinery re-compress over time, which is simpler and loses nothing but
 transient disk space. ``tests/db/test_recovery.py`` pins both properties.
+
+:func:`oplog_model` runs the same decode loop without a store: the
+record id → content map the invariant sweep and quarantine repair take
+as ground truth.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.db.database import Database
-from repro.db.errors import RecordExists, RecordNotFound
 from repro.db.oplog import OplogEntry
 from repro.delta.decode import apply_payload
 
@@ -42,47 +45,62 @@ def replay_oplog(entries: list[OplogEntry], into: Database | None = None
     """
     db = into if into is not None else Database()
     report = ReplayReport()
-    contents: dict[str, bytes] = {}
+    _replay(entries, report, db)
+    return db, report
 
+
+def oplog_model(entries: list[OplogEntry]) -> dict[str, bytes]:
+    """Record id → content for every record live after ``entries``: what
+    :func:`replay_oplog` into an empty store would hold, without one."""
+    return _replay(entries, ReplayReport())
+
+
+def _replay(
+    entries: list[OplogEntry], report: ReplayReport, db: Database | None = None
+) -> dict[str, bytes]:
+    """The one oplog-decode loop; applies ``entries`` to ``db`` when
+    given and returns the contents the log inserted or updated and did
+    not delete. A store (possibly loaded from a snapshot) decides which
+    entries apply and serves bases the log never wrote; without one the
+    returned dict does."""
+    contents: dict[str, bytes] = {}
     for entry in entries:
+        record_id = entry.record_id
+        if db is None:
+            stored = live = record_id in contents
+        else:
+            record = db.records.get(record_id)
+            stored = record is not None
+            live = stored and not record.deleted
         if entry.op == "insert":
+            content = entry.payload
             if entry.encoded:
                 base = contents.get(entry.base_id)
-                if base is None:
+                if base is None and db is not None:
                     base = db.fetch_content(entry.base_id)
-                if base is None:
-                    report.decode_failures += 1
-                    continue
                 try:
-                    content = apply_payload(base, entry.payload)
+                    content = None if base is None else apply_payload(base, entry.payload)
                 except ValueError:
-                    report.decode_failures += 1
-                    continue
-            else:
-                content = entry.payload
-            try:
-                db.insert(entry.database, entry.record_id, content)
-            except RecordExists:
+                    content = None
+            if content is None:
+                report.decode_failures += 1
+                continue
+            if stored:
                 report.skipped += 1
                 continue
-            contents[entry.record_id] = content
-            report.applied += 1
-        elif entry.op == "update":
-            try:
-                db.update(entry.record_id, entry.payload)
-            except RecordNotFound:
-                report.skipped += 1
-                continue
-            contents[entry.record_id] = entry.payload
-            report.applied += 1
-        elif entry.op == "delete":
-            try:
-                db.delete(entry.record_id)
-            except RecordNotFound:
-                report.skipped += 1
-                continue
-            contents.pop(entry.record_id, None)
-            report.applied += 1
+            if db is not None:
+                db.insert(entry.database, record_id, content)
+            contents[record_id] = content
+        elif entry.op == "update" and live:
+            if db is not None:
+                db.update(record_id, entry.payload)
+            contents[record_id] = entry.payload
+        elif entry.op == "delete" and live:
+            if db is not None:
+                db.delete(record_id)
+            contents.pop(record_id, None)
         else:
             report.skipped += 1
-    return db, report
+            continue
+        report.applied += 1
+    return contents

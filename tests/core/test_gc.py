@@ -316,6 +316,44 @@ class TestRollback:
         assert check_database(db).ok
 
 
+    def test_rollback_keeps_every_reference_count(self):
+        # G raw; T1 -> G with dependent D1; T2 -> G with dependents X, Y.
+        # The one-record budget takes T1's cohort only, so validation
+        # must not touch T2's chain: a splice of X onto G there would
+        # move G's reference count outside the undo log.
+        db = Database()
+        g = _content(11)
+        t1 = g[:1000] + b"one" + g[1000:]
+        t2 = g[:2000] + b"two" + g[2000:]
+        contents = {
+            "g": g,
+            "t1": t1,
+            "d1": t1[:3000] + b"d1" + t1[3000:],
+            "t2": t2,
+            "x": t2[:500] + b"x" + t2[500:],
+            "y": t2[:3500] + b"y" + t2[3500:],
+        }
+        _chain(
+            db,
+            contents,
+            [("t1", "g"), ("d1", "t1"), ("t2", "g"), ("x", "t2"), ("y", "t2")],
+        )
+        db.delete("t1")
+        db.delete("t2")
+        gc = GarbageCollector(db)
+        gc.on_post_validate = lambda db_, prepared: db_.records[
+            "d1"
+        ].__setattr__("payload", b"junk")
+        report = gc.run(max_records=1)
+        assert report.outcome == OUTCOME_ROLLED_BACK
+        assert db.records["g"].ref_count == 2
+        assert db.records["x"].base_id == "t2"
+        report = check_database(db)
+        assert report.ok, report.summary()
+        for record_id in ("d1", "x", "y"):
+            assert db.decode_stored_content(record_id) == contents[record_id]
+
+
 class TestAccountingIdentity:
     """Satellite regression: tombstone bytes must hit the reclaimed
     counter, and written - reclaimed == live footprint at all times."""

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.db.database import Database
 from repro.db.errors import RecordExists
 from repro.workloads import make_workload
@@ -47,12 +46,12 @@ class TestClusterBatchPath:
         results = []
         clusters = []
         for size in (1, batch_size):
-            cluster = Cluster(
+            cluster = open_cluster(
                 ClusterSpec(
                     dedup=DedupConfig(chunk_size=64),
                     insert_batch_size=size,
                 )
-            )
+            ).cluster
             workload = make_workload("enron", seed=5, target_bytes=100_000)
             results.append(cluster.run(workload.insert_trace()))
             clusters.append(cluster)
@@ -71,11 +70,11 @@ class TestClusterBatchPath:
             ClusterSpec(insert_batch_size=0)
 
     def test_mixed_trace_flushes_before_reads(self):
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(
                 dedup=DedupConfig(chunk_size=64), insert_batch_size=32
             )
-        )
+        ).cluster
         workload = make_workload("enron", seed=5, target_bytes=80_000)
         result = cluster.run(workload.mixed_trace())
         assert result.reads > 0

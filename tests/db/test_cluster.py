@@ -3,16 +3,15 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.workloads.base import Operation
 from repro.workloads.wikipedia import WikipediaWorkload
 
 
-def dedup_cluster(**dedup_overrides) -> Cluster:
+def dedup_cluster(**dedup_overrides):
     defaults = dict(chunk_size=64)
     defaults.update(dedup_overrides)
-    return Cluster(ClusterSpec(dedup=DedupConfig(**defaults)))
+    return open_cluster(ClusterSpec(dedup=DedupConfig(**defaults))).cluster
 
 
 class TestBasicOperation:
@@ -65,12 +64,12 @@ class TestReplication:
         assert result.network_compression_ratio > 2.0
 
     def test_batching_defers_shipping(self):
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(
                 dedup=DedupConfig(chunk_size=64),
                 oplog_batch_bytes=10_000_000,  # never triggers mid-run
             )
-        )
+        ).cluster
         cluster.execute(Operation("insert", "db", "r1", b"x" * 1000))
         assert len(cluster.secondary.db.records) == 0
         cluster.finalize()
@@ -85,7 +84,7 @@ class TestReplication:
 
 class TestConfigurations:
     def test_dedup_disabled_baseline(self):
-        cluster = Cluster(ClusterSpec(dedup_enabled=False))
+        cluster = open_cluster(ClusterSpec(dedup_enabled=False)).cluster
         workload = WikipediaWorkload(seed=11, target_bytes=200_000)
         result = cluster.run(workload.insert_trace())
         assert result.storage_compression_ratio == pytest.approx(1.0, rel=0.01)
@@ -93,9 +92,9 @@ class TestConfigurations:
         assert cluster.replicas_converged()
 
     def test_snappy_baseline_compresses_physically(self):
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(dedup_enabled=False, block_compression="snappy")
-        )
+        ).cluster
         workload = WikipediaWorkload(seed=11, target_bytes=200_000)
         result = cluster.run(workload.insert_trace())
         assert result.physical_compression_ratio > 1.3
@@ -106,7 +105,7 @@ class TestConfigurations:
         dedup = dedup_cluster().run(
             WikipediaWorkload(**workload_args).insert_trace()
         )
-        plain = Cluster(ClusterSpec(dedup_enabled=False)).run(
+        plain = open_cluster(ClusterSpec(dedup_enabled=False)).cluster.run(
             WikipediaWorkload(**workload_args).insert_trace()
         )
         assert dedup.stored_bytes < plain.stored_bytes / 2

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.workloads.wikipedia import WikipediaWorkload
 
 
@@ -14,18 +13,18 @@ class TestMultiSecondary:
             ClusterSpec(num_secondaries=0)
 
     def test_all_secondaries_converge(self):
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(dedup=DedupConfig(chunk_size=64), num_secondaries=3)
-        )
+        ).cluster
         workload = WikipediaWorkload(seed=71, target_bytes=150_000)
         cluster.run(workload.insert_trace())
         assert len(cluster.secondaries) == 3
         assert cluster.replicas_converged()
 
     def test_secondaries_store_identically(self):
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(dedup=DedupConfig(chunk_size=64), num_secondaries=2)
-        )
+        ).cluster
         workload = WikipediaWorkload(seed=71, target_bytes=120_000)
         cluster.run(workload.insert_trace())
         first, second = cluster.secondaries
@@ -38,9 +37,9 @@ class TestMultiSecondary:
 
     def test_network_bytes_scale_with_fanout(self):
         def run(n):
-            cluster = Cluster(
+            cluster = open_cluster(
                 ClusterSpec(dedup=DedupConfig(chunk_size=64), num_secondaries=n)
-            )
+            ).cluster
             workload = WikipediaWorkload(seed=71, target_bytes=120_000)
             result = cluster.run(workload.insert_trace())
             return result.network_bytes
@@ -50,13 +49,13 @@ class TestMultiSecondary:
         assert two == pytest.approx(2 * one, rel=0.01)
 
     def test_independent_cursors(self):
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(
                 dedup=DedupConfig(chunk_size=64),
                 num_secondaries=2,
                 oplog_batch_bytes=10_000_000,
             )
-        )
+        ).cluster
         workload = WikipediaWorkload(seed=71, target_bytes=120_000)
         ops = list(workload.insert_trace())
         for op in ops:

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.workloads import make_workload
 
 WORKLOADS = ("wikipedia", "enron", "stackexchange", "messageboards")
@@ -13,7 +12,7 @@ WORKLOADS = ("wikipedia", "enron", "stackexchange", "messageboards")
 @pytest.mark.parametrize("name", WORKLOADS)
 class TestAllWorkloadsConverge:
     def test_insert_trace_replicates_exactly(self, name):
-        cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
+        cluster = open_cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64))).cluster
         workload = make_workload(name, seed=21, target_bytes=150_000)
         result = cluster.run(workload.insert_trace())
         assert cluster.replicas_converged()
@@ -21,7 +20,7 @@ class TestAllWorkloadsConverge:
         assert result.network_compression_ratio >= 1.0
 
     def test_mixed_trace_reads_return_correct_content(self, name):
-        cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
+        cluster = open_cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64))).cluster
         workload = make_workload(name, seed=21, target_bytes=100_000)
         contents: dict[str, bytes] = {}
         checked = 0
@@ -39,19 +38,19 @@ class TestAllWorkloadsConverge:
 class TestEncodingSchemesEndToEnd:
     @pytest.mark.parametrize("encoding", ["backward", "hop", "version-jumping", "forward"])
     def test_every_scheme_converges(self, encoding):
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(
                 dedup=DedupConfig(chunk_size=64, encoding=encoding, hop_distance=4)
             )
-        )
+        ).cluster
         workload = make_workload("wikipedia", seed=22, target_bytes=150_000)
         cluster.run(workload.insert_trace())
         assert cluster.replicas_converged()
 
     def test_forward_mode_compresses_network_only(self):
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(dedup=DedupConfig(chunk_size=64, encoding="forward"))
-        )
+        ).cluster
         workload = make_workload("wikipedia", seed=22, target_bytes=150_000)
         result = cluster.run(workload.insert_trace())
         assert result.network_compression_ratio > 2.0
@@ -64,13 +63,13 @@ class TestEncodingSchemesEndToEnd:
 
         results = {}
         for encoding in ("backward", "hop"):
-            cluster = Cluster(
+            cluster = open_cluster(
                 ClusterSpec(
                     dedup=DedupConfig(
                         chunk_size=64, encoding=encoding, hop_distance=4
                     )
                 )
-            )
+            ).cluster
             # Single article, 48 revisions → one long chain.
             workload = WikipediaWorkload(
                 seed=23, target_bytes=100_000_000, num_articles=1,
@@ -89,13 +88,13 @@ class TestCombinedCompression:
         workload_args = dict(seed=24, target_bytes=250_000)
 
         def run(dedup_enabled, block):
-            cluster = Cluster(
+            cluster = open_cluster(
                 ClusterSpec(
                     dedup=DedupConfig(chunk_size=64),
                     dedup_enabled=dedup_enabled,
                     block_compression=block,
                 )
-            )
+            ).cluster
             workload = make_workload("wikipedia", **workload_args)
             return cluster.run(workload.insert_trace())
 

@@ -57,12 +57,8 @@ ALLOWED = frozenset({
     "tests/api/test_client.py",       # exercises the boundary itself
     "tests/core/test_engine_rebuild.py",
     "tests/core/test_maintenance.py",
-    "tests/db/test_batch_insert.py",
-    "tests/db/test_cluster.py",
-    "tests/db/test_multi_secondary.py",
     "tests/db/test_read_preference.py",
     "tests/integration/test_crud_dedup.py",
-    "tests/integration/test_end_to_end.py",
     "tests/integration/test_observability.py",
     "tests/integration/test_stateful.py",
     "tests/sim/test_network.py",
