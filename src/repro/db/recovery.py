@@ -66,35 +66,32 @@ def _replay(
     contents: dict[str, bytes] = {}
     for entry in entries:
         record_id = entry.record_id
+        content = entry.payload
+        if entry.op == "insert" and entry.encoded:
+            base = contents.get(entry.base_id)
+            if base is None and db is not None:
+                base = db.fetch_content(entry.base_id)
+            try:
+                content = None if base is None else apply_payload(base, entry.payload)
+            except ValueError:
+                content = None
+            if content is None:
+                report.decode_failures += 1
+                continue
         if db is None:
             stored = live = record_id in contents
         else:
             record = db.records.get(record_id)
             stored = record is not None
             live = stored and not record.deleted
-        if entry.op == "insert":
-            content = entry.payload
-            if entry.encoded:
-                base = contents.get(entry.base_id)
-                if base is None and db is not None:
-                    base = db.fetch_content(entry.base_id)
-                try:
-                    content = None if base is None else apply_payload(base, entry.payload)
-                except ValueError:
-                    content = None
-            if content is None:
-                report.decode_failures += 1
-                continue
-            if stored:
-                report.skipped += 1
-                continue
+        if entry.op == "insert" and not stored:
             if db is not None:
                 db.insert(entry.database, record_id, content)
             contents[record_id] = content
         elif entry.op == "update" and live:
             if db is not None:
-                db.update(record_id, entry.payload)
-            contents[record_id] = entry.payload
+                db.update(record_id, content)
+            contents[record_id] = content
         elif entry.op == "delete" and live:
             if db is not None:
                 db.delete(record_id)
