@@ -45,6 +45,7 @@ from repro.bench.admission_exp import mixed_trace
 from repro.bench.gc_exp import delete_heavy_trace
 from repro.core.config import DedupConfig
 from repro.db.cluster import RunResult
+from repro.index import IndexSpec
 from repro.obs.export import metrics_document, trace_document
 from repro.sim.faults import (
     CorruptPageReads,
@@ -166,6 +167,15 @@ CASES = {
     # GC off, so the read path splices tombstones; sticky corruption
     # sends records through quarantine repair (FAULT_PLANS).
     "repair-stackexchange": (_delete_heavy, dict(dedup=_dedup()), {}),
+    # A hot-tier budget of 32 entries: LRU demotions into the cold bands,
+    # cold hits and promotions back all run.
+    "stackexchange-tiered": (
+        lambda: _mixed("stackexchange"),
+        dict(dedup=_dedup(index=IndexSpec(
+            kind="tiered", hot_bytes_budget=448, promotion_hits=2,
+        ))),
+        {},
+    ),
 }
 
 #: case name -> fault plan installed before the run. The lifecycle case
@@ -214,6 +224,13 @@ REACHES = {
         metrics=("db_gc_splices_total", "cluster_repairs_total"),
     ),
     "lifecycle-stackexchange": dict(events=("restart", "promote", "rejoin")),
+    "stackexchange-tiered": dict(
+        metrics=(
+            "index_demotions_total",
+            "index_promotions_total",
+            "index_cold_hits_total",
+        ),
+    ),
 }
 
 
