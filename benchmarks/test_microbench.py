@@ -19,6 +19,7 @@ from repro.delta.decode import apply_delta, apply_payload
 from repro.delta.reencode import delta_reencode
 from repro.hashing.adler import rolling_adler32
 from repro.hashing.murmur import murmur3_32
+from repro.index import IndexSpec
 from repro.index.cuckoo import CuckooFeatureIndex
 from repro.sketch.features import SketchExtractor
 from repro.workloads.edits import revise
@@ -63,7 +64,7 @@ def test_sketch_extraction_32k(benchmark, corpus):
 
 
 def test_cuckoo_lookup_insert(benchmark):
-    index = CuckooFeatureIndex(num_buckets=1 << 12)
+    index = CuckooFeatureIndex(IndexSpec(num_buckets=1 << 12))
     for feature in range(5000):
         index.insert(feature, f"r{feature}")
 
@@ -427,9 +428,10 @@ def test_cuckoo_closed_form_key_hash_vs_scalar_murmur():
             for position, feature in enumerate(features)
         ]
 
-    assert run(CuckooFeatureIndex(1 << 12)) == run(ScalarHashed(1 << 12))
-    scalar_us = _best_us(lambda: ScalarHashed(1 << 12), run, repeat=5)
-    closed_us = _best_us(lambda: CuckooFeatureIndex(1 << 12), run, repeat=5)
+    spec = IndexSpec(num_buckets=1 << 12)
+    assert run(CuckooFeatureIndex(spec)) == run(ScalarHashed(spec))
+    scalar_us = _best_us(lambda: ScalarHashed(spec), run, repeat=5)
+    closed_us = _best_us(lambda: CuckooFeatureIndex(spec), run, repeat=5)
     assert scalar_us >= 1.3 * closed_us, (
         f"closed-form {closed_us / len(features):.2f} us/op is not 1.3x faster "
         f"than scalar murmur's {scalar_us / len(features):.2f} us/op"

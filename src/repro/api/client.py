@@ -284,11 +284,13 @@ class DedupClient:
     def index_report(self) -> dict:
         """Per-shard feature-index snapshot.
 
-        For every shard: the effective index kind, and per database
-        partition the tier occupancy (entries, bytes, budget), amortized
-        bytes per live record, the lookup outcome split (hot / cold /
-        miss), and the cold-tier false-positive counter. Cuckoo
-        partitions report the same shape with an empty cold tier.
+        For every shard: the index kind (``"tiered"`` exactly when a
+        hot-tier budget is set, else ``"cuckoo"``), and per database
+        partition its :meth:`~repro.index.cuckoo.CuckooFeatureIndex.
+        tier_report` — tier occupancy (entries, bytes, budget), the
+        lookup outcome split (hot / cold / miss) and the cold-tier
+        false-positive counter — plus amortized bytes per live record.
+        Without a budget the cold tier is empty.
         """
         shards = {}
         for index, primary in enumerate(self._primaries()):
@@ -298,26 +300,7 @@ class DedupClient:
                 continue
             partitions = {}
             for database, part in sorted(engine.index_partitions()):
-                report = getattr(part, "tier_report", None)
-                if report is not None:
-                    body = report()
-                else:
-                    body = {
-                        "kind": "cuckoo",
-                        "hot_entries": len(part),
-                        "hot_bytes": part.memory_bytes,
-                        "hot_bytes_budget": None,
-                        "cold_records": 0,
-                        "cold_bands_materialized": 0,
-                        "cold_bytes": 0,
-                        "lookups": part.lookups,
-                        "hot_hits": part.hot_hits,
-                        "cold_hits": 0,
-                        "misses": part.misses,
-                        "cold_false_positives": 0,
-                        "demotions": 0,
-                        "promotions": 0,
-                    }
+                body = part.tier_report()
                 live = len(
                     engine._partition_records.get(database, ())
                 )
@@ -325,8 +308,9 @@ class DedupClient:
                     part.memory_bytes / live if live else 0.0
                 )
                 partitions[database] = body
+            budget = engine.config.index.hot_bytes_budget
             shards[index] = {
-                "kind": engine.config.index.kind,
+                "kind": "cuckoo" if budget is None else "tiered",
                 "maintenance_cpu_seconds":
                     engine.index_maintenance_cpu_seconds,
                 "partitions": partitions,

@@ -18,9 +18,8 @@ from repro.bench.report import render_table
 from repro.core.config import DedupConfig
 from repro.db.cluster import Cluster
 from repro.db.spec import ClusterSpec
-from repro.index import IndexSpec, TieredFeatureIndex
-from repro.index.cuckoo import ENTRY_BYTES
-from repro.index.tiered import HOT_ENTRY_BYTES
+from repro.index import CuckooFeatureIndex, IndexSpec
+from repro.index.cuckoo import ENTRY_BYTES, HOT_ENTRY_BYTES
 from repro.workloads import make_workload
 
 
@@ -136,10 +135,10 @@ def _index_totals(cluster: Cluster) -> tuple[int, int, int, int]:
     """Sum (hot_bytes, cold_bytes, demotions, cold_hits) over partitions."""
     hot = cold = demotions = cold_hits = 0
     for _, part in cluster.primary.engine.index_partitions():
-        hot += getattr(part, "hot_bytes", part.memory_bytes)
-        cold += getattr(part, "cold_bytes", 0)
-        demotions += getattr(part, "demotions", 0)
-        cold_hits += getattr(part, "cold_hits", 0)
+        hot += part.hot_bytes
+        cold += part.cold_bytes
+        demotions += part.demotions
+        cold_hits += part.cold_hits
     return hot, cold, demotions, cold_hits
 
 
@@ -187,7 +186,7 @@ def index_memory_sweep(
     for fraction in budget_fractions:
         budget = max(HOT_ENTRY_BYTES, int(full * fraction))
         drive(
-            IndexSpec(kind="tiered", hot_bytes_budget=budget),
+            IndexSpec(hot_bytes_budget=budget),
             f"tiered@{fraction:g}",
             budget,
         )
@@ -241,14 +240,13 @@ def budget_probe(
     import numpy as np
 
     spec = IndexSpec(
-        kind="tiered",
         hot_bytes_budget=hot_bytes_budget,
         num_buckets=1 << 15,
         cold_bands=256,
         cold_band_records=64,
         cold_band_features=1 << 14,
     )
-    index = TieredFeatureIndex(spec, track_false_positives=False)
+    index = CuckooFeatureIndex(spec, track_false_positives=False)
     rng = np.random.default_rng(seed)
     peak = 0
     done = 0

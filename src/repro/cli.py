@@ -93,24 +93,19 @@ EXPERIMENTS = {
 def _add_index_arguments(command: argparse.ArgumentParser) -> None:
     """Feature-index flags shared by run/index-report (IndexSpec surface)."""
     command.add_argument(
-        "--index-kind", default="cuckoo", choices=["cuckoo", "tiered"],
-        help="feature index: the paper's unbounded cuckoo structure, or "
-             "the memory-bounded tiered variant (exact hot tier + "
-             "Bloom-banded cold tier)",
-    )
-    command.add_argument(
         "--index-hot-bytes", type=int, default=None, metavar="BYTES",
-        help="tiered: hot-tier byte budget (demotes LRU entries to the "
-             "cold tier past it); unset = unbounded",
+        help="hot-tier byte budget: past it, LRU entries demote to a "
+             "Bloom-banded cold tier; unset = the paper's unbounded "
+             "cuckoo index",
     )
     command.add_argument(
         "--index-cold-fpp", type=float, default=0.01, metavar="P",
-        help="tiered: per-band Bloom false-positive budget",
+        help="with a budget: per-band Bloom false-positive budget",
     )
     command.add_argument(
         "--index-promotion-hits", type=int, default=2, metavar="N",
-        help="tiered: cold lookups of a feature before it is promoted "
-             "back into the hot tier",
+        help="with a budget: cold lookups of a feature before it is "
+             "promoted back into the hot tier",
     )
 
 
@@ -119,7 +114,6 @@ def _index_spec_from_args(args: argparse.Namespace):
     from repro.api import IndexSpec
 
     return IndexSpec(
-        kind=args.index_kind,
         hot_bytes_budget=args.index_hot_bytes,
         cold_fpp=args.index_cold_fpp,
         promotion_hits=args.index_promotion_hits,

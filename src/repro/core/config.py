@@ -18,8 +18,8 @@ class DedupConfig:
             general default.
         top_k: sketch size K (§3.1.1; paper default 8).
         index: the :class:`~repro.index.spec.IndexSpec` describing the
-            feature index (kind, cuckoo geometry, per-feature candidate
-            cap, tiered memory budget).
+            feature index (cuckoo geometry, hot-tier memory budget and
+            cold-tier geometry).
         anchor_interval: delta-compression anchor sampling interval
             (§4.2; paper default 64).
         encoding: storage-side encoding scheme — ``'hop'`` (paper default),

@@ -41,7 +41,7 @@ from repro.core.planner import CpuMeter, WritebackPlanner
 from repro.core.selector import SourceSelector
 from repro.core.size_filter import AdaptiveSizeFilter
 from repro.core.stats import DedupStats
-from repro.index.tiered import FeatureIndex, build_index
+from repro.index.cuckoo import CuckooFeatureIndex
 from repro.obs.registry import MetricsRegistry, slo_events_family
 from repro.sim.costs import CostModel
 from repro.sketch.features import SketchExtractor
@@ -117,7 +117,7 @@ class DedupEngine:
         #: Per-logical-database statistics (savings samples only kept
         #: globally, to bound memory).
         self.database_stats: dict[str, DedupStats] = {}
-        self._indexes: dict[str, FeatureIndex] = {}
+        self._indexes: dict[str, CuckooFeatureIndex] = {}
         #: Simulated CPU spent on tier maintenance (demotions/promotions),
         #: charged as background work via :meth:`charge_index_maintenance`.
         self.index_maintenance_cpu_seconds = 0.0
@@ -231,14 +231,12 @@ class DedupEngine:
             for database, index in self._indexes.items()
         })
 
-        # Kind-uniform index families: the cuckoo index carries the same
-        # hot_hits/misses split as the tiered one, and missing tier
-        # attributes read as 0 (a cuckoo index has no cold tier), so the
-        # reconciliation identity hot + cold + miss == lookups holds for
-        # every index kind.
-        def tier_values(attr, default=0):
+        # Tier families: an index without a budget has no cold tier, so
+        # its cold counters read 0 and the reconciliation identity
+        # hot + cold + miss == lookups holds either way.
+        def tier_values(attr):
             return lambda: {
-                (database,): float(getattr(index, attr, default))
+                (database,): float(getattr(index, attr))
                 for database, index in self._indexes.items()
             }
 
@@ -278,10 +276,8 @@ class DedupEngine:
             key: value
             for database, index in self._indexes.items()
             for key, value in (
-                ((database, "hot"),
-                 float(getattr(index, "hot_entries", len(index)))),
-                ((database, "cold"),
-                 float(getattr(index, "cold_records", 0))),
+                ((database, "hot"), float(index.hot_entries)),
+                ((database, "cold"), float(index.cold_records)),
             )
         })
         reg.gauge(
@@ -291,10 +287,8 @@ class DedupEngine:
             key: value
             for database, index in self._indexes.items()
             for key, value in (
-                ((database, "hot"),
-                 float(getattr(index, "hot_bytes", index.memory_bytes))),
-                ((database, "cold"),
-                 float(getattr(index, "cold_bytes", 0))),
+                ((database, "hot"), float(index.hot_bytes)),
+                ((database, "cold"), float(index.cold_bytes)),
             )
         })
         reg.gauge(
@@ -462,15 +456,15 @@ class DedupEngine:
                     table += f"\n  drops[{stream}]: {reasons}"
         return table
 
-    def index_partitions(self) -> list[tuple[str, FeatureIndex]]:
+    def index_partitions(self) -> list[tuple[str, CuckooFeatureIndex]]:
         """Live ``(database, index)`` partitions (invariant checking)."""
         return list(self._indexes.items())
 
-    def index_for(self, database: str) -> FeatureIndex:
+    def index_for(self, database: str) -> CuckooFeatureIndex:
         """The database's feature-index partition (created on demand)."""
         index = self._indexes.get(database)
         if index is None:
-            index = build_index(self.config.index)
+            index = CuckooFeatureIndex(self.config.index)
             self._indexes[database] = index
         return index
 
@@ -478,20 +472,17 @@ class DedupEngine:
         """Convert an index's pending tier-maintenance bytes to CPU time.
 
         Demotions and promotions move entries between tiers; the bytes
-        moved accumulate on the index (``drain_maintenance_bytes``, 0 for
-        a plain cuckoo index) and are converted here at the cost model's
+        moved accumulate on the index (``maintenance_bytes``, always 0
+        without a budget) and are converted here at the cost model's
         ``cpu_index_maintain_byte_s`` rate. With a ``meter`` the charge
         rides the current encode's CPU total (and therefore the node's
         background-CPU ledger); without one it only lands on the engine's
         :attr:`index_maintenance_cpu_seconds`, which always accumulates
         the charge and is what the rebuild paths read deltas from.
         """
-        drain = getattr(index, "drain_maintenance_bytes", None)
-        if drain is None:
+        if not index.maintenance_bytes:
             return 0.0
-        pending = drain()
-        if not pending:
-            return 0.0
+        pending = index.drain_maintenance_bytes()
         seconds = pending * self.costs.cpu_index_maintain_byte_s
         self.index_maintenance_cpu_seconds += seconds
         if meter is not None:
@@ -528,7 +519,7 @@ class DedupEngine:
             self.register_insert(record.database, record_id)
             self.source_cache.admit(record_id, content)
             indexed += 1
-        # Tiered rebuilds can demote while repopulating; settle the
+        # Budgeted rebuilds can demote while repopulating; settle the
         # maintenance bytes into the engine's CPU ledger so the caller
         # (node restart / backlog drain) can charge the delta.
         for index in self._indexes.values():

@@ -268,7 +268,7 @@ class DedupPipeline:
             for feature in ctx.sketch.features
         ]
         engine.register_insert(database, ctx.record_id)
-        # Tiered demotions/promotions triggered by this record's lookups
+        # Cold-tier demotions/promotions triggered by this record's lookups
         # and inserts are charged to this encode's CPU meter, so the sim
         # sees tier churn as background work on the node.
         engine.charge_index_maintenance(index, ctx.meter)

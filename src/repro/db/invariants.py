@@ -16,10 +16,10 @@ encode the safety argument of the whole reproduction —
 * **checksums** — every stored payload matches its page checksum and
   the quarantine is empty (all detected corruption was repaired);
 * **index liveness** — feature-index entries only point at live records;
-* **index tiers** — a tiered feature index keeps its hot tier within the
-  configured byte budget, charges memory consistently across tiers, and
-  resolves every lookup to exactly one outcome (hot hit, cold hit, or
-  miss);
+* **index tiers** — a budgeted feature index keeps its hot tier within
+  the configured byte budget; every index charges memory consistently
+  across tiers and resolves every lookup to exactly one outcome (hot
+  hit, cold hit, or miss);
 * **oplog ground truth** — a node's client-visible contents match the
   contents its oplog describes byte for byte (skipped after checkpoint
   truncation, when the log alone no longer covers history);
@@ -291,51 +291,41 @@ def _check_index_tiers(
 ) -> None:
     """Tier accounting holds on every feature-index partition.
 
-    Duck-typed so both index kinds pass through: a plain cuckoo index
-    has no budget and no cold tier, so only the lookup-outcome identity
-    applies to it. For tiered partitions:
-
-    * the hot tier never exceeds ``hot_bytes_budget`` at rest — demotion
-      is synchronous with the insert that crossed the budget, so there
-      is no window where the checker may observe an over-budget tier;
-    * total charged memory is exactly the sum of the two tiers' charges;
     * every lookup resolved to exactly one of hot hit / cold hit / miss
       (the same identity ``check-metrics`` enforces on the exported
-      families, verified here at the source).
+      families, verified here at the source);
+    * under a budget, the hot tier never exceeds ``hot_bytes_budget`` at
+      rest — demotion is synchronous with the insert that crossed the
+      budget, so there is no window where the checker may observe an
+      over-budget tier;
+    * total charged memory is exactly the sum of the two tiers' charges
+      (an index without a budget has an empty cold tier).
     """
     for database, index in index_partitions:
-        lookups = getattr(index, "lookups", None)
-        if lookups is not None:
-            outcomes = (
-                getattr(index, "hot_hits", 0)
-                + getattr(index, "cold_hits", 0)
-                + getattr(index, "misses", 0)
+        lookups = index.lookups
+        outcomes = index.hot_hits + index.cold_hits + index.misses
+        if lookups != outcomes:
+            report.add(
+                node, "index-tier",
+                f"partition {database!r}: lookups={lookups} != "
+                f"hot+cold+miss={outcomes}",
             )
-            if lookups != outcomes:
-                report.add(
-                    node, "index-tier",
-                    f"partition {database!r}: lookups={lookups} != "
-                    f"hot+cold+miss={outcomes}",
-                )
-        budget = getattr(index, "hot_bytes_budget", None)
-        if budget is not None:
-            hot_bytes = index.hot_bytes
-            if hot_bytes > budget:
-                report.add(
-                    node, "index-tier",
-                    f"partition {database!r}: hot tier {hot_bytes} B "
-                    f"exceeds budget {budget} B",
-                )
-        hot_bytes = getattr(index, "hot_bytes", None)
-        cold_bytes = getattr(index, "cold_bytes", None)
-        if hot_bytes is not None and cold_bytes is not None:
-            if index.memory_bytes != hot_bytes + cold_bytes:
-                report.add(
-                    node, "index-tier",
-                    f"partition {database!r}: memory_bytes="
-                    f"{index.memory_bytes} != hot {hot_bytes} + "
-                    f"cold {cold_bytes}",
-                )
+        budget = index.hot_bytes_budget
+        hot_bytes = index.hot_bytes
+        if budget is not None and hot_bytes > budget:
+            report.add(
+                node, "index-tier",
+                f"partition {database!r}: hot tier {hot_bytes} B "
+                f"exceeds budget {budget} B",
+            )
+        cold_bytes = index.cold_bytes
+        if index.memory_bytes != hot_bytes + cold_bytes:
+            report.add(
+                node, "index-tier",
+                f"partition {database!r}: memory_bytes="
+                f"{index.memory_bytes} != hot {hot_bytes} + "
+                f"cold {cold_bytes}",
+            )
 
 
 def _check_oplog_ground_truth(

@@ -402,7 +402,7 @@ class PrimaryNode:
             if record_id in self.db.records
         )
         self.background_cpu_seconds += charged * self.costs.cpu_chunk_byte_s
-        # Tiered rebuilds can spill while repopulating; that maintenance
+        # Budgeted rebuilds can spill while repopulating; that maintenance
         # CPU accumulates on the engine and is background work here too.
         before = self.engine.index_maintenance_cpu_seconds
         indexed = self.engine.rebuild_from(self.db, order=chunk)

@@ -1,11 +1,11 @@
 """Deduplication indexes.
 
 * :class:`~repro.index.cuckoo.CuckooFeatureIndex` — dbDedup's compact
-  in-memory feature index (2-byte checksum keys, 4-byte record pointers).
-* :class:`~repro.index.tiered.TieredFeatureIndex` — the same structure as
-  a byte-budgeted hot tier over a constant-memory Bloom-banded cold tier.
+  in-memory feature index (2-byte checksum keys, 4-byte record pointers);
+  under a byte budget, the hot tier over a constant-memory Bloom-banded
+  cold tier.
 * :class:`~repro.index.spec.IndexSpec` — the frozen configuration record
-  :func:`~repro.index.tiered.build_index` turns into either of the above.
+  the feature index is built from.
 * :class:`~repro.index.exact.ExactChunkIndex` — the full SHA-1 chunk index
   used by the trad-dedup baseline, whose size is what makes small chunks
   impractical for exact dedup (Fig. 1/10).
@@ -15,14 +15,10 @@ from repro.index.bloom import BloomFilter
 from repro.index.cuckoo import CuckooFeatureIndex
 from repro.index.exact import ExactChunkIndex
 from repro.index.spec import IndexSpec
-from repro.index.tiered import FeatureIndex, TieredFeatureIndex, build_index
 
 __all__ = [
     "BloomFilter",
     "CuckooFeatureIndex",
     "ExactChunkIndex",
-    "FeatureIndex",
     "IndexSpec",
-    "TieredFeatureIndex",
-    "build_index",
 ]

@@ -1,7 +1,7 @@
 """Compact Bloom filter for the cold feature-index tier.
 
-The tiered index (see :mod:`repro.index.tiered`) spills cold features
-into per-band Bloom filters, following LSHBloom's constant-memory
+A budgeted feature index (see :mod:`repro.index.cuckoo`) spills cold
+features into per-band Bloom filters, following LSHBloom's constant-memory
 approximate-membership-per-band construction. dbDedup tolerates the
 resulting false positives by design — delta compression verifies every
 byte — so the filter only needs to bound their *rate*, which the classic

@@ -1,10 +1,11 @@
 """The one index-configuration object the public API accepts.
 
-:class:`IndexSpec` is a frozen, keyword-only record of *which* feature
-index to build — the paper's unbounded cuckoo structure or the
-memory-bounded tiered variant — and *how big it may get*, nested as
+:class:`IndexSpec` is a frozen, keyword-only record of the feature
+index's geometry and *how big it may get*: with no ``hot_bytes_budget``
+the paper's unbounded cuckoo structure, with one the same structure as
+a byte-budgeted hot tier over a Bloom-banded cold tier. It is nested as
 ``DedupConfig.index`` and consumed by
-:func:`repro.index.tiered.build_index`.
+:class:`repro.index.cuckoo.CuckooFeatureIndex`.
 
 This module is deliberately dependency-free (a dataclass and its
 validation, nothing else) so it sits below both :mod:`repro.core` and
@@ -16,40 +17,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Index kinds :func:`repro.index.tiered.build_index` understands.
-INDEX_KINDS = ("cuckoo", "tiered")
-
 
 @dataclass(frozen=True, kw_only=True)
 class IndexSpec:
     """Frozen, keyword-only description of the feature index.
 
     Attributes:
-        kind: ``"cuckoo"`` — the paper's unbounded in-memory structure
-            (§3.1.2) — or ``"tiered"`` — the same cuckoo structure as a
-            byte-budgeted hot tier over a constant-memory approximate
-            cold tier (Bloom filter per feature band).
-        num_buckets: cuckoo bucket count (the hot tier's when tiered);
-            rounds up to a power of two. Slots per bucket (4) and the
-            per-feature candidate cap (8) are
-            :class:`~repro.index.cuckoo.CuckooFeatureIndex` defaults
+        num_buckets: cuckoo bucket count; rounds up to a power of two.
+            Slots per bucket (4) and the per-feature candidate cap (8)
+            are :class:`~repro.index.cuckoo.CuckooFeatureIndex` defaults
             (§3.1.2).
-        hot_bytes_budget: tiered only — byte ceiling on the hot tier;
-            exceeding it demotes LRU entries into the cold tier. None
-            means unbounded (the tiered index then never demotes, and a
-            cuckoo index ignores the field entirely).
-        cold_fpp: tiered only — target false-positive probability of
-            each cold-tier band filter.
-        promotion_hits: tiered only — cold lookups of the same feature
-            before it is promoted back into the hot tier.
-        cold_bands: tiered only — number of cold-tier feature bands.
-        cold_band_records: tiered only — candidate record references
-            retained per band (FIFO beyond the cap).
-        cold_band_features: tiered only — expected distinct features per
-            band, the capacity each band filter is sized for.
+        hot_bytes_budget: byte ceiling on the cuckoo table, which then
+            charges 14 B an entry instead of 6 (it keeps the feature to
+            spill it); exceeding it demotes LRU entries into the cold
+            tier. None — the default — means the paper's unbounded index
+            with no cold tier, and the knobs below are then unused.
+        cold_fpp: target false-positive probability of each cold-tier
+            band filter.
+        promotion_hits: cold lookups of the same feature before it is
+            promoted back into the hot tier.
+        cold_bands: number of cold-tier feature bands.
+        cold_band_records: candidate record references retained per band
+            (FIFO beyond the cap).
+        cold_band_features: expected distinct features per band, the
+            capacity each band filter is sized for.
     """
 
-    kind: str = "cuckoo"
     num_buckets: int = 1 << 16
     hot_bytes_budget: int | None = None
     cold_fpp: float = 0.01
@@ -59,10 +52,6 @@ class IndexSpec:
     cold_band_features: int = 2048
 
     def __post_init__(self) -> None:
-        if self.kind not in INDEX_KINDS:
-            raise ValueError(
-                f"index kind must be one of {INDEX_KINDS}, got {self.kind!r}"
-            )
         if self.num_buckets < 1:
             raise ValueError(
                 f"num_buckets must be >= 1, got {self.num_buckets}"

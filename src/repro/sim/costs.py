@@ -35,7 +35,7 @@ class CostModel:
     cpu_decode_byte_s: float = 1.0 / (400 * 1024 * 1024)
     #: Block compression (Snappy-class): ~250 MB/s.
     cpu_compress_byte_s: float = 1.0 / (250 * 1024 * 1024)
-    #: Tiered-index maintenance (demoting/promoting entries between the
+    #: Budgeted-index maintenance (demoting/promoting entries between the
     #: hot and cold tiers): ~200 MB/s of entry bytes moved — hash-heavy
     #: pointer shuffling, cheaper than delta work, dearer than streaming.
     cpu_index_maintain_byte_s: float = 1.0 / (200 * 1024 * 1024)

@@ -4,8 +4,7 @@ import pytest
 
 from repro.analysis.chains import profile_chains
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.db.database import Database
 from repro.workloads.wikipedia import WikipediaWorkload
 
@@ -26,7 +25,7 @@ class TestProfileChains:
         assert profile.raw_fraction == 1.0
 
     def test_encoded_cluster_profile(self):
-        cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
+        cluster = open_cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64))).cluster
         workload = WikipediaWorkload(seed=15, target_bytes=200_000)
         cluster.run(workload.insert_trace())
         profile = profile_chains(cluster.primary.db)
@@ -40,13 +39,13 @@ class TestProfileChains:
         from itertools import islice
 
         def run(encoding):
-            cluster = Cluster(
+            cluster = open_cluster(
                 ClusterSpec(
                     dedup=DedupConfig(
                         chunk_size=64, encoding=encoding, hop_distance=4
                     )
                 )
-            )
+            ).cluster
             workload = WikipediaWorkload(
                 seed=15, target_bytes=10**9, num_articles=1,
                 median_article_bytes=3000,

@@ -103,7 +103,7 @@ class TestIntrospection:
             admission_queue_records=8,
             gc_enabled=True,
             gc_reclaim_threshold_bytes=4096,
-            index=IndexSpec(kind="tiered", hot_bytes_budget=4096),
+            index=IndexSpec(hot_bytes_budget=4096),
         )
         client = open_cluster(ClusterSpec(dedup=dedup), shards=shards)
         assert client.spec is client.cluster.config

@@ -4,13 +4,12 @@ import pytest
 
 from repro.api import ClusterSpec, IndexSpec, open_cluster
 from repro.core.config import DedupConfig
-from repro.index import CuckooFeatureIndex, TieredFeatureIndex
+from repro.index import CuckooFeatureIndex
 from repro.workloads import WikipediaWorkload
 
 
 class TestIndexSpecValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"kind": "btree"},
         {"num_buckets": 0},
         {"hot_bytes_budget": 0},
         {"hot_bytes_budget": -1},
@@ -28,16 +27,16 @@ class TestIndexSpecValidation:
     def test_frozen(self):
         spec = IndexSpec()
         with pytest.raises(AttributeError):
-            spec.kind = "tiered"
+            spec.hot_bytes_budget = 4096
 
     def test_keyword_only(self):
         with pytest.raises(TypeError):
-            IndexSpec("tiered")
+            IndexSpec(1 << 10)
 
 
 class TestSpecThreading:
     def test_cluster_spec_nests_index(self):
-        index = IndexSpec(kind="tiered", hot_bytes_budget=4096)
+        index = IndexSpec(hot_bytes_budget=4096)
         spec = ClusterSpec(dedup=DedupConfig(index=index))
         engine = open_cluster(spec).cluster.primary.engine
         assert engine.config is spec.dedup
@@ -46,14 +45,14 @@ class TestSpecThreading:
     def test_open_cluster_builds_tiered_index(self):
         client = open_cluster(
             ClusterSpec(dedup=DedupConfig(
-                index=IndexSpec(kind="tiered", hot_bytes_budget=2048)
+                index=IndexSpec(hot_bytes_budget=2048)
             ))
         )
         workload = WikipediaWorkload(seed=7, target_bytes=60_000)
         client.run(workload.insert_trace())
         engine = client.cluster.primary.engine
         indexes = [engine.index_for(db) for db in ("db",)]
-        assert all(isinstance(ix, TieredFeatureIndex) for ix in indexes)
+        assert all(ix.hot_bytes_budget == 2048 for ix in indexes)
 
     def test_default_stays_cuckoo(self):
         client = open_cluster(ClusterSpec())
@@ -83,7 +82,7 @@ class TestIndexReport:
         client = open_cluster(ClusterSpec(
             shards=shards,
             dedup=DedupConfig(
-                index=IndexSpec(kind="tiered", hot_bytes_budget=448)
+                index=IndexSpec(hot_bytes_budget=448)
             ),
         ))
         workload = WikipediaWorkload(seed=3, target_bytes=120_000)

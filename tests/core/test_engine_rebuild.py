@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.config import DedupConfig
 from repro.core.engine import DedupEngine
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.db.snapshot import dump_database, load_database
 from repro.workloads.wikipedia import WikipediaWorkload
 
@@ -13,7 +12,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 @pytest.fixture()
 def restored_node():
     """A database restored from snapshot, plus the original trace."""
-    cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
+    cluster = open_cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64))).cluster
     workload = WikipediaWorkload(seed=77, target_bytes=120_000, num_articles=2)
     ops = list(workload.insert_trace())
     for op in ops:

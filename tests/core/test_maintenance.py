@@ -6,8 +6,7 @@ import pytest
 
 from repro.core.config import DedupConfig
 from repro.core.maintenance import BackgroundCompactor
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.db.record import RecordForm
 from repro.workloads.base import Operation
 from repro.workloads.edits import revise
@@ -22,11 +21,11 @@ def forked_cluster():
     the fork resembles strongly... simpler: we drive the databases through
     the cluster and then check for raw orphans generically.
     """
-    cluster = Cluster(
+    cluster = open_cluster(
         ClusterSpec(
             dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
         )
-    )
+    ).cluster
     rng = random.Random(5)
     text_gen = TextGenerator(seed=5)
     body = text_gen.document(4000)
@@ -108,7 +107,7 @@ class TestCompaction:
                 )
 
     def test_compaction_on_dedup_disabled_node(self):
-        cluster = Cluster(ClusterSpec(dedup_enabled=False))
+        cluster = open_cluster(ClusterSpec(dedup_enabled=False)).cluster
         cluster.execute(Operation("insert", "db", "r", b"data " * 50))
         assert cluster.primary.compact_storage() is None
 
@@ -125,14 +124,14 @@ class TestMutualOrphanSafety:
     def test_two_similar_orphans_do_not_cycle(self):
         """Two raw records most similar to each other must not end up
         encoding against one another."""
-        cluster = Cluster(
+        cluster = open_cluster(
             ClusterSpec(
                 dedup=DedupConfig(
                     chunk_size=64, size_filter_enabled=False,
                     min_savings_ratio=0.99,
                 )
             )
-        )
+        ).cluster
         text_gen = TextGenerator(seed=8)
         rng = random.Random(8)
         base = text_gen.document(3000)

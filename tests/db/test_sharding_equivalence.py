@@ -31,7 +31,7 @@ WORKLOADS = ("wikipedia", "enron")
 #: stay deterministic across topologies.
 INDEX_SPECS = (
     IndexSpec(),
-    IndexSpec(kind="tiered", hot_bytes_budget=1024, promotion_hits=2),
+    IndexSpec(hot_bytes_budget=1024, promotion_hits=2),
 )
 
 

@@ -7,12 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.murmur import murmur3_32
+from repro.index import IndexSpec
 from repro.index.cuckoo import ENTRY_BYTES, CuckooFeatureIndex
+
+
+def cuckoo(num_buckets: int = 1 << 16, **kwargs) -> CuckooFeatureIndex:
+    """An unbudgeted index of ``num_buckets`` buckets."""
+    return CuckooFeatureIndex(IndexSpec(num_buckets=num_buckets), **kwargs)
 
 
 @pytest.fixture()
 def index() -> CuckooFeatureIndex:
-    return CuckooFeatureIndex(num_buckets=64, slots_per_bucket=4, max_candidates=4)
+    return cuckoo(num_buckets=64, slots_per_bucket=4, max_candidates=4)
 
 
 class TestValidation:
@@ -26,7 +32,7 @@ class TestValidation:
     )
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
-            CuckooFeatureIndex(**kwargs)
+            cuckoo(**kwargs)
 
 
 class TestLookupInsert:
@@ -108,14 +114,14 @@ class TestEvictionAndMemory:
         assert index.lookup(3) == []
 
     def test_full_buckets_displace_lru(self):
-        tiny = CuckooFeatureIndex(num_buckets=2, slots_per_bucket=1, max_candidates=4)
+        tiny = cuckoo(num_buckets=2, slots_per_bucket=1, max_candidates=4)
         for feature in range(50):
             tiny.insert(feature, f"r{feature}")
         # Bounded: at most buckets * slots entries survive.
         assert len(tiny) <= 2 * 1
 
     def test_capacity_is_bounded_under_load(self):
-        index = CuckooFeatureIndex(num_buckets=16, slots_per_bucket=2)
+        index = cuckoo(num_buckets=16, slots_per_bucket=2)
         for feature in range(10_000):
             index.insert(feature, f"r{feature}")
         assert len(index) <= 16 * 2
@@ -134,7 +140,7 @@ class TestChecksumBehaviour:
     @settings(max_examples=25)
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40, unique=True))
     def test_property_inserted_features_found(self, features):
-        index = CuckooFeatureIndex(num_buckets=256, slots_per_bucket=4)
+        index = cuckoo(num_buckets=256, slots_per_bucket=4)
         for feature in features:
             index.insert(feature, f"rec-{feature}")
         found = sum(
@@ -168,7 +174,7 @@ class TestKeyHashClosedForm:
 
     @pytest.mark.parametrize("num_buckets", [2, 1 << 16])
     def test_matches_scalar_murmur(self, features, num_buckets):
-        index = CuckooFeatureIndex(num_buckets=num_buckets)
+        index = cuckoo(num_buckets=num_buckets)
         mask = num_buckets - 1
         bumped = 0
         for feature in features:
@@ -182,10 +188,10 @@ class TestKeyHashClosedForm:
     @pytest.mark.parametrize("num_buckets", [2, 1 << 16])
     def test_agrees_with_the_batch_lane(self, features, num_buckets):
         records = [f"r{position}" for position in range(len(features))]
-        scalar = CuckooFeatureIndex(num_buckets=num_buckets)
+        scalar = cuckoo(num_buckets=num_buckets)
         for feature, record in zip(features, records):
             scalar.insert(feature, record)
-        batch = CuckooFeatureIndex(num_buckets=num_buckets)
+        batch = cuckoo(num_buckets=num_buckets)
         batch.insert_batch(features, records)
         assert scalar._buckets == batch._buckets
         assert len(scalar) == len(batch) > 0

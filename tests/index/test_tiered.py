@@ -1,4 +1,4 @@
-"""Tiered feature index: budget, demotion/promotion, invalidation.
+"""Budgeted feature index: budget, demotion/promotion, invalidation.
 
 The safety-critical property pinned here is *negative accuracy*: a
 record removed from both tiers can never be returned by any later
@@ -8,17 +8,15 @@ false positives) is allowed by construction — the delta stage verifies
 bytes — so the equivalence property is one-sided.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import CuckooFeatureIndex, IndexSpec, TieredFeatureIndex
-from repro.index.tiered import HOT_ENTRY_BYTES, build_index
+from repro.index import CuckooFeatureIndex, IndexSpec
+from repro.index.cuckoo import HOT_ENTRY_BYTES
 
 
 def tiered_spec(**overrides) -> IndexSpec:
     defaults = dict(
-        kind="tiered",
         hot_bytes_budget=HOT_ENTRY_BYTES * 32,
         promotion_hits=2,
         cold_bands=8,
@@ -29,26 +27,16 @@ def tiered_spec(**overrides) -> IndexSpec:
     return IndexSpec(**defaults)
 
 
-class TestConstruction:
-    def test_build_index_dispatches_on_kind(self):
-        assert isinstance(build_index(IndexSpec()), CuckooFeatureIndex)
-        assert isinstance(build_index(tiered_spec()), TieredFeatureIndex)
-
-    def test_rejects_cuckoo_spec(self):
-        with pytest.raises(ValueError):
-            TieredFeatureIndex(IndexSpec(kind="cuckoo"))
-
-
 class TestBudget:
     def test_hot_tier_never_exceeds_budget(self):
-        index = TieredFeatureIndex(tiered_spec())
+        index = CuckooFeatureIndex(tiered_spec())
         for position in range(500):
             index.insert(position * 7919, f"r{position}")
             assert index.hot_bytes <= index.hot_bytes_budget
         assert index.demotions > 0
 
     def test_insert_batch_respects_budget(self):
-        index = TieredFeatureIndex(tiered_spec())
+        index = CuckooFeatureIndex(tiered_spec())
         index.insert_batch(
             [position * 104_729 for position in range(400)],
             [f"r{position}" for position in range(400)],
@@ -56,21 +44,23 @@ class TestBudget:
         assert index.hot_bytes <= index.hot_bytes_budget
 
     def test_unbounded_budget_never_demotes(self):
-        index = TieredFeatureIndex(tiered_spec(hot_bytes_budget=None))
+        index = CuckooFeatureIndex(tiered_spec(hot_bytes_budget=None))
         for position in range(300):
             index.lookup_and_insert(position * 7919, f"r{position}")
         assert index.demotions == 0
         assert index.cold_bytes == 0
+        # No budget: the paper's 6 B entry, no feature kept to spill.
+        assert index.memory_bytes == 6 * len(index) > 0
 
     def test_memory_is_sum_of_tiers(self):
-        index = TieredFeatureIndex(tiered_spec())
+        index = CuckooFeatureIndex(tiered_spec())
         for position in range(300):
             index.insert(position * 7919, f"r{position}")
         assert index.memory_bytes == index.hot_bytes + index.cold_bytes
         assert index.cold_bytes > 0  # bands materialized by demotion
 
     def test_maintenance_bytes_accumulate_and_drain(self):
-        index = TieredFeatureIndex(tiered_spec())
+        index = CuckooFeatureIndex(tiered_spec())
         for position in range(300):
             index.insert(position * 7919, f"r{position}")
         assert index.maintenance_bytes > 0
@@ -82,7 +72,7 @@ class TestBudget:
 
 class TestLookupOutcomes:
     def test_exactly_one_outcome_per_lookup(self):
-        index = TieredFeatureIndex(tiered_spec())
+        index = CuckooFeatureIndex(tiered_spec())
         for position in range(300):
             index.lookup_and_insert(position * 7919, f"r{position}")
         for position in range(0, 300, 7):
@@ -92,7 +82,7 @@ class TestLookupOutcomes:
         )
 
     def test_demoted_feature_served_from_cold_tier(self):
-        index = TieredFeatureIndex(tiered_spec())
+        index = CuckooFeatureIndex(tiered_spec())
         for position in range(300):
             index.insert(position * 7919, f"r{position}")
         # Feature 0 was inserted first, so it demoted long ago.
@@ -101,7 +91,7 @@ class TestLookupOutcomes:
         assert candidates  # the band vouches for recent demoted records
 
     def test_promotion_after_repeated_cold_hits(self):
-        index = TieredFeatureIndex(tiered_spec(promotion_hits=2))
+        index = CuckooFeatureIndex(tiered_spec(promotion_hits=2))
         for position in range(300):
             index.insert(position * 7919, f"r{position}")
         feature = 0
@@ -114,7 +104,7 @@ class TestLookupOutcomes:
         assert index.hot_hits == before_hot + 1
 
     def test_cold_false_positives_counted_separately(self):
-        index = TieredFeatureIndex(tiered_spec(cold_fpp=0.4))
+        index = CuckooFeatureIndex(tiered_spec(cold_fpp=0.4))
         for position in range(400):
             index.insert(position * 7919, f"r{position}")
         # Probe features never inserted: any bloom hit is a false
@@ -131,7 +121,7 @@ class TestLookupOutcomes:
 
 class TestInvalidation:
     def test_remove_record_covers_both_tiers(self):
-        index = TieredFeatureIndex(tiered_spec())
+        index = CuckooFeatureIndex(tiered_spec())
         for position in range(300):
             index.insert(position * 7919, f"r{position}")
         victims = [f"r{position}" for position in range(0, 300, 13)]
@@ -146,7 +136,7 @@ class TestInvalidation:
     def test_cold_tier_delete_does_not_resurrect(self):
         # A record whose features live only in the cold tier must stay
         # gone after removal — the satellite-4 regression.
-        index = TieredFeatureIndex(tiered_spec())
+        index = CuckooFeatureIndex(tiered_spec())
         for position in range(300):
             index.insert(position * 7919, f"r{position}")
         index.remove_record("r0")
@@ -155,7 +145,7 @@ class TestInvalidation:
         assert "r0" not in index.record_ids()
 
     def test_clear_drops_both_tiers(self):
-        index = TieredFeatureIndex(tiered_spec())
+        index = CuckooFeatureIndex(tiered_spec())
         for position in range(300):
             index.insert(position * 7919, f"r{position}")
         index.clear()
@@ -165,17 +155,6 @@ class TestInvalidation:
 
 
 class TestEquivalence:
-    def test_unbounded_tiered_matches_cuckoo_exactly(self):
-        """With no budget the tiered index IS the cuckoo index."""
-        spec = tiered_spec(hot_bytes_budget=None)
-        tiered = TieredFeatureIndex(spec)
-        cuckoo = CuckooFeatureIndex(num_buckets=spec.num_buckets)
-        for position in range(400):
-            feature = (position % 97) * 7919
-            record = f"r{position}"
-            assert tiered.lookup_and_insert(feature, record) == \
-                cuckoo.lookup_and_insert(feature, record)
-
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(
@@ -190,7 +169,7 @@ class TestEquivalence:
     )
     def test_property_removed_records_never_resurrect(self, ops):
         """Deleted records never reappear, whatever tier churn occurred."""
-        index = TieredFeatureIndex(
+        index = CuckooFeatureIndex(
             tiered_spec(hot_bytes_budget=HOT_ENTRY_BYTES * 8)
         )
         dead: set[str] = set()

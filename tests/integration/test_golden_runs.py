@@ -171,9 +171,7 @@ CASES = {
     # cold hits and promotions back all run.
     "stackexchange-tiered": (
         lambda: _mixed("stackexchange"),
-        dict(dedup=_dedup(index=IndexSpec(
-            kind="tiered", hot_bytes_budget=448, promotion_hits=2,
-        ))),
+        dict(dedup=_dedup(index=IndexSpec(hot_bytes_budget=448, promotion_hits=2))),
         {},
     ),
 }

@@ -25,11 +25,11 @@ SEED = 11
 
 #: Small enough that a dedup-friendly trace overflows the hot tier and
 #: exercises demotion, cold hits, and promotion — not just the hot path.
-TIERED = IndexSpec(kind="tiered", hot_bytes_budget=2048, promotion_hits=2)
+TIERED = IndexSpec(hot_bytes_budget=2048, promotion_hits=2)
 
 #: Tighter still, for the short hand-built traces whose sketches only
 #: yield a few hundred feature entries.
-TIERED_TIGHT = IndexSpec(kind="tiered", hot_bytes_budget=448,
+TIERED_TIGHT = IndexSpec(hot_bytes_budget=448,
                          promotion_hits=2)
 
 

@@ -68,14 +68,13 @@ class TestDeliveryAccounting:
     def test_replication_resends_do_not_inflate_delivered_bytes(self):
         """End to end: a dropping link re-ships batches; the cluster's
         Fig. 11 accounting only counts the copies that landed."""
-        from repro.api import ClusterSpec
-        from repro.db.cluster import Cluster
+        from repro.api import ClusterSpec, open_cluster
         from repro.db.invariants import check_cluster
         from repro.sim.faults import DropBatches, FaultPlan
         from repro.workloads.base import Operation
 
         def run(rules):
-            cluster = Cluster(ClusterSpec(oplog_batch_bytes=2048))
+            cluster = open_cluster(ClusterSpec(oplog_batch_bytes=2048)).cluster
             plan = FaultPlan(seed=3, rules=rules)
             plan.install(cluster)
             content = bytes(range(256)) * 4

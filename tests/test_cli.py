@@ -101,6 +101,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "cluster invariants OK" in out
 
+    def test_index_hot_bytes_alone_turns_the_cold_tier_on(self, capsys):
+        common = ["--workload", "wikipedia", "--target-bytes", "120000",
+                  "--index-hot-bytes", "448"]
+        assert main(["run", *common, "--check-invariants"]) == 0
+        assert "cluster invariants OK" in capsys.readouterr().out
+        assert main(["index-report", *common, "--json"]) == 0
+        import json
+
+        shard = json.loads(capsys.readouterr().out)["shards"]["0"]
+        assert shard["kind"] == "tiered"
+        assert sum(
+            part["demotions"] for part in shard["partitions"].values()
+        ) > 0
+
     def test_trace_replay_check_invariants(self, capsys, tmp_path):
         path = str(tmp_path / "t.trace")
         assert main([

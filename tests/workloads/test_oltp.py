@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.config import DedupConfig
-from repro.api import ClusterSpec
-from repro.db.cluster import Cluster
+from repro.api import ClusterSpec, open_cluster
 from repro.workloads.oltp import OltpWorkload
 
 
@@ -46,7 +45,7 @@ class TestNegativeControl:
         config = ClusterSpec(
             dedup=DedupConfig(chunk_size=64, governor_window=10**9)
         )
-        cluster = Cluster(config)
+        cluster = open_cluster(config).cluster
         workload = OltpWorkload(seed=3, target_bytes=120_000)
         result = cluster.run(workload.insert_trace())
         assert result.storage_compression_ratio < 1.3
@@ -55,7 +54,7 @@ class TestNegativeControl:
         config = ClusterSpec(
             dedup=DedupConfig(chunk_size=64, governor_window=150)
         )
-        cluster = Cluster(config)
+        cluster = open_cluster(config).cluster
         workload = OltpWorkload(seed=3, target_bytes=120_000)
         cluster.run(workload.insert_trace())
         engine = cluster.primary.engine
@@ -66,7 +65,7 @@ class TestNegativeControl:
 
     def test_mixed_trace_replicates(self):
         config = ClusterSpec(dedup=DedupConfig(chunk_size=64))
-        cluster = Cluster(config)
+        cluster = open_cluster(config).cluster
         workload = OltpWorkload(seed=4, target_bytes=80_000)
         cluster.run(workload.mixed_trace())
         assert cluster.replicas_converged()

@@ -41,15 +41,14 @@ class TestRoundTrip:
 
     def test_replaying_trace_reproduces_run(self, tmp_path):
         from repro.core.config import DedupConfig
-        from repro.api import ClusterSpec
-        from repro.db.cluster import Cluster
+        from repro.api import ClusterSpec, open_cluster
 
         workload = WikipediaWorkload(seed=67, target_bytes=80_000)
         path = tmp_path / "wiki.trace"
         save_trace(workload.insert_trace(), path)
 
         def run(trace):
-            cluster = Cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64)))
+            cluster = open_cluster(ClusterSpec(dedup=DedupConfig(chunk_size=64))).cluster
             return cluster.run(trace)
 
         live = run(WikipediaWorkload(seed=67, target_bytes=80_000).insert_trace())

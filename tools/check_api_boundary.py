@@ -53,18 +53,11 @@ INDEX_SPEC_ALLOWED: frozenset[str] = frozenset()
 #: here (or a new import in a file not listed) is a boundary violation.
 ALLOWED = frozenset({
     "benchmarks/test_batch_insert.py",
-    "tests/analysis/test_chains.py",
     "tests/api/test_client.py",       # exercises the boundary itself
-    "tests/core/test_engine_rebuild.py",
-    "tests/core/test_maintenance.py",
     "tests/db/test_read_preference.py",
-    "tests/integration/test_crud_dedup.py",
     "tests/integration/test_observability.py",
     "tests/integration/test_stateful.py",
-    "tests/sim/test_network.py",
     "tests/test_cli.py",
-    "tests/workloads/test_oltp.py",
-    "tests/workloads/test_trace_io.py",
 })
 
 
