@@ -298,9 +298,13 @@ class DedupClient:
             if engine is None:
                 shards[index] = {"kind": None}
                 continue
+            kind = (
+                "cuckoo" if engine.config.index.hot_bytes_budget is None
+                else "tiered"
+            )
             partitions = {}
             for database, part in sorted(engine.index_partitions()):
-                body = part.tier_report()
+                body = {"kind": kind, **part.tier_report()}
                 live = len(
                     engine._partition_records.get(database, ())
                 )
@@ -308,9 +312,8 @@ class DedupClient:
                     part.memory_bytes / live if live else 0.0
                 )
                 partitions[database] = body
-            budget = engine.config.index.hot_bytes_budget
             shards[index] = {
-                "kind": "cuckoo" if budget is None else "tiered",
+                "kind": kind,
                 "maintenance_cpu_seconds":
                     engine.index_maintenance_cpu_seconds,
                 "partitions": partitions,

@@ -550,7 +550,6 @@ class CuckooFeatureIndex:
     def tier_report(self) -> dict:
         """Operator-facing snapshot used by ``DedupClient.index_report``."""
         return {
-            "kind": "cuckoo" if self.hot_bytes_budget is None else "tiered",
             "hot_entries": self.hot_entries,
             "hot_bytes": self.hot_bytes,
             "hot_bytes_budget": self.hot_bytes_budget,
